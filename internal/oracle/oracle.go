@@ -5,11 +5,12 @@
 // this bound with realisable heuristics.
 //
 // The oracle exploits the simulator's determinism: at each quantum
-// boundary it clones the whole machine once per candidate policy, runs
-// each clone one quantum into the future, and commits the real machine
-// to the winner. This is exact — the clone replays bit-identical
-// behaviour — and obviously unimplementable in hardware, which is the
-// point of an upper bound.
+// boundary it copies the whole machine once per candidate policy, runs
+// each copy one quantum into the future, and copies the winning
+// lookahead back into the real machine as its next quantum. This is
+// exact — a copy replays bit-identical behaviour, so adopting the
+// winner's simulated quantum equals running it again — and obviously
+// unimplementable in hardware, which is the point of an upper bound.
 package oracle
 
 import (
@@ -24,37 +25,6 @@ func DefaultCandidates() []policy.Policy {
 	return []policy.Policy{policy.ICOUNT, policy.BRCOUNT, policy.L1MISSCOUNT}
 }
 
-// BestPolicy evaluates every candidate over the next quantum cycles on
-// clones of m and returns the winner and the committed-instruction gain
-// it achieved. Ties go to the earliest candidate, so ICOUNT (first in
-// DefaultCandidates) wins when policies are indistinguishable.
-func BestPolicy(m *pipeline.Machine, quantum int64, candidates []policy.Policy) (best policy.Policy, bestCommitted uint64) {
-	return BestPolicyInto(m, m.Clone(), quantum, candidates)
-}
-
-// BestPolicyInto is BestPolicy evaluating candidates on scratch, a
-// machine with m's geometry (typically m.Clone() made once and reused
-// across quantum boundaries). Each candidate overwrites scratch in
-// place via CloneInto, so the steady-state evaluation allocates
-// nothing.
-func BestPolicyInto(m, scratch *pipeline.Machine, quantum int64, candidates []policy.Policy) (best policy.Policy, bestCommitted uint64) {
-	if len(candidates) == 0 {
-		panic("oracle: no candidate policies")
-	}
-	first := true
-	for _, cand := range candidates {
-		m.CloneInto(scratch)
-		scratch.SetPolicy(cand)
-		base := scratch.TotalCommitted()
-		scratch.Run(quantum)
-		gain := scratch.TotalCommitted() - base
-		if first || gain > bestCommitted {
-			best, bestCommitted, first = cand, gain, false
-		}
-	}
-	return best, bestCommitted
-}
-
 // Scheduler drives a machine quantum by quantum under oracle policy
 // selection.
 type Scheduler struct {
@@ -64,9 +34,10 @@ type Scheduler struct {
 	Switches uint64 // quantum boundaries where the policy changed
 	Quanta   uint64
 
-	// scratch is the reusable evaluation machine, cloned lazily from
-	// the first machine Step sees and overwritten per candidate.
-	scratch *pipeline.Machine
+	// scratch runs the candidate under evaluation; best holds the
+	// best-so-far lookahead. Both are cloned lazily from the first
+	// machine Step sees and overwritten in place afterwards.
+	scratch, best *pipeline.Machine
 }
 
 // NewScheduler returns an oracle scheduler with the default candidate
@@ -75,28 +46,48 @@ func NewScheduler(quantum int64) *Scheduler {
 	return &Scheduler{Quantum: quantum, Candidates: DefaultCandidates()}
 }
 
-// Close releases the scratch evaluation machine to the pipeline shell
-// pool. The scheduler may be used again after Close (a new scratch is
-// cloned lazily), but callers normally close once, when done.
+// Close releases both scratch machines to the pipeline shell pool. The
+// scheduler may be used again after Close (new scratches are cloned
+// lazily), but callers normally close once, when done.
 func (s *Scheduler) Close() {
-	if s.scratch != nil {
-		pipeline.Release(s.scratch)
-		s.scratch = nil
-	}
+	pipeline.Release(s.scratch)
+	pipeline.Release(s.best)
+	s.scratch, s.best = nil, nil
 }
 
-// Step selects the best policy for the next quantum, engages it on m,
-// and runs the quantum. It returns the chosen policy.
+// Step selects the best policy for the next quantum and advances m by
+// that quantum under it. It returns the chosen policy.
 func (s *Scheduler) Step(m *pipeline.Machine) policy.Policy {
-	if s.scratch == nil {
-		s.scratch = m.Clone()
-	}
-	best, _ := BestPolicyInto(m, s.scratch, s.Quantum, s.Candidates)
+	best, _ := s.lookahead(m)
 	if best != m.Policy() {
 		s.Switches++
 	}
-	m.SetPolicy(best)
-	m.Run(s.Quantum)
+	s.best.CloneInto(m)
 	s.Quanta++
 	return best
+}
+
+// lookahead runs every candidate one quantum ahead of m, leaving m
+// untouched and the winner's end state in s.best. It returns the
+// winner and the committed-instruction gain it achieved. Ties go to the
+// earliest candidate, so ICOUNT (first in DefaultCandidates) wins when
+// policies are indistinguishable.
+func (s *Scheduler) lookahead(m *pipeline.Machine) (best policy.Policy, bestCommitted uint64) {
+	if len(s.Candidates) == 0 {
+		panic("oracle: no candidate policies")
+	}
+	if s.scratch == nil {
+		s.scratch, s.best = m.Clone(), m.Clone()
+	}
+	for i, cand := range s.Candidates {
+		m.CloneInto(s.scratch)
+		s.scratch.SetPolicy(cand)
+		base := s.scratch.TotalCommitted()
+		s.scratch.Run(s.Quantum)
+		if gain := s.scratch.TotalCommitted() - base; i == 0 || gain > bestCommitted {
+			best, bestCommitted = cand, gain
+			s.scratch, s.best = s.best, s.scratch
+		}
+	}
+	return best, bestCommitted
 }

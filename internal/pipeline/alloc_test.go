@@ -37,8 +37,10 @@ func TestCloneIntoAllocationFree(t *testing.T) {
 // TestCloneAllocationsBounded keeps full Clone (shell construction +
 // state copy) from quietly regressing toward per-structure allocation
 // churn. The bound is loose — it guards the arena-style construction,
-// not an exact count.
+// not an exact count. The pool is drained first so every Clone builds
+// its shell.
 func TestCloneAllocationsBounded(t *testing.T) {
+	DrainPools()
 	m := testMachine(t, "kitchen-sink", 8, nil)
 	m.Run(16384)
 

@@ -598,9 +598,15 @@ func (m *Machine) Reset(progs []*trace.Program, seed uint64) {
 
 // Clone returns an independent deep copy. The clone and the original
 // diverge only through future SetPolicy / flag calls — identical inputs
-// replay identical cycles (the oracle scheduler depends on this).
+// replay identical cycles (the oracle scheduler depends on this). The
+// copy is written into a pooled shell of the same geometry when one is
+// available, so a clone handed back with Release costs no construction
+// the next time.
 func (m *Machine) Clone() *Machine {
-	nm := newShell(m.cfg, len(m.threads))
+	nm := takeShell(shellKey{m.cfg, len(m.threads)})
+	if nm == nil {
+		nm = newShell(m.cfg, len(m.threads))
+	}
 	m.CloneInto(nm)
 	return nm
 }

@@ -88,3 +88,31 @@ func TestDrainPools(t *testing.T) {
 	m.Run(64)
 	Release(m)
 }
+
+// TestCloneReusesReleasedShell: Clone draws its shell from the pool, so
+// a released machine of the same geometry is overwritten with the copy
+// instead of a new shell being built, and the copy is still exact.
+func TestCloneReusesReleasedShell(t *testing.T) {
+	DrainPools()
+	defer DrainPools()
+	m := testMachine(t, "kitchen-sink", 8, nil)
+	m.Run(5000)
+	shell := testMachine(t, "int-memory", 8, nil)
+	shell.Run(3000)
+	Release(shell)
+
+	c := m.Clone()
+	if c != shell {
+		t.Fatal("Clone built a new shell while the pool held one of its geometry")
+	}
+	m.Run(5000)
+	c.Run(5000)
+	for i := 0; i < m.NumThreads(); i++ {
+		if *m.State(i) != *c.State(i) {
+			t.Fatalf("thread %d: clone in a recycled shell diverged", i)
+		}
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -42,21 +42,28 @@ var (
 // machine replays byte-identically to a newly constructed one (the
 // allocation regression tests assert this).
 func Acquire(cfg Config, progs []*trace.Program, seed uint64) *Machine {
-	key := shellKey{cfg, len(progs)}
-	poolMu.Lock()
-	shells := pools[key]
-	var m *Machine
-	if n := len(shells); n > 0 {
-		m = shells[n-1]
-		shells[n-1] = nil
-		pools[key] = shells[:n-1]
-	}
-	poolMu.Unlock()
-	if m != nil {
+	if m := takeShell(shellKey{cfg, len(progs)}); m != nil {
 		m.Reset(progs, seed)
 		return m
 	}
 	return New(cfg, progs, seed)
+}
+
+// takeShell removes and returns a pooled shell of the given geometry,
+// or nil when the pool has none. The shell still holds whatever state
+// its last user left; callers overwrite it (Reset or CloneInto).
+func takeShell(key shellKey) *Machine {
+	poolMu.Lock()
+	defer poolMu.Unlock()
+	shells := pools[key]
+	n := len(shells)
+	if n == 0 {
+		return nil
+	}
+	m := shells[n-1]
+	shells[n-1] = nil
+	pools[key] = shells[:n-1]
+	return m
 }
 
 // Release returns a machine to the shell pool for a later Acquire with
