@@ -89,7 +89,6 @@ func main() {
 		batchSizeF    = flag.Int("batch-size", 0, "with -batch: configs per batch chunk (0 = default 64)")
 		peerLookupF   = flag.Bool("peer-lookup", false, "with -backends: ask every backend's result store before dispatching a run")
 		peerTimeoutF  = flag.Duration("peer-timeout", resultstore.DefaultPeerTimeout, "with -peer-lookup: budget for one whole peer lookup across all backends")
-		hedgeF        = flag.Bool("hedge", false, "with -backends: hedge slow requests to a second backend")
 		maxRetriesF   = flag.Int("max-retries", 3, "with -backends: re-dispatches per run after a failure (-1 disables)")
 		fleetMetricsF = flag.Bool("fleet-metrics", false, "with -backends: print fleet client metrics to stderr on exit")
 		auditRateF    = flag.Float64("audit-rate", 0, "with -backends: fraction of runs (0..1) re-checked on a second backend; disagreements are majority-voted and byzantine backends quarantined")
@@ -168,7 +167,6 @@ func main() {
 		fc, err := fleet.New(fleet.Config{
 			Backends:   backends,
 			MaxRetries: *maxRetriesF,
-			Hedge:      *hedgeF,
 			AuditRate:  *auditRateF,
 			AuditSeed:  *auditSeedF,
 			BatchSize:  *batchSizeF,
@@ -189,8 +187,8 @@ func main() {
 		if *fleetMetricsF {
 			defer fc.WriteMetrics(os.Stderr)
 		}
-	} else if *hedgeF || *fleetMetricsF || *auditRateF != 0 || *batchF || *peerLookupF {
-		fatalf("-batch, -peer-lookup, -hedge, -fleet-metrics, and -audit-rate require -backends")
+	} else if *fleetMetricsF || *auditRateF != 0 || *batchF || *peerLookupF {
+		fatalf("-batch, -peer-lookup, -fleet-metrics, and -audit-rate require -backends")
 	}
 
 	// Ctrl-C / SIGTERM cancels the sweep context: in-flight runs drain

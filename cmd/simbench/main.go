@@ -443,7 +443,7 @@ func measureBatchSweep(mixName string, threads int, quick bool) batchStats {
 		fatalf("%v", err)
 	}
 	srv := simserver.New(simserver.Config{
-		Store: resultstore.NewTiered(resultstore.NewMemory(2*items), disk, nil),
+		Store: resultstore.NewTiered(resultstore.NewMemory(2*items), disk),
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer func() {

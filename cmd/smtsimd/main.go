@@ -89,7 +89,7 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("opening -store-dir: %w", err))
 		}
-		store = resultstore.NewTiered(resultstore.NewMemory(*cache), disk, nil)
+		store = resultstore.NewTiered(resultstore.NewMemory(*cache), disk)
 	}
 
 	// Self-healing machinery. -peers names the rest of the fleet: the
@@ -112,10 +112,10 @@ func main() {
 		peerSrc = src
 		cfgTimeout = *peerTimeout
 		if store == nil {
-			store = resultstore.NewTiered(resultstore.NewMemory(*cache), nil, nil)
+			store = resultstore.NewTiered(resultstore.NewMemory(*cache), nil)
 		}
 		replicator = resultstore.NewReplicator(store, resultstore.ReplicateConfig{
-			Peers:    src.(*resultstore.PeerClient).Peers(),
+			Peers:    src.Peers(),
 			Replicas: *replicas,
 			Interval: *syncEvery,
 			Log:      os.Stderr,

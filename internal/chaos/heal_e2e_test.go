@@ -61,7 +61,7 @@ func TestFleetHealsRottedAndFullStores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		store := resultstore.NewTiered(resultstore.NewMemory(1024), disk, nil)
+		store := resultstore.NewTiered(resultstore.NewMemory(1024), disk)
 		srv := simserver.New(simserver.Config{Workers: 2, Store: store, Run: countingRun})
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(func() { ts.Close(); store.Close() })

@@ -16,7 +16,7 @@ type backend struct {
 	breaker *breaker
 
 	inflight atomic.Int64 // requests being served now (load metric)
-	requests atomic.Int64 // dispatches, including hedges and retries
+	requests atomic.Int64 // dispatches, including retries
 	errors   atomic.Int64 // failed dispatches (transport, 5xx, timeout)
 	ratelim  atomic.Int64 // 429 responses
 
@@ -33,17 +33,25 @@ type backend struct {
 	store   string // backend-reported store_state ("" = not reported)
 }
 
-// normalizeURL accepts "host:port" or a full URL and returns a base URL
-// without a trailing slash.
-func normalizeURL(s string) (string, error) {
-	s = strings.TrimRight(strings.TrimSpace(s), "/")
-	if s == "" {
-		return "", fmt.Errorf("fleet: empty backend address")
+// normalizeURLs accepts "host:port" addresses or full URLs and returns
+// base URLs without a trailing slash, dropping duplicates in order.
+func normalizeURLs(addrs []string) ([]string, error) {
+	var urls []string
+	seen := make(map[string]bool)
+	for _, s := range addrs {
+		s = strings.TrimRight(strings.TrimSpace(s), "/")
+		if s == "" {
+			return nil, fmt.Errorf("fleet: empty backend address")
+		}
+		if !strings.Contains(s, "://") {
+			s = "http://" + s
+		}
+		if !seen[s] {
+			seen[s] = true
+			urls = append(urls, s)
+		}
 	}
-	if !strings.Contains(s, "://") {
-		s = "http://" + s
-	}
-	return s, nil
+	return urls, nil
 }
 
 // observe records one successful request's latency.
@@ -107,15 +115,4 @@ func (b *backend) storePenalty() int64 {
 	default:
 		return 0
 	}
-}
-
-// available reports whether the dispatcher may route to this backend:
-// not marked down by the prober, and the breaker admits a request.
-// Calling this consumes the half-open trial slot when one is available,
-// so callers must follow through with a request (or report failure).
-func (b *backend) available() bool {
-	if up, _ := b.probed(); !up {
-		return false
-	}
-	return b.breaker.allow()
 }

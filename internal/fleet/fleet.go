@@ -3,8 +3,8 @@
 // registry with periodic /healthz probing, least-loaded dispatch of
 // simulation configs to POST /v1/runcfg, a per-backend circuit breaker,
 // retries with exponential backoff + jitter that re-route to a healthy
-// backend, optional hedged requests to cut tail latency, and a
-// local-execution fallback when the pool is empty or fully broken.
+// backend, and a local-execution fallback when the pool is empty or
+// fully broken.
 //
 // Simulations are deterministic functions of their config and the wire
 // format is the config itself (not a lossy re-encoding), so results are
@@ -46,12 +46,6 @@ type Config struct {
 	// < 0 disables retries, 0 selects 3. Retries prefer a different
 	// backend than the one that just failed.
 	MaxRetries int
-	// Hedge enables hedged requests: when the primary has not answered
-	// within HedgeDelay, the same config is sent to a second backend
-	// and the first response wins (the loser is cancelled).
-	Hedge bool
-	// HedgeDelay is the hedging trigger; <= 0 selects 250ms.
-	HedgeDelay time.Duration
 	// ProbeInterval is the /healthz probing period; 0 selects 5s,
 	// negative disables probing (backends are assumed up until
 	// requests fail).
@@ -92,10 +86,10 @@ type Config struct {
 	// backend by RunBatch; <= 0 selects 64. Larger batches amortize
 	// round trips, smaller ones spread a sweep across more backends.
 	BatchSize int
-	// PeerLookup, when non-nil, is consulted before dispatching a
-	// config (the tier-2 read path): a digest-verified result already
-	// stored anywhere in the fleet short-circuits the dispatch
-	// entirely. Build one with NewPeerLookup over the pool addresses.
+	// PeerLookup, when non-nil, is consulted once before dispatching a
+	// config: a digest-verified result already stored anywhere in the
+	// fleet short-circuits the dispatch entirely. Build one with
+	// NewPeerLookup over the pool addresses.
 	PeerLookup resultstore.PeerLookup
 	// HTTPClient overrides the transport; nil selects a dedicated
 	// client (timeouts come from request contexts).
@@ -138,9 +132,6 @@ func New(cfg Config) (*Client, error) {
 		cfg.MaxRetries = 3
 	} else if cfg.MaxRetries < 0 {
 		cfg.MaxRetries = 0
-	}
-	if cfg.HedgeDelay <= 0 {
-		cfg.HedgeDelay = 250 * time.Millisecond
 	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 5 * time.Second
@@ -204,16 +195,11 @@ func New(cfg Config) (*Client, error) {
 	if c.http == nil {
 		c.http = &http.Client{}
 	}
-	seen := make(map[string]bool)
-	for _, raw := range cfg.Backends {
-		u, err := normalizeURL(raw)
-		if err != nil {
-			return nil, err
-		}
-		if seen[u] {
-			continue
-		}
-		seen[u] = true
+	urls, err := normalizeURLs(cfg.Backends)
+	if err != nil {
+		return nil, err
+	}
+	for _, u := range urls {
 		c.backends = append(c.backends, &backend{
 			url:     u,
 			breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.now),
@@ -291,14 +277,13 @@ func (c *Client) noteDigestMismatch(b *backend) {
 }
 
 // Run dispatches one simulation config to the pool and returns its
-// result. It retries with exponential backoff + jitter, re-routing to a
-// different backend after a failure and honouring Retry-After on 429.
-// When no backend can accept the job it returns ErrNoBackends (callers
-// fall back to local execution); when retries are exhausted it returns
-// the last dispatch error.
+// result, retrying as withRetries describes. When no backend can
+// accept the job it returns ErrNoBackends (callers fall back to local
+// execution); when retries are exhausted it returns the last dispatch
+// error.
 func (c *Client) Run(ctx context.Context, simCfg core.Config) (core.Result, error) {
 	var zero core.Result
-	// Tier-2 read path: a result already stored anywhere in the fleet
+	// Pre-dispatch lookup: a result already stored anywhere in the fleet
 	// (verified end to end by the peer client) costs one GET instead of
 	// a simulation slot.
 	if c.cfg.PeerLookup != nil {
@@ -312,32 +297,52 @@ func (c *Client) Run(ctx context.Context, simCfg core.Config) (core.Result, erro
 	if err != nil {
 		return zero, fmt.Errorf("fleet: encoding config: %w", err)
 	}
+	var res core.Result
+	b, err := c.withRetries(ctx, func(b *backend) (err error) {
+		c.metrics.dispatched.Add(1)
+		res, err = c.send(ctx, b, body)
+		return err
+	})
+	if err != nil {
+		return zero, err
+	}
+	return c.maybeAudit(ctx, b, body, res), nil
+}
+
+// withRetries runs try on the least-loaded routable backend and, after
+// a failure, again on a different one, with exponential backoff +
+// jitter between attempts (or the backend's Retry-After on a 429). It
+// returns the backend whose try succeeded. It returns ErrNoBackends
+// when no backend can take the work, the context's error once the
+// caller gives up, and the last error once MaxRetries re-dispatches
+// are exhausted.
+func (c *Client) withRetries(ctx context.Context, try func(*backend) error) (*backend, error) {
 	var lastErr error
 	var exclude *backend
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return zero, err
+			return nil, err
 		}
 		b := c.pick(exclude)
 		if b == nil {
 			if lastErr != nil {
-				return zero, fmt.Errorf("%w (last dispatch error: %v)", ErrNoBackends, lastErr)
+				return nil, fmt.Errorf("%w (last dispatch error: %v)", ErrNoBackends, lastErr)
 			}
-			return zero, ErrNoBackends
+			return nil, ErrNoBackends
 		}
 		if attempt > 0 {
 			c.metrics.retried.Add(1)
 		}
-		res, served, err := c.dispatch(ctx, b, body)
+		err := try(b)
 		if err == nil {
-			return c.maybeAudit(ctx, served, body, res), nil
+			return b, nil
 		}
 		if ctx.Err() != nil {
-			return zero, ctx.Err()
+			return nil, ctx.Err()
 		}
 		lastErr = err
 		if attempt >= c.cfg.MaxRetries {
-			return zero, fmt.Errorf("fleet: %d dispatch attempt(s) exhausted: %w", attempt+1, lastErr)
+			return nil, fmt.Errorf("fleet: %d dispatch attempt(s) exhausted: %w", attempt+1, lastErr)
 		}
 		exclude = b
 		delay := c.backoff(attempt)
@@ -346,7 +351,7 @@ func (c *Client) Run(ctx context.Context, simCfg core.Config) (core.Result, erro
 			delay = rl.after
 		}
 		if err := c.cfg.sleep(ctx, delay); err != nil {
-			return zero, err
+			return nil, err
 		}
 	}
 }
@@ -419,69 +424,6 @@ func (c *Client) pick(exclude ...*backend) *backend {
 	return nil
 }
 
-// dispatch sends one config to backend b, optionally racing a hedged
-// copy on a second backend. Exactly one result is returned per call,
-// along with the backend that served it (so audits can attribute the
-// result); the losing request is cancelled.
-func (c *Client) dispatch(ctx context.Context, b *backend, body []byte) (core.Result, *backend, error) {
-	c.metrics.dispatched.Add(1)
-	if !c.cfg.Hedge || len(c.backends) < 2 {
-		res, err := c.send(ctx, b, body)
-		return res, b, err
-	}
-
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel() // cancels the loser (and any stragglers) on return
-
-	type outcome struct {
-		res core.Result
-		err error
-		b   *backend
-	}
-	out := make(chan outcome, 2)
-	send := func(to *backend) {
-		res, err := c.send(hctx, to, body)
-		out <- outcome{res, err, to}
-	}
-	go send(b)
-
-	timer := time.NewTimer(c.cfg.HedgeDelay)
-	defer timer.Stop()
-	launched, hedged := 1, false
-	var firstErr error
-	for {
-		select {
-		case o := <-out:
-			if o.err == nil {
-				if hedged && o.b != b {
-					c.metrics.hedgeWins.Add(1)
-				}
-				return o.res, o.b, nil
-			}
-			launched--
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			if launched == 0 {
-				return core.Result{}, nil, firstErr
-			}
-		case <-timer.C:
-			if hedged {
-				continue
-			}
-			second := c.pick(b)
-			if second == nil {
-				continue // nowhere to hedge; keep waiting on the primary
-			}
-			hedged = true
-			launched++
-			c.metrics.hedged.Add(1)
-			c.metrics.dispatched.Add(1)
-			go send(second)
-		}
-	}
-}
-
 // rateLimitedError is a 429 response with its Retry-After hint.
 type rateLimitedError struct {
 	backend string
@@ -531,43 +473,13 @@ func parseRetryAfter(s string, now time.Time, max time.Duration) time.Duration {
 	return 0
 }
 
-// send performs one POST /v1/runcfg against backend b, maintaining its
-// load gauge, breaker, and latency stats.
+// send performs one POST /v1/runcfg against backend b and verifies
+// the result digest.
 func (c *Client) send(ctx context.Context, b *backend, body []byte) (core.Result, error) {
-	var zero core.Result
-	b.inflight.Add(1)
-	defer b.inflight.Add(-1)
-	b.requests.Add(1)
-
-	rctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, b.url+"/v1/runcfg", bytes.NewReader(body))
-	if err != nil {
-		return zero, fmt.Errorf("fleet: %s: %w", b.url, err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-
-	start := c.cfg.now()
-	resp, err := c.http.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			// Caller cancelled (sweep interrupt or a hedge race loss):
-			// not the backend's fault, so the breaker is untouched.
-			return zero, ctx.Err()
-		}
-		b.errors.Add(1)
-		b.breaker.failure()
-		return zero, fmt.Errorf("fleet: %s: %w", b.url, err)
-	}
-	defer resp.Body.Close()
-
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		var reply runCfgReply
+	var reply runCfgReply
+	err := c.post(ctx, b, "/v1/runcfg", body, func(resp *http.Response) error {
 		if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-			b.errors.Add(1)
-			b.breaker.failure()
-			return zero, fmt.Errorf("fleet: %s: decoding response: %w", b.url, err)
+			return fmt.Errorf("decoding response: %w", err)
 		}
 		// End-to-end integrity: the digest the backend claims must match
 		// the digest recomputed over the bytes we actually decoded. A
@@ -580,29 +492,67 @@ func (c *Client) send(ctx context.Context, b *backend, body []byte) (core.Result
 		}
 		if claimed != "" {
 			if got := simrun.ResultDigest(reply.Result); got != claimed {
-				b.errors.Add(1)
-				b.breaker.failure()
 				c.noteDigestMismatch(b)
-				return zero, fmt.Errorf("fleet: %s: result digest mismatch (claimed %.12s, recomputed %.12s): corrupted response", b.url, claimed, got)
+				return fmt.Errorf("result digest mismatch (claimed %.12s, recomputed %.12s): corrupted response", claimed, got)
 			}
 		}
-		b.breaker.success()
-		b.observe(c.cfg.now().Sub(start).Microseconds())
-		return reply.Result, nil
-	case resp.StatusCode == http.StatusTooManyRequests:
-		// The backend is healthy, just saturated: honour Retry-After
-		// (validated and capped) without charging the breaker.
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
-		b.ratelim.Add(1)
-		c.metrics.rateLimited.Add(1)
-		after := parseRetryAfter(resp.Header.Get("Retry-After"), c.cfg.now(), c.cfg.RetryAfterMax)
-		return zero, &rateLimitedError{backend: b.url, after: after}
-	default:
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
+		return nil
+	})
+	if err != nil {
+		return core.Result{}, err
+	}
+	return reply.Result, nil
+}
+
+// post is the one request path to a backend, shared by /v1/runcfg and
+// /v1/batch: it POSTs body to path and hands a 200 response to decode,
+// maintaining b's load gauge, breaker and latency stats. A 429 is
+// returned as a rateLimitedError without charging the breaker (the
+// backend is healthy, just saturated); transport failures, other
+// statuses and decode errors are charged. A caller that gave up is not
+// the backend's fault either: its context error returns uncharged.
+func (c *Client) post(ctx context.Context, b *backend, path string, body []byte, decode func(*http.Response) error) error {
+	b.inflight.Add(1)
+	defer b.inflight.Add(-1)
+	b.requests.Add(1)
+
+	rctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(rctx, http.MethodPost, b.url+path, bytes.NewReader(body))
+	if err != nil {
+		return fmt.Errorf("fleet: %s: %w", b.url, err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+
+	start := c.cfg.now()
+	resp, err := c.http.Do(req)
+	if err == nil {
+		defer resp.Body.Close()
+		switch resp.StatusCode {
+		case http.StatusOK:
+			err = decode(resp)
+		case http.StatusTooManyRequests:
+			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
+			b.ratelim.Add(1)
+			c.metrics.rateLimited.Add(1)
+			after := parseRetryAfter(resp.Header.Get("Retry-After"), c.cfg.now(), c.cfg.RetryAfterMax)
+			return &rateLimitedError{backend: b.url, after: after}
+		default:
+			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
+			err = fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
+		}
+	}
+	if err != nil {
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
 		b.errors.Add(1)
 		b.breaker.failure()
-		return zero, fmt.Errorf("fleet: %s: status %d: %s", b.url, resp.StatusCode, strings.TrimSpace(string(msg)))
+		return fmt.Errorf("fleet: %s: %w", b.url, err)
 	}
+	b.breaker.success()
+	b.observe(c.cfg.now().Sub(start).Microseconds())
+	return nil
 }
 
 // maybeAudit implements the sampled audit mode: a deterministic
@@ -618,7 +568,7 @@ func (c *Client) send(ctx context.Context, b *backend, body []byte) (core.Result
 // Run) and audit failures never fail the run; auditing is a detector,
 // not a gate.
 func (c *Client) maybeAudit(ctx context.Context, served *backend, body []byte, res core.Result) core.Result {
-	if c.cfg.AuditRate <= 0 || served == nil {
+	if c.cfg.AuditRate <= 0 {
 		return res
 	}
 	n := c.auditN.Add(1)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -231,58 +230,6 @@ func TestHalfOpenTrialFailureReopens(t *testing.T) {
 	}
 }
 
-// TestHedgeExactlyOneResult: the hedged request wins while the slow
-// primary is cancelled, and exactly one result comes back.
-func TestHedgeExactlyOneResult(t *testing.T) {
-	primaryCancelled := make(chan struct{})
-	slow := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
-		// Drain the body first (like the real server's decoder) so the
-		// http.Server's background read can detect the client abort.
-		io.Copy(io.Discard, r.Body)
-		<-r.Context().Done() // hold until the hedge win cancels us
-		close(primaryCancelled)
-	})
-	fast := fakeBackend(t, okReply("hedge-winner"))
-
-	cfg := Config{
-		Backends:   []string{slow.URL, fast.URL},
-		Hedge:      true,
-		HedgeDelay: 10 * time.Millisecond,
-		MaxRetries: -1,
-	}
-	c := newTestClient(t, cfg)
-	// Pin dispatch order: make the slow backend the least-loaded pick.
-	slowB, fastB := c.backends[0], c.backends[1]
-	if slowB.url != slow.URL {
-		slowB, fastB = fastB, slowB
-	}
-	fastB.inflight.Add(1)
-	defer fastB.inflight.Add(-1)
-
-	res, err := c.Run(context.Background(), testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Mix != "hedge-winner" {
-		t.Fatalf("result %q, want hedge-winner", res.Mix)
-	}
-	select {
-	case <-primaryCancelled:
-	case <-time.After(5 * time.Second):
-		t.Fatal("losing primary request was never cancelled")
-	}
-	if got := c.metrics.hedged.Load(); got != 1 {
-		t.Fatalf("hedged = %d, want 1", got)
-	}
-	if got := c.metrics.hedgeWins.Load(); got != 1 {
-		t.Fatalf("hedgeWins = %d, want 1", got)
-	}
-	// The cancelled primary must not charge its breaker.
-	if st := slowB.breaker.state(); st != BreakerClosed {
-		t.Fatalf("cancelled primary's breaker is %v, want closed", st)
-	}
-}
-
 // TestLocalFallbackWhenPoolEmpty: the Executor runs the job's own Run
 // closure when there are no backends at all.
 func TestLocalFallbackWhenPoolEmpty(t *testing.T) {
@@ -387,7 +334,7 @@ func TestProbeLogsVersionSkew(t *testing.T) {
 }
 
 // TestWriteMetricsExposition: the Prometheus text output carries the
-// dispatch/retry/hedge/circuit counters and per-backend series.
+// dispatch/retry/circuit counters and per-backend series.
 func TestWriteMetricsExposition(t *testing.T) {
 	srv := fakeBackend(t, okReply("m"))
 	c := newTestClient(t, Config{Backends: []string{srv.URL}})
@@ -401,8 +348,6 @@ func TestWriteMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		"fleet_dispatched_total 1",
 		"fleet_retried_total 0",
-		"fleet_hedged_total 0",
-		"fleet_hedge_wins_total 0",
 		"fleet_rate_limited_total 0",
 		"fleet_local_fallback_total 0",
 		"fleet_circuit_open_total 0",

@@ -1,19 +1,17 @@
 package fleet
 
 import (
-	"fmt"
 	"io"
 	"sync/atomic"
+
+	"repro/internal/promtext"
 )
 
-// clientMetrics are the fleet client's dispatch counters, exposed in
-// the same dependency-free Prometheus text style as
-// internal/simserver/metrics.go.
+// clientMetrics are the fleet client's dispatch counters, rendered by
+// internal/promtext like smtsimd's /metrics.
 type clientMetrics struct {
-	dispatched    atomic.Int64 // requests sent to backends (incl. hedges, retries)
+	dispatched    atomic.Int64 // requests sent to backends (incl. retries)
 	retried       atomic.Int64 // re-dispatches after a failure
-	hedged        atomic.Int64 // hedge requests launched
-	hedgeWins     atomic.Int64 // hedge responses that beat the primary
 	rateLimited   atomic.Int64 // 429 responses received
 	localFallback atomic.Int64 // jobs run locally (pool empty / fully broken)
 
@@ -34,13 +32,10 @@ type clientMetrics struct {
 // per-backend request/error/latency series in Prometheus text
 // exposition format.
 func (c *Client) WriteMetrics(w io.Writer) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
+	p := promtext.Writer{W: w}
+	counter := p.Counter
 	counter("fleet_dispatched_total", "Requests dispatched to backends, including retries and hedges.", c.metrics.dispatched.Load())
 	counter("fleet_retried_total", "Dispatches that were retries after a failed attempt.", c.metrics.retried.Load())
-	counter("fleet_hedged_total", "Hedged (duplicate) requests launched to cut tail latency.", c.metrics.hedged.Load())
-	counter("fleet_hedge_wins_total", "Hedged requests that answered before the primary.", c.metrics.hedgeWins.Load())
 	counter("fleet_rate_limited_total", "429 responses received from backends.", c.metrics.rateLimited.Load())
 	counter("fleet_local_fallback_total", "Jobs executed locally because no backend could take them.", c.metrics.localFallback.Load())
 	counter("fleet_batches_total", "Batch chunks dispatched via POST /v1/batch.", c.metrics.batches.Load())
@@ -60,46 +55,42 @@ func (c *Client) WriteMetrics(w io.Writer) {
 	}
 	counter("fleet_circuit_open_total", "Circuit-breaker transitions to open (broken backend detected).", opens)
 
-	fmt.Fprintf(w, "# HELP fleet_backends Backends registered in the pool.\n# TYPE fleet_backends gauge\nfleet_backends %d\n", len(c.backends))
-	fmt.Fprintf(w, "# HELP fleet_backends_healthy Backends currently routable (probe up, circuit not open).\n# TYPE fleet_backends_healthy gauge\nfleet_backends_healthy %d\n", c.Healthy())
+	p.Gauge("fleet_backends", "Backends registered in the pool.", int64(len(c.backends)))
+	p.Gauge("fleet_backends_healthy", "Backends currently routable (probe up, circuit not open).", int64(c.Healthy()))
 
 	if len(c.backends) == 0 {
 		return
 	}
-	labeled := func(name, help, typ string, value func(*backend) string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	labeled := func(name, help, typ string, value func(*backend) any) {
+		p.Family(name, help, typ)
 		for _, b := range c.backends {
-			fmt.Fprintf(w, "%s{backend=%q} %s\n", name, b.url, value(b))
+			p.Sample(name, promtext.Label("backend", b.url), value(b))
 		}
 	}
+	flag := func(on bool) int {
+		if on {
+			return 1
+		}
+		return 0
+	}
 	labeled("fleet_backend_requests_total", "Requests sent to this backend.", "counter",
-		func(b *backend) string { return fmt.Sprintf("%d", b.requests.Load()) })
+		func(b *backend) any { return b.requests.Load() })
 	labeled("fleet_backend_errors_total", "Failed requests to this backend (transport, 5xx, timeout).", "counter",
-		func(b *backend) string { return fmt.Sprintf("%d", b.errors.Load()) })
+		func(b *backend) any { return b.errors.Load() })
 	labeled("fleet_backend_rate_limited_total", "429 responses from this backend.", "counter",
-		func(b *backend) string { return fmt.Sprintf("%d", b.ratelim.Load()) })
+		func(b *backend) any { return b.ratelim.Load() })
 	labeled("fleet_backend_inflight", "Requests in flight to this backend now.", "gauge",
-		func(b *backend) string { return fmt.Sprintf("%d", b.inflight.Load()) })
+		func(b *backend) any { return b.inflight.Load() })
 	labeled("fleet_backend_up", "1 when the last health probe succeeded.", "gauge",
-		func(b *backend) string {
-			if up, _ := b.probed(); up {
-				return "1"
-			}
-			return "0"
-		})
+		func(b *backend) any { up, _ := b.probed(); return flag(up) })
 	labeled("fleet_backend_circuit_state", "Circuit state: 0 closed, 1 half-open, 2 open.", "gauge",
-		func(b *backend) string { return fmt.Sprintf("%d", int(b.breaker.state())) })
+		func(b *backend) any { return int(b.breaker.state()) })
 	labeled("fleet_backend_digest_mismatch_total", "Responses from this backend rejected by digest verification.", "counter",
-		func(b *backend) string { return fmt.Sprintf("%d", b.digestBad.Load()) })
+		func(b *backend) any { return b.digestBad.Load() })
 	labeled("fleet_backend_quarantined", "1 when this backend is quarantined (corrupt or byzantine results).", "gauge",
-		func(b *backend) string {
-			if b.quarantined.Load() {
-				return "1"
-			}
-			return "0"
-		})
+		func(b *backend) any { return flag(b.quarantined.Load()) })
 	labeled("fleet_backend_latency_seconds_sum", "Cumulative latency of successful requests.", "counter",
-		func(b *backend) string { sum, _ := b.latency(); return fmt.Sprintf("%g", sum) })
+		func(b *backend) any { sum, _ := b.latency(); return sum })
 	labeled("fleet_backend_latency_seconds_count", "Successful requests measured.", "counter",
-		func(b *backend) string { _, n := b.latency(); return fmt.Sprintf("%d", n) })
+		func(b *backend) any { _, n := b.latency(); return n })
 }

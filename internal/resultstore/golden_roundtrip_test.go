@@ -50,7 +50,7 @@ func TestDiskRoundTripIdentityForGoldenMixes(t *testing.T) {
 	mixes := goldenMixes(t)
 	disk := openTestDisk(t, t.TempDir(), DiskOptions{})
 	mem := NewMemory(1) // capacity 1: every new Put evicts the prior key
-	ts := NewTiered(mem, disk, nil)
+	ts := NewTiered(mem, disk)
 
 	for _, mix := range mixes {
 		for seed := uint64(1); seed <= 2; seed++ {
@@ -77,7 +77,7 @@ func TestDiskRoundTripIdentityForGoldenMixes(t *testing.T) {
 				t.Fatalf("%s seed %d: entry still in memory; eviction step broken", mix, seed)
 			}
 
-			got, tier, ok := ts.Get(context.Background(), e.Key)
+			got, tier, ok := ts.Get(e.Key)
 			if !ok || tier != TierDisk {
 				t.Fatalf("%s seed %d: Get = (%v, %q), want a disk hit", mix, seed, ok, tier)
 			}

@@ -1,71 +1,41 @@
 package resultstore
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync/atomic"
+)
 
-// tierIndex maps tier names to counter slots.
-func tierIndex(tier string) int {
-	switch tier {
-	case TierMemory:
-		return 0
-	case TierDisk:
-		return 1
-	case TierPeer:
-		return 2
-	}
-	return -1
-}
+// Tiers lists the tier names in counter-slot order, for metric
+// exporters.
+var Tiers = []string{TierMemory, TierDisk}
 
-// Tiers lists the tier names in slot order, for metric exporters.
-var Tiers = []string{TierMemory, TierDisk, TierPeer}
+// Counter slots, in Tiers order.
+const (
+	memSlot = iota
+	diskSlot
+)
 
 // Metrics counts per-tier traffic through a Tiered store. Hits and
 // misses count tier consultations (one Get can miss several tiers
 // before hitting one); PutErrors counts failed persists.
 type Metrics struct {
-	hits      [3]atomic.Int64
-	misses    [3]atomic.Int64
-	putErrors [3]atomic.Int64
-}
-
-func (m *Metrics) hit(tier string) {
-	if i := tierIndex(tier); i >= 0 {
-		m.hits[i].Add(1)
-	}
-}
-
-func (m *Metrics) miss(tier string) {
-	if i := tierIndex(tier); i >= 0 {
-		m.misses[i].Add(1)
-	}
-}
-
-func (m *Metrics) putError(tier string) {
-	if i := tierIndex(tier); i >= 0 {
-		m.putErrors[i].Add(1)
-	}
+	hits, misses, putErrors [2]atomic.Int64
 }
 
 // Hits reports consultations of the named tier that returned a
 // verified entry.
-func (m *Metrics) Hits(tier string) int64 {
-	if i := tierIndex(tier); i >= 0 {
-		return m.hits[i].Load()
-	}
-	return 0
-}
+func (m *Metrics) Hits(tier string) int64 { return load(&m.hits, tier) }
 
 // Misses reports consultations of the named tier that found nothing.
-func (m *Metrics) Misses(tier string) int64 {
-	if i := tierIndex(tier); i >= 0 {
-		return m.misses[i].Load()
-	}
-	return 0
-}
+func (m *Metrics) Misses(tier string) int64 { return load(&m.misses, tier) }
 
 // PutErrors reports failed persists into the named tier.
-func (m *Metrics) PutErrors(tier string) int64 {
-	if i := tierIndex(tier); i >= 0 {
-		return m.putErrors[i].Load()
+func (m *Metrics) PutErrors(tier string) int64 { return load(&m.putErrors, tier) }
+
+// load reads the named tier's slot of c; an unknown tier reads 0.
+func load(c *[2]atomic.Int64, tier string) int64 {
+	if i := slices.Index(Tiers, tier); i >= 0 {
+		return c[i].Load()
 	}
 	return 0
 }

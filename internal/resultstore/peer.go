@@ -29,51 +29,34 @@ type PeerConfig struct {
 	// Timeout bounds one whole lookup (all peers, in parallel); <= 0
 	// selects DefaultPeerTimeout.
 	Timeout time.Duration
-	// HTTPClient overrides the transport; nil selects a dedicated
-	// client.
-	HTTPClient *http.Client
 }
 
-// PeerClient is the tier-2 read path: GET /v1/result/{key} against
-// every peer in parallel, first verified hit wins. Keys that every
-// peer missed are remembered (negative-lookup short-circuit) so a
-// sweep full of new configs pays the peer round-trip once per key, not
-// once per retry. All failures — timeouts, resets, corrupt bodies,
-// digest mismatches — are misses; chaos on the peer path can cost
-// latency, never correctness.
+// PeerClient is the cross-daemon read: GET /v1/result/{key} against
+// every peer in parallel, first verified hit wins. The fleet client
+// asks it once per config before dispatching, and the scrubber asks it
+// for a replacement of each rotted entry. All failures — timeouts,
+// resets, corrupt bodies, digest mismatches — are misses; chaos on the
+// peer path can cost latency, never correctness.
 type PeerClient struct {
 	cfg  PeerConfig
 	http *http.Client
 
-	neg sync.Map // key -> struct{}: every peer missed, don't re-ask
-
 	hits      atomic.Int64
-	misses    atomic.Int64
-	negSkips  atomic.Int64
 	errsTotal atomic.Int64
 }
 
-// NewPeerClient builds a tier-2 lookup client over the given peers.
+// NewPeerClient builds a lookup client over the given peers.
 func NewPeerClient(cfg PeerConfig) *PeerClient {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultPeerTimeout
 	}
-	c := &PeerClient{cfg: cfg, http: cfg.HTTPClient}
-	if c.http == nil {
-		c.http = &http.Client{}
-	}
-	return c
+	return &PeerClient{cfg: cfg, http: &http.Client{}}
 }
 
 // Lookup implements PeerLookup: it asks every peer for the key in
-// parallel and returns the first entry that digest-verifies. A key no
-// peer had is negative-cached and short-circuits future lookups.
+// parallel and returns the first entry that digest-verifies.
 func (p *PeerClient) Lookup(ctx context.Context, key string) (*Entry, bool) {
 	if len(p.cfg.Peers) == 0 || !ValidKey(key) {
-		return nil, false
-	}
-	if _, known := p.neg.Load(key); known {
-		p.negSkips.Add(1)
 		return nil, false
 	}
 
@@ -98,8 +81,6 @@ func (p *PeerClient) Lookup(ctx context.Context, key string) (*Entry, bool) {
 			return e, true
 		}
 	}
-	p.misses.Add(1)
-	p.neg.Store(key, struct{}{})
 	return nil, false
 }
 
@@ -148,26 +129,11 @@ func getEntry(ctx context.Context, hc *http.Client, base, key string) (*Entry, e
 	return &e, nil
 }
 
-// Forget drops a key from the negative cache (a peer may have it now).
-// The scrubber's repair path calls it before re-asking the fleet for a
-// key whose local copy just rotted.
-func (p *PeerClient) Forget(key string) { p.neg.Delete(key) }
-
-// Timeout reports the configured per-lookup budget (surfaced in
-// /healthz as peer_timeout_ms).
-func (p *PeerClient) Timeout() time.Duration { return p.cfg.Timeout }
-
 // Peers reports the configured peer base URLs.
 func (p *PeerClient) Peers() []string { return p.cfg.Peers }
 
 // Hits reports verified peer hits.
 func (p *PeerClient) Hits() int64 { return p.hits.Load() }
-
-// Misses reports completed lookups where no peer had the key.
-func (p *PeerClient) Misses() int64 { return p.misses.Load() }
-
-// NegativeSkips reports lookups short-circuited by the negative cache.
-func (p *PeerClient) NegativeSkips() int64 { return p.negSkips.Load() }
 
 // Errors reports individual peer requests that failed or returned
 // unverifiable bytes.

@@ -61,31 +61,6 @@ func TestPeerLookupRejectsUnverifiableEntry(t *testing.T) {
 	}
 }
 
-func TestPeerNegativeLookupShortCircuits(t *testing.T) {
-	var requests atomic.Int64
-	peer := peerServer(t, nil, &requests)
-	p := NewPeerClient(PeerConfig{Peers: []string{peer}})
-
-	key := "cfg:2222333344445555"
-	for i := 0; i < 3; i++ {
-		if _, ok := p.Lookup(context.Background(), key); ok {
-			t.Fatal("phantom hit")
-		}
-	}
-	if got := requests.Load(); got != 1 {
-		t.Fatalf("peer asked %d times, want 1 (negative cache short-circuit)", got)
-	}
-	if p.NegativeSkips() != 2 {
-		t.Fatalf("NegativeSkips = %d, want 2", p.NegativeSkips())
-	}
-
-	p.Forget(key)
-	p.Lookup(context.Background(), key)
-	if got := requests.Load(); got != 2 {
-		t.Fatalf("Forget did not reopen the key: %d requests", got)
-	}
-}
-
 // TestPeerLookupSurvivesDeadAndSlowPeers is the chaos-tolerance
 // contract: a dead peer and a hanging peer must cost at most the
 // lookup timeout, and a healthy peer alongside them still answers.

@@ -46,9 +46,6 @@ type ReplicateConfig struct {
 	// Timeout bounds one HTTP exchange (manifest, pull, or push); <= 0
 	// selects 10s. Manifests and entries are both small.
 	Timeout time.Duration
-	// HTTPClient overrides the transport; nil selects a dedicated
-	// client.
-	HTTPClient *http.Client
 	// Log receives per-round summaries when anything moved; nil
 	// discards them.
 	Log io.Writer
@@ -85,8 +82,7 @@ type Replicator struct {
 	pushErrors  atomic.Int64
 	manifestErr atomic.Int64
 
-	cancel context.CancelFunc
-	done   chan struct{}
+	bg loop
 }
 
 // NewReplicator builds a replicator over the store for the given peer
@@ -107,47 +103,24 @@ func NewReplicator(store *Tiered, cfg ReplicateConfig) *Replicator {
 	if cfg.Log == nil {
 		cfg.Log = io.Discard
 	}
-	r := &Replicator{store: store, cfg: cfg, http: cfg.HTTPClient}
-	if r.http == nil {
-		r.http = &http.Client{}
-	}
-	return r
+	return &Replicator{store: store, cfg: cfg, http: &http.Client{}}
 }
 
 // Start launches the background loop: one sync round per interval,
 // first round after one interval (a booting fleet should serve before
 // it replicates). Stop cancels and waits.
 func (r *Replicator) Start() {
-	if r == nil || r.cancel != nil {
-		return
+	if r != nil {
+		r.bg.start(r.cfg.Interval, func(ctx context.Context) { r.SyncOnce(ctx) })
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	r.cancel = cancel
-	r.done = make(chan struct{})
-	go func() {
-		defer close(r.done)
-		t := time.NewTicker(r.cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				r.SyncOnce(ctx)
-			}
-		}
-	}()
 }
 
 // Stop cancels the background loop (mid-round transfers abort at the
 // next pacing point) and waits for it to exit. Safe without Start.
 func (r *Replicator) Stop() {
-	if r == nil || r.cancel == nil {
-		return
+	if r != nil {
+		r.bg.stop()
 	}
-	r.cancel()
-	<-r.done
-	r.cancel = nil
 }
 
 // SyncOnce runs one full anti-entropy round synchronously: manifest
@@ -243,7 +216,7 @@ func (r *Replicator) SyncOnce(ctx context.Context) SyncReport {
 		if copies >= r.cfg.Replicas {
 			continue
 		}
-		e, _, ok := r.store.GetLocal(key)
+		e, _, ok := r.store.Get(key)
 		if !ok {
 			continue
 		}

@@ -24,7 +24,7 @@ func tieredPeerServer(t *testing.T, st *Tiered) *httptest.Server {
 		json.NewEncoder(w).Encode(manifestReply{State: st.State(), Entries: entries})
 	})
 	mux.HandleFunc("GET /v1/result/{key}", func(w http.ResponseWriter, r *http.Request) {
-		e, _, ok := st.GetLocal(r.PathValue("key"))
+		e, _, ok := st.Get(r.PathValue("key"))
 		if !ok {
 			http.Error(w, "no stored result", http.StatusNotFound)
 			return
@@ -45,7 +45,7 @@ func tieredPeerServer(t *testing.T, st *Tiered) *httptest.Server {
 	return ts
 }
 
-func memStore(capacity int) *Tiered { return NewTiered(NewMemory(capacity), nil, nil) }
+func memStore(capacity int) *Tiered { return NewTiered(NewMemory(capacity), nil) }
 
 func TestReplicatorPullsMissing(t *testing.T) {
 	local := memStore(16)
@@ -62,7 +62,7 @@ func TestReplicatorPullsMissing(t *testing.T) {
 		t.Fatalf("sync report = %+v, want 3 pulls from 1 peer", rep)
 	}
 	for i, k := range keys {
-		e, _, ok := local.GetLocal(k)
+		e, _, ok := local.Get(k)
 		if !ok || e.Digest != testEntry(k, i+1).Digest {
 			t.Fatalf("key %s missing or wrong after pull", k)
 		}
@@ -90,7 +90,7 @@ func TestReplicatorPushesUnderReplicated(t *testing.T) {
 		t.Fatalf("sync report = %+v, want 2 pushes", rep)
 	}
 	for _, k := range keys {
-		if _, _, ok := peer.GetLocal(k); !ok {
+		if _, _, ok := peer.Get(k); !ok {
 			t.Fatalf("key %s missing on peer after push", k)
 		}
 	}
@@ -111,10 +111,10 @@ func TestReplicatorReplicationFactorBounds(t *testing.T) {
 		t.Fatalf("Pushed = %d, want exactly 1 (factor met)", rep.Pushed)
 	}
 	onA := 0
-	if _, _, ok := peerA.GetLocal("cfg:aaaa000011112222"); ok {
+	if _, _, ok := peerA.Get("cfg:aaaa000011112222"); ok {
 		onA++
 	}
-	if _, _, ok := peerB.GetLocal("cfg:aaaa000011112222"); ok {
+	if _, _, ok := peerB.Get("cfg:aaaa000011112222"); ok {
 		onA++
 	}
 	if onA != 1 {
@@ -143,7 +143,7 @@ func TestReplicatorRejectsUnverifiablePulls(t *testing.T) {
 	if rep.Pulled != 0 || rep.PullErrors != 1 {
 		t.Fatalf("sync report = %+v, want 0 pulls, 1 pull error", rep)
 	}
-	if _, _, ok := local.GetLocal(key); ok {
+	if _, _, ok := local.Get(key); ok {
 		t.Fatal("an unverifiable pull landed in the local store")
 	}
 }

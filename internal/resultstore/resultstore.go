@@ -1,24 +1,28 @@
-// Package resultstore is the tiered simulation-result store behind
-// smtsimd and the fleet client: one Get/Put surface over three tiers
-// with strictly increasing latency and strictly increasing reach —
+// Package resultstore is the simulation-result store behind smtsimd
+// and the fleet client: one Get/Put surface over two local tiers with
+// strictly increasing latency —
 //
 //   - tier 0 "memory": a fixed-capacity in-process LRU (the former
-//     simserver cache, generalized). Nanoseconds, per-daemon.
+//     simserver cache, generalized). Nanoseconds.
 //   - tier 1 "disk": a content-addressed on-disk store of canonical
 //     JSON entries keyed by config hash, written via atomic rename,
 //     integrity-re-verified on every read, size-bounded with
 //     oldest-access eviction, and rebuilt by directory scan on
 //     startup. Microseconds, survives restarts.
-//   - tier 2 "peer": GET /v1/result/{key} against the other daemons in
-//     the fleet, with a negative-lookup short-circuit and
-//     chaos-tolerant timeouts. Milliseconds, fleet-wide.
+//
+// A store never reads from another daemon on its request path.
+// Results cross daemons by three separate mechanisms, each over the
+// digest-verified GET /v1/result/{key} endpoint or its manifest/push
+// siblings: the fleet client's pre-dispatch lookup (PeerClient), the
+// background anti-entropy Replicator, and the Scrubber's repair of
+// rotted entries.
 //
 // Simulations are deterministic functions of their config and results
 // are SHA-256-digested end to end (simrun.ResultDigest), so an entry
-// fetched from any tier is exact: there is no TTL, no invalidation,
-// and every tier re-verifies the digest before serving bytes it did
-// not just compute. See docs/resultstore.md for the tier contract and
-// the on-disk layout.
+// fetched from any tier or peer is exact: there is no TTL, no
+// invalidation, and every reader re-verifies the digest before serving
+// bytes it did not just compute. See docs/resultstore.md for the tier
+// contract and the on-disk layout.
 package resultstore
 
 import (
@@ -34,7 +38,6 @@ import (
 const (
 	TierMemory = "memory"
 	TierDisk   = "disk"
-	TierPeer   = "peer"
 )
 
 // Store-level serving states, reported by Tiered.State and surfaced in
@@ -108,27 +111,27 @@ func ValidKey(key string) bool {
 	return !strings.Contains(key, "..")
 }
 
-// PeerLookup is the tier-2 read path: a fleet-wide best-effort lookup.
-// Implementations must digest-verify entries before returning them and
-// must treat every failure (timeout, corruption, dead peer) as a miss.
+// PeerLookup is a fleet-wide best-effort lookup: the fleet client
+// consults one before dispatching a config, and the scrubber repairs
+// rotted entries from one. Implementations must digest-verify entries
+// before returning them and must treat every failure (timeout,
+// corruption, dead peer) as a miss.
 type PeerLookup interface {
 	Lookup(ctx context.Context, key string) (*Entry, bool)
 }
 
-// Tiered composes the tiers behind one Get/Put. Any tier may be nil;
-// a fully-nil Tiered is a valid always-miss store.
+// Tiered composes the local tiers behind one Get/Put. Either tier may
+// be nil; a fully-nil Tiered is a valid always-miss store.
 type Tiered struct {
 	mem  *Memory
 	disk *Disk
-	peer PeerLookup
 
 	metrics Metrics
 }
 
-// NewTiered composes mem, disk, and peer (each optional) into one
-// store.
-func NewTiered(mem *Memory, disk *Disk, peer PeerLookup) *Tiered {
-	return &Tiered{mem: mem, disk: disk, peer: peer}
+// NewTiered composes mem and disk (each optional) into one store.
+func NewTiered(mem *Memory, disk *Disk) *Tiered {
+	return &Tiered{mem: mem, disk: disk}
 }
 
 // Memory returns the tier-0 store, or nil.
@@ -140,53 +143,30 @@ func (t *Tiered) Disk() *Disk { return t.disk }
 // Metrics returns the per-tier hit/miss counters.
 func (t *Tiered) Metrics() *Metrics { return &t.metrics }
 
-// Get walks the tiers in order and returns the first verified entry
-// together with the name of the tier that served it. Hits in a slower
-// tier are promoted into the faster tiers, so a result fetched from
-// disk (or a peer) costs its full latency once per process lifetime,
-// not once per request.
-func (t *Tiered) Get(ctx context.Context, key string) (*Entry, string, bool) {
-	if t == nil {
-		return nil, "", false
-	}
-	if e, tier, ok := t.GetLocal(key); ok {
-		return e, tier, ok
-	}
-	if t.peer != nil {
-		if e, ok := t.peer.Lookup(ctx, key); ok {
-			t.metrics.hit(TierPeer)
-			t.put(e) // backfill the local tiers
-			return e, TierPeer, true
-		}
-		t.metrics.miss(TierPeer)
-	}
-	return nil, "", false
-}
-
-// GetLocal walks only the local tiers (memory, then disk). It is the
-// read path behind GET /v1/result/{key}: a daemon answering a peer
-// lookup must not itself fan out to its peers, or lookups would
-// recurse across the fleet.
-func (t *Tiered) GetLocal(key string) (*Entry, string, bool) {
+// Get walks the tiers in order (memory, then disk) and returns the
+// first verified entry together with the name of the tier that served
+// it. A disk hit is promoted into memory, so a result read from disk
+// costs its latency once per process lifetime, not once per request.
+func (t *Tiered) Get(key string) (*Entry, string, bool) {
 	if t == nil {
 		return nil, "", false
 	}
 	if t.mem != nil {
 		if e, ok := t.mem.Get(key); ok {
-			t.metrics.hit(TierMemory)
+			t.metrics.hits[memSlot].Add(1)
 			return e, TierMemory, true
 		}
-		t.metrics.miss(TierMemory)
+		t.metrics.misses[memSlot].Add(1)
 	}
 	if t.disk != nil {
 		if e, ok := t.disk.Get(key); ok {
-			t.metrics.hit(TierDisk)
+			t.metrics.hits[diskSlot].Add(1)
 			if t.mem != nil {
 				t.mem.Put(e)
 			}
 			return e, TierDisk, true
 		}
-		t.metrics.miss(TierDisk)
+		t.metrics.misses[diskSlot].Add(1)
 	}
 	return nil, "", false
 }
@@ -198,16 +178,12 @@ func (t *Tiered) Put(e *Entry) {
 	if t == nil || e == nil || e.Key == "" {
 		return
 	}
-	t.put(e)
-}
-
-func (t *Tiered) put(e *Entry) {
 	if t.mem != nil {
 		t.mem.Put(e)
 	}
 	if t.disk != nil {
 		if err := t.disk.Put(e); err != nil {
-			t.metrics.putError(TierDisk)
+			t.metrics.putErrors[diskSlot].Add(1)
 		}
 	}
 }

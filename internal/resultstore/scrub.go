@@ -65,8 +65,7 @@ type Scrubber struct {
 	repaired     atomic.Int64
 	repairFailed atomic.Int64
 
-	cancel context.CancelFunc
-	done   chan struct{}
+	bg loop
 }
 
 // NewScrubber builds a scrubber over the store's disk tier. The store
@@ -89,37 +88,18 @@ func NewScrubber(store *Tiered, cfg ScrubConfig) *Scrubber {
 // the directory, and a daemon coming up under load should serve first,
 // scrub later. Stop cancels the loop and waits for it.
 func (s *Scrubber) Start() {
-	if s == nil || s.cancel != nil {
-		return
+	if s != nil {
+		s.bg.start(s.cfg.Interval, func(ctx context.Context) { s.ScrubOnce(ctx) })
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	s.cancel = cancel
-	s.done = make(chan struct{})
-	go func() {
-		defer close(s.done)
-		t := time.NewTicker(s.cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				s.ScrubOnce(ctx)
-			}
-		}
-	}()
 }
 
 // Stop cancels the background loop (including a pass in progress; the
 // per-entry pacing points are cancellation points) and waits for it to
 // exit. Safe to call without Start, and more than once.
 func (s *Scrubber) Stop() {
-	if s == nil || s.cancel == nil {
-		return
+	if s != nil {
+		s.bg.stop()
 	}
-	s.cancel()
-	<-s.done
-	s.cancel = nil
 }
 
 // ScrubOnce runs one full pass synchronously: re-arm probe for a
@@ -184,15 +164,10 @@ func (s *Scrubber) ScrubOnce(ctx context.Context) ScrubReport {
 
 // repair re-fetches one quarantined key from the repair source and
 // re-persists it through the tiered store (memory + disk), verifying
-// the digest end to end. The key is dropped from the source's negative
-// cache first: the local copy just rotted, so a previous "no peer had
-// it" answer is stale.
+// the digest end to end.
 func (s *Scrubber) repair(ctx context.Context, key string) bool {
 	if s.cfg.Source == nil {
 		return false
-	}
-	if f, ok := s.cfg.Source.(interface{ Forget(string) }); ok {
-		f.Forget(key)
 	}
 	e, ok := s.cfg.Source.Lookup(ctx, key)
 	if !ok {

@@ -34,7 +34,7 @@ func rotFile(t *testing.T, path string) {
 func TestScrubCleanStoreIsNoop(t *testing.T) {
 	d := openTestDisk(t, t.TempDir(), DiskOptions{})
 	defer d.Close()
-	st := NewTiered(NewMemory(8), d, nil)
+	st := NewTiered(NewMemory(8), d)
 	keys := []string{"cfg:aaaa000011112222", "cfg:bbbb000011112222", "cfg:cccc000011112222"}
 	for i, k := range keys {
 		st.Put(testEntry(k, i+1))
@@ -56,7 +56,7 @@ func TestScrubDetectsQuarantinesAndRepairs(t *testing.T) {
 	dir := t.TempDir()
 	d := openTestDisk(t, dir, DiskOptions{})
 	defer d.Close()
-	st := NewTiered(NewMemory(8), d, nil)
+	st := NewTiered(NewMemory(8), d)
 	good := testEntry("cfg:aaaa000011112222", 1)
 	bad := testEntry("cfg:bbbb000011112222", 2)
 	st.Put(good)
@@ -96,7 +96,7 @@ func TestScrubRepairFailedWithoutSource(t *testing.T) {
 	dir := t.TempDir()
 	d := openTestDisk(t, dir, DiskOptions{})
 	defer d.Close()
-	st := NewTiered(NewMemory(8), d, nil)
+	st := NewTiered(NewMemory(8), d)
 	bad := testEntry("cfg:bbbb000011112222", 2)
 	st.Put(bad)
 	st.Memory().Remove(bad.Key)
@@ -119,7 +119,7 @@ func TestScrubReArmsDegradedTier(t *testing.T) {
 	faults := &faultControls{}
 	d := openTestDisk(t, t.TempDir(), DiskOptions{Ops: faults.ops(), Now: clock.Now, RecoveryInterval: time.Hour})
 	defer d.Close()
-	st := NewTiered(NewMemory(8), d, nil)
+	st := NewTiered(NewMemory(8), d)
 	st.Put(testEntry("cfg:aaaa000011112222", 1))
 
 	faults.setWrite(syscall.ENOSPC)
@@ -148,7 +148,7 @@ func TestScrubReArmsDegradedTier(t *testing.T) {
 func TestScrubberStartStop(t *testing.T) {
 	d := openTestDisk(t, t.TempDir(), DiskOptions{})
 	defer d.Close()
-	st := NewTiered(NewMemory(8), d, nil)
+	st := NewTiered(NewMemory(8), d)
 	s := NewScrubber(st, ScrubConfig{Interval: time.Hour})
 	s.Start()
 	s.Stop()

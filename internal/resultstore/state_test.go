@@ -348,7 +348,7 @@ func TestTieredState(t *testing.T) {
 	if got := (*Tiered)(nil).State(); got != StateMemoryOnly {
 		t.Fatalf("nil store state = %q, want memory-only", got)
 	}
-	if got := NewTiered(NewMemory(4), nil, nil).State(); got != StateMemoryOnly {
+	if got := NewTiered(NewMemory(4), nil).State(); got != StateMemoryOnly {
 		t.Fatalf("diskless store state = %q, want memory-only", got)
 	}
 
@@ -356,7 +356,7 @@ func TestTieredState(t *testing.T) {
 	clock := newFakeClock()
 	d := openTestDisk(t, t.TempDir(), DiskOptions{Ops: faults.ops(), Now: clock.Now, RecoveryInterval: time.Hour})
 	defer d.Close()
-	st := NewTiered(NewMemory(4), d, nil)
+	st := NewTiered(NewMemory(4), d)
 	if got := st.State(); got != StateOK {
 		t.Fatalf("healthy store state = %q, want ok", got)
 	}

@@ -12,18 +12,18 @@ import (
 	"repro/internal/simrun"
 )
 
-// handleResult is GET /v1/result/{key}: the tier-2 peer-lookup surface.
-// It serves only the local tiers (memory, disk) — a daemon answering a
-// peer must not fan out to its own peers, or lookups would recurse
-// across the fleet. A miss is a plain 404; the caller treats every
-// non-200 as a miss.
+// handleResult is GET /v1/result/{key}: the surface behind the fleet's
+// pre-dispatch lookup, replication pulls and scrub repair. It serves
+// the local tiers (memory, disk), the only tiers a store has, so a
+// lookup never recurses across the fleet. A miss is a plain 404; the
+// caller treats every non-200 as a miss.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !resultstore.ValidKey(key) {
 		httpError(w, http.StatusBadRequest, "invalid result key")
 		return
 	}
-	e, tier, ok := s.store.GetLocal(key)
+	e, tier, ok := s.store.Get(key)
 	if !ok {
 		httpError(w, http.StatusNotFound, "no stored result")
 		return
@@ -81,34 +81,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var breq batchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20))
 	if err := dec.Decode(&breq); err != nil {
-		s.metrics.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding batch: %v", err))
+		s.badRequest(w, fmt.Sprintf("decoding batch: %v", err))
 		return
 	}
 	if len(breq.Configs) == 0 {
-		s.metrics.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "empty batch")
+		s.badRequest(w, "empty batch")
 		return
 	}
 	if len(breq.Configs) > s.cfg.MaxBatchItems {
-		s.metrics.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d exceeds the %d-item bound", len(breq.Configs), s.cfg.MaxBatchItems))
+		s.badRequest(w, fmt.Sprintf("batch of %d exceeds the %d-item bound", len(breq.Configs), s.cfg.MaxBatchItems))
 		return
 	}
 	keys := make([]string, len(breq.Configs))
 	for i := range breq.Configs {
-		cfg := &breq.Configs[i]
-		if cfg.Programs != nil {
-			s.metrics.badRequests.Add(1)
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("item %d: config.Programs is not transportable; name a mix instead", i))
+		if err := validateRawConfig(&breq.Configs[i]); err != nil {
+			s.badRequest(w, fmt.Sprintf("item %d: %v", i, err))
 			return
 		}
-		if err := cfg.Validate(); err != nil {
-			s.metrics.badRequests.Add(1)
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("item %d: %v", i, err))
-			return
-		}
-		keys[i] = "cfg:" + simrun.Key(*cfg)
+		keys[i] = "cfg:" + simrun.Key(breq.Configs[i])
 	}
 
 	start := time.Now()
@@ -122,7 +112,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			lines <- s.batchItem(r, i, keys[i], breq.Configs[i])
+			lines <- s.batchItem(i, keys[i], breq.Configs[i])
 		}(i)
 	}
 	go func() {
@@ -158,26 +148,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.batchLatency.observe(time.Since(start).Seconds())
 }
 
-// batchItem resolves one batch config: store hit, coalesce, or lead a
-// new flight with blocking admission. It always returns a line; errors
-// ride in the line instead of failing the stream.
-func (s *Server) batchItem(r *http.Request, idx int, key string, cfg core.Config) batchLine {
-	if e, _, ok := s.store.Get(r.Context(), key); ok {
-		s.metrics.cacheHits.Add(1)
-		return batchLine{Index: idx, Key: key, Result: &e.Result, Digest: e.Digest, Cached: true}
+// batchItem resolves one batch config through the shared lookup, with
+// blocking admission. It always returns a line; errors ride in the
+// line instead of failing the stream.
+func (s *Server) batchItem(idx int, key string, cfg core.Config) batchLine {
+	e, f, d := s.lookup(key, simrun.Request{}, cfg, true)
+	if f != nil {
+		<-f.done
+		if f.err != nil {
+			return batchLine{Index: idx, Key: key, Error: f.err.Error()}
+		}
+		e = f.val
 	}
-	s.metrics.cacheMisses.Add(1)
-
-	f, leader := s.flights.join(key)
-	if leader {
-		s.wg.Add(1)
-		go s.execute(key, f, simrun.Request{}, cfg, true)
-	} else {
-		s.metrics.coalesced.Add(1)
-	}
-	<-f.done
-	if f.err != nil {
-		return batchLine{Index: idx, Key: key, Error: f.err.Error()}
-	}
-	return batchLine{Index: idx, Key: key, Result: &f.val.Result, Digest: f.val.Digest, Coalesced: !leader}
+	return batchLine{Index: idx, Key: key, Result: &e.Result, Digest: e.Digest, Cached: d.Cached, Coalesced: d.Coalesced}
 }

@@ -1,8 +1,13 @@
 package simserver
 
 import (
+	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/simrun"
 )
 
 func TestFlightGroupCoalesces(t *testing.T) {
@@ -60,5 +65,40 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestLeaderSettlesFromStore: a caller that missed the store and then
+// became leader after another flight stored the key serves the stored
+// entry instead of simulating it a second time.
+func TestLeaderSettlesFromStore(t *testing.T) {
+	var sims atomic.Int64
+	srv := New(Config{
+		Workers: 1,
+		Run: func(ctx context.Context, cfg core.Config) (core.Result, error) {
+			sims.Add(1)
+			return stubResult(ctx, cfg)
+		},
+	})
+	defer srv.Shutdown(context.Background())
+
+	cfg := testCoreConfig(t)
+	key := "cfg:" + simrun.Key(cfg)
+	res, _ := stubResult(context.Background(), cfg)
+	stored := &runResponse{Key: key, Result: res, Digest: simrun.ResultDigest(res)}
+	srv.Store().Put(stored)
+
+	f, leader := srv.flights.join(key)
+	if !leader {
+		t.Fatal("first join should lead")
+	}
+	srv.wg.Add(1)
+	srv.execute(key, f, simrun.Request{}, cfg, false)
+	<-f.done
+	if got := sims.Load(); got != 0 {
+		t.Fatalf("leader ran %d simulations for a stored key, want 0", got)
+	}
+	if f.err != nil || f.val != stored {
+		t.Fatalf("flight settled with (%v, %v), want the stored entry", f.val, f.err)
 	}
 }

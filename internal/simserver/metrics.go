@@ -6,7 +6,7 @@ import (
 	"math"
 	"sync/atomic"
 
-	"repro/internal/resultstore"
+	"repro/internal/promtext"
 )
 
 // latencyBuckets are the upper bounds (seconds) of the run-latency
@@ -16,9 +16,8 @@ var latencyBuckets = []float64{
 	0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }
 
-// metrics is the server's instrumentation: lock-free counters plus a
-// cumulative latency histogram, rendered as Prometheus text exposition
-// format (version 0.0.4) with no external dependencies.
+// metrics is the server's instrumentation: lock-free counters plus
+// cumulative latency histograms, rendered by internal/promtext.
 type metrics struct {
 	requests    atomic.Int64 // POST /v1/run requests received
 	badRequests atomic.Int64 // malformed / invalid config
@@ -67,18 +66,18 @@ func (h *histogram) observe(s float64) {
 	h.buckets[len(latencyBuckets)].Add(1) // +Inf
 }
 
-// write renders the histogram in Prometheus text exposition format.
-func (h *histogram) write(w io.Writer, name, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+// write renders the histogram as one Prometheus histogram family.
+func (h *histogram) write(p promtext.Writer, name, help string) {
+	p.Family(name, help, "histogram")
 	cum := int64(0)
 	for i, ub := range latencyBuckets {
 		cum += h.buckets[i].Load()
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, trimFloat(ub), cum)
+		p.Sample(name+"_bucket", promtext.Label("le", fmt.Sprint(ub)), cum)
 	}
 	cum += h.buckets[len(latencyBuckets)].Load()
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %g\n", name, float64(h.sumUs.Load())/1e6)
-	fmt.Fprintf(w, "%s_count %d\n", name, h.count.Load())
+	p.Sample(name+"_bucket", promtext.Label("le", "+Inf"), cum)
+	p.Sample(name+"_sum", "", float64(h.sumUs.Load())/1e6)
+	p.Sample(name+"_count", "", h.count.Load())
 }
 
 // observeRunSeconds records one completed simulation's latency.
@@ -97,29 +96,10 @@ func (m *metrics) observeSimThroughput(cycles int64, elapsedNs int64) {
 	m.nsPerCycSumPs.Add(elapsedNs * 1000 / cycles)
 }
 
-// writeCounter emits one counter in Prometheus text exposition format.
-func writeCounter(w io.Writer, name, help string, v int64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-}
-
-// writeGauge emits one gauge in Prometheus text exposition format.
-func writeGauge(w io.Writer, name, help string, v int64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-}
-
-// writeTierCounter emits one counter with a tier label per store tier,
-// in slot order so scrapes are deterministic.
-func writeTierCounter(w io.Writer, name, help string, v func(tier string) int64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-	for _, tier := range resultstore.Tiers {
-		fmt.Fprintf(w, "%s{tier=%q} %d\n", name, tier, v(tier))
-	}
-}
-
 // writePrometheus renders every metric in Prometheus text format.
 func (m *metrics) writePrometheus(w io.Writer) {
-	counter := func(name, help string, v int64) { writeCounter(w, name, help, v) }
-	gauge := func(name, help string, v int64) { writeGauge(w, name, help, v) }
+	p := promtext.Writer{W: w}
+	counter, gauge := p.Counter, p.Gauge
 	counter("smtsimd_requests_total", "POST /v1/run requests received.", m.requests.Load())
 	counter("smtsimd_bad_requests_total", "Requests rejected as malformed or invalid.", m.badRequests.Load())
 	counter("smtsimd_cache_hits_total", "Run requests served from the result cache.", m.cacheHits.Load())
@@ -137,18 +117,13 @@ func (m *metrics) writePrometheus(w io.Writer) {
 	gauge("smtsimd_queue_depth", "Run requests admitted and waiting for a worker.", m.queueDepth.Load())
 	gauge("smtsimd_inflight", "Simulations running now.", m.inFlight.Load())
 
-	m.runLatency.write(w, "smtsimd_run_seconds", "Simulation run latency.")
-	m.batchLatency.write(w, "smtsimd_batch_seconds", "POST /v1/batch end-to-end stream latency.")
+	m.runLatency.write(p, "smtsimd_run_seconds", "Simulation run latency.")
+	m.batchLatency.write(p, "smtsimd_batch_seconds", "POST /v1/batch end-to-end stream latency.")
 
 	counter("smtsimd_sim_cycles_total", "Simulated cycles completed, including fast-forward warmup.", m.simCycles.Load())
 
 	const s = "smtsimd_sim_ns_per_cycle"
-	fmt.Fprintf(w, "# HELP %s Wall-clock nanoseconds per simulated cycle, one observation per completed simulation.\n# TYPE %s summary\n", s, s)
-	fmt.Fprintf(w, "%s_sum %g\n", s, float64(m.nsPerCycSumPs.Load())/1e3)
-	fmt.Fprintf(w, "%s_count %d\n", s, m.nsPerCycCount.Load())
-}
-
-// trimFloat formats a bucket bound without trailing zeros ("0.5", "1").
-func trimFloat(f float64) string {
-	return fmt.Sprintf("%g", f)
+	p.Family(s, "Wall-clock nanoseconds per simulated cycle, one observation per completed simulation.", "summary")
+	p.Sample(s+"_sum", "", float64(m.nsPerCycSumPs.Load())/1e3)
+	p.Sample(s+"_count", "", m.nsPerCycCount.Load())
 }

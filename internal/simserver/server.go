@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/core"
+	"repro/internal/promtext"
 	"repro/internal/resultstore"
 	"repro/internal/simrun"
 	"repro/internal/trace"
@@ -70,9 +71,10 @@ type Config struct {
 	// MaxBatchItems bounds one POST /v1/batch request; <= 0 selects
 	// 4096.
 	MaxBatchItems int
-	// PeerTimeout is the store's tier-2 peer-lookup budget, surfaced in
-	// /healthz as peer_timeout_ms so operators can confirm what a daemon
-	// is actually running with; 0 means no peer tier is configured.
+	// PeerTimeout is the budget of the daemon's peer lookups (scrub
+	// repair), surfaced in /healthz as peer_timeout_ms so operators can
+	// confirm what a daemon is actually running with; 0 means no peers
+	// are configured.
 	PeerTimeout time.Duration
 	// Scrubber, when set, has its pass/repair counters surfaced in
 	// /healthz and /metrics. The owner (cmd/smtsimd) starts and stops it;
@@ -129,7 +131,7 @@ func New(cfg Config) *Server {
 		cfg.Run = simrun.Run
 	}
 	if cfg.Store == nil {
-		cfg.Store = resultstore.NewTiered(resultstore.NewMemory(cfg.CacheEntries), nil, nil)
+		cfg.Store = resultstore.NewTiered(resultstore.NewMemory(cfg.CacheEntries), nil)
 	}
 	if cfg.MaxBatchItems <= 0 {
 		cfg.MaxBatchItems = 4096
@@ -210,14 +212,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // bytes unchanged.
 type runResponse = resultstore.Entry
 
-// runReply wraps a runResponse with per-request delivery facts.
-type runReply struct {
-	*runResponse
-	// Cached reports a result served from the LRU without simulating.
+// delivery is how one result reached its caller, appended to the
+// /v1/run and /v1/runcfg replies.
+type delivery struct {
+	// Cached reports a result served from the store without simulating.
 	Cached bool `json:"cached"`
 	// Coalesced reports a result served by joining another request's
 	// in-progress simulation.
 	Coalesced bool `json:"coalesced"`
+}
+
+// runReply wraps a runResponse with per-request delivery facts.
+type runReply struct {
+	*runResponse
+	delivery
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -227,40 +235,17 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		s.metrics.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+		s.badRequest(w, fmt.Sprintf("decoding request: %v", err))
 		return
 	}
 	cfg, err := req.Config()
 	if err != nil {
-		s.metrics.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, err.Error())
+		s.badRequest(w, err.Error())
 		return
 	}
-	key := simrun.Key(cfg)
-
-	if resp, _, ok := s.store.Get(r.Context(), key); ok {
-		s.metrics.cacheHits.Add(1)
-		w.Header().Set("X-Result-Digest", resp.Digest)
-		writeJSON(w, http.StatusOK, runReply{runResponse: resp, Cached: true})
-		return
+	if e, d, ok := s.serveOne(w, r, simrun.Key(cfg), req.Normalize(), cfg); ok {
+		writeJSON(w, http.StatusOK, runReply{runResponse: e, delivery: d})
 	}
-	s.metrics.cacheMisses.Add(1)
-
-	f, leader := s.flights.join(key)
-	if leader {
-		s.wg.Add(1)
-		go s.execute(key, f, req.Normalize(), cfg, false)
-	} else {
-		s.metrics.coalesced.Add(1)
-	}
-
-	resp, ok := s.await(w, r, f)
-	if !ok {
-		return
-	}
-	w.Header().Set("X-Result-Digest", resp.Digest)
-	writeJSON(w, http.StatusOK, runReply{runResponse: resp, Coalesced: !leader})
 }
 
 // runCfgReply is the POST /v1/runcfg response: the structured result
@@ -277,9 +262,7 @@ type runCfgReply struct {
 	// echoed in the X-Result-Digest header; internal/fleet verifies it
 	// on every response and treats a mismatch as retryable corruption.
 	Digest string `json:"digest"`
-	// Cached / Coalesced mirror the /v1/run delivery facts.
-	Cached    bool `json:"cached"`
-	Coalesced bool `json:"coalesced"`
+	delivery
 }
 
 // handleRunCfg is POST /v1/runcfg: like /v1/run but the body is a raw
@@ -293,61 +276,75 @@ func (s *Server) handleRunCfg(w http.ResponseWriter, r *http.Request) {
 	var cfg core.Config
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err := dec.Decode(&cfg); err != nil {
-		s.metrics.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding config: %v", err))
+		s.badRequest(w, fmt.Sprintf("decoding config: %v", err))
 		return
 	}
-	if cfg.Programs != nil {
-		s.metrics.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "config.Programs is not transportable; name a mix instead")
-		return
-	}
-	if err := cfg.Validate(); err != nil {
-		s.metrics.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, err.Error())
+	if err := validateRawConfig(&cfg); err != nil {
+		s.badRequest(w, err.Error())
 		return
 	}
 	key := "cfg:" + simrun.Key(cfg)
-
-	if resp, _, ok := s.store.Get(r.Context(), key); ok {
-		s.metrics.cacheHits.Add(1)
-		w.Header().Set("X-Result-Digest", resp.Digest)
-		writeJSON(w, http.StatusOK, runCfgReply{Key: key, Result: resp.Result, Digest: resp.Digest, Cached: true})
-		return
+	if e, d, ok := s.serveOne(w, r, key, simrun.Request{}, cfg); ok {
+		writeJSON(w, http.StatusOK, runCfgReply{Key: key, Result: e.Result, Digest: e.Digest, delivery: d})
 	}
-	s.metrics.cacheMisses.Add(1)
-
-	f, leader := s.flights.join(key)
-	if leader {
-		s.wg.Add(1)
-		go s.execute(key, f, simrun.Request{}, cfg, false)
-	} else {
-		s.metrics.coalesced.Add(1)
-	}
-
-	resp, ok := s.await(w, r, f)
-	if !ok {
-		return
-	}
-	w.Header().Set("X-Result-Digest", resp.Digest)
-	writeJSON(w, http.StatusOK, runCfgReply{Key: key, Result: resp.Result, Digest: resp.Digest, Coalesced: !leader})
 }
 
-// await blocks until flight f settles or the caller disconnects. It
-// returns ok=false after writing any error reply (or nothing, when the
-// client is gone and the flight continues for other waiters).
-func (s *Server) await(w http.ResponseWriter, r *http.Request, f *flight) (*runResponse, bool) {
-	select {
-	case <-f.done:
-	case <-r.Context().Done():
-		s.metrics.canceled.Add(1)
-		return nil, false
+// validateRawConfig is the boundary check on a transported
+// core.Config (/v1/runcfg and every /v1/batch item).
+func validateRawConfig(cfg *core.Config) error {
+	if cfg.Programs != nil {
+		return errors.New("config.Programs is not transportable; name a mix instead")
 	}
-	if f.err != nil {
-		s.replyError(w, f.err)
-		return nil, false
+	return cfg.Validate()
+}
+
+// badRequest counts and answers one malformed or invalid request.
+func (s *Server) badRequest(w http.ResponseWriter, msg string) {
+	s.metrics.badRequests.Add(1)
+	httpError(w, http.StatusBadRequest, msg)
+}
+
+// lookup is the single-result path behind /v1/run, /v1/runcfg and
+// every /v1/batch item: a store hit returns the entry; otherwise the
+// caller joins the key's flight, either leading it (execute runs it
+// detached from this request) or coalescing onto another caller's. It
+// returns exactly one of the entry and the flight to wait on.
+func (s *Server) lookup(key string, req simrun.Request, cfg core.Config, blockAdmission bool) (*runResponse, *flight, delivery) {
+	if e, _, ok := s.store.Get(key); ok {
+		s.metrics.cacheHits.Add(1)
+		return e, nil, delivery{Cached: true}
 	}
-	return f.val, true
+	s.metrics.cacheMisses.Add(1)
+	f, leader := s.flights.join(key)
+	if !leader {
+		s.metrics.coalesced.Add(1)
+		return nil, f, delivery{Coalesced: true}
+	}
+	s.wg.Add(1)
+	go s.execute(key, f, req, cfg, blockAdmission)
+	return nil, f, delivery{}
+}
+
+// serveOne resolves one result for /v1/run or /v1/runcfg and sets its
+// digest header. ok=false means an error reply was written, or the
+// client is gone (the flight continues for its other waiters).
+func (s *Server) serveOne(w http.ResponseWriter, r *http.Request, key string, req simrun.Request, cfg core.Config) (*runResponse, delivery, bool) {
+	e, f, d := s.lookup(key, req, cfg, false)
+	if f != nil {
+		select {
+		case <-f.done:
+		case <-r.Context().Done():
+			s.metrics.canceled.Add(1)
+			return nil, d, false
+		}
+		if f.err != nil {
+			s.replyError(w, f.err)
+			return nil, d, false
+		}
+		e = f.val
+	}
+	w.Header().Set("X-Result-Digest", e.Digest)
+	return e, d, true
 }
 
 // execute is the singleflight leader's path: admission, worker slot,
@@ -359,6 +356,17 @@ func (s *Server) await(w http.ResponseWriter, r *http.Request, f *flight) (*runR
 // was already accepted, so its items queue instead of failing.
 func (s *Server) execute(key string, f *flight, req simrun.Request, cfg core.Config, blockAdmission bool) {
 	defer s.wg.Done()
+
+	// A caller that missed the store can join after another leader
+	// stored the key and closed its flight. Put fills the memory tier
+	// before a flight closes, so re-reading it (uncounted: this is no
+	// request) settles such a flight without a second simulation.
+	if mem := s.store.Memory(); mem != nil {
+		if e, ok := mem.Get(key); ok {
+			s.flights.finish(key, f, e, nil)
+			return
+		}
+	}
 
 	if blockAdmission {
 		select {
@@ -477,8 +485,8 @@ type Health struct {
 	StoreState string `json:"store_state"`
 	// Store is the per-tier store detail for operators and runbooks.
 	Store StoreHealth `json:"store"`
-	// PeerTimeoutMS echoes the configured tier-2 peer-lookup budget
-	// (-peer-timeout); 0 when no peer tier is configured.
+	// PeerTimeoutMS echoes the configured peer-lookup budget
+	// (-peer-timeout); 0 when no peers are configured.
 	PeerTimeoutMS int64 `json:"peer_timeout_ms,omitempty"`
 }
 
@@ -533,46 +541,53 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.writePrometheus(w)
+	p := promtext.Writer{W: w}
 	// Store occupancy lives on the server, not the counter struct: the
 	// tiered store is the source of truth, sampled at scrape time.
 	if mem := s.store.Memory(); mem != nil {
-		writeGauge(w, "smtsimd_cache_entries", "Memory-tier result entries resident.", int64(mem.Len()))
-		writeGauge(w, "smtsimd_cache_capacity", "Memory-tier entry capacity (LRU bound).", int64(mem.Capacity()))
-		writeCounter(w, "smtsimd_cache_evictions_total", "Memory-tier entries evicted by the LRU capacity bound.", mem.Evictions())
+		p.Gauge("smtsimd_cache_entries", "Memory-tier result entries resident.", int64(mem.Len()))
+		p.Gauge("smtsimd_cache_capacity", "Memory-tier entry capacity (LRU bound).", int64(mem.Capacity()))
+		p.Counter("smtsimd_cache_evictions_total", "Memory-tier entries evicted by the LRU capacity bound.", mem.Evictions())
+	}
+	tierCounter := func(name, help string, v func(tier string) int64) {
+		p.Family(name, help, "counter")
+		for _, tier := range resultstore.Tiers {
+			p.Sample(name, promtext.Label("tier", tier), v(tier))
+		}
 	}
 	sm := s.store.Metrics()
-	writeTierCounter(w, "smtsimd_store_hits_total", "Store lookups served, by tier.", sm.Hits)
-	writeTierCounter(w, "smtsimd_store_misses_total", "Store lookups missed, by tier.", sm.Misses)
-	writeTierCounter(w, "smtsimd_store_put_errors_total", "Store writes that failed, by tier.", sm.PutErrors)
+	tierCounter("smtsimd_store_hits_total", "Store lookups served, by tier.", sm.Hits)
+	tierCounter("smtsimd_store_misses_total", "Store lookups missed, by tier.", sm.Misses)
+	tierCounter("smtsimd_store_put_errors_total", "Store writes that failed, by tier.", sm.PutErrors)
 	if disk := s.store.Disk(); disk != nil {
-		writeGauge(w, "smtsimd_store_disk_entries", "Disk-tier result entries resident.", int64(disk.Len()))
-		writeGauge(w, "smtsimd_store_disk_bytes", "Disk-tier resident entry bytes.", disk.Bytes())
-		writeGauge(w, "smtsimd_store_disk_max_bytes", "Disk-tier byte budget.", disk.MaxBytes())
-		writeCounter(w, "smtsimd_store_disk_evictions_total", "Disk-tier entries evicted by the byte budget.", disk.Evictions())
-		writeCounter(w, "smtsimd_store_disk_quarantines_total", "Disk-tier files quarantined as corrupt or truncated.", disk.Quarantines())
-		writeCounter(w, "smtsimd_store_disk_write_faults_total", "Disk-tier writes that failed with a classified fault (ENOSPC, EROFS, permission).", disk.WriteFaults())
-		writeCounter(w, "smtsimd_store_disk_read_faults_total", "Disk-tier reads that failed with a classified fault (EIO, permission).", disk.ReadFaults())
-		writeCounter(w, "smtsimd_store_disk_degraded_total", "Requests refused because the disk tier was degraded (puts + gets).", disk.DegradedPuts()+disk.DegradedGets())
-		writeCounter(w, "smtsimd_store_disk_state_transitions_total", "Disk-tier state-machine transitions into a degraded state.", disk.StateTransitions())
-		writeCounter(w, "smtsimd_store_disk_recoveries_total", "Disk-tier recovery probes that re-armed a degraded tier.", disk.Recoveries())
+		p.Gauge("smtsimd_store_disk_entries", "Disk-tier result entries resident.", int64(disk.Len()))
+		p.Gauge("smtsimd_store_disk_bytes", "Disk-tier resident entry bytes.", disk.Bytes())
+		p.Gauge("smtsimd_store_disk_max_bytes", "Disk-tier byte budget.", disk.MaxBytes())
+		p.Counter("smtsimd_store_disk_evictions_total", "Disk-tier entries evicted by the byte budget.", disk.Evictions())
+		p.Counter("smtsimd_store_disk_quarantines_total", "Disk-tier files quarantined as corrupt or truncated.", disk.Quarantines())
+		p.Counter("smtsimd_store_disk_write_faults_total", "Disk-tier writes that failed with a classified fault (ENOSPC, EROFS, permission).", disk.WriteFaults())
+		p.Counter("smtsimd_store_disk_read_faults_total", "Disk-tier reads that failed with a classified fault (EIO, permission).", disk.ReadFaults())
+		p.Counter("smtsimd_store_disk_degraded_total", "Requests refused because the disk tier was degraded (puts + gets).", disk.DegradedPuts()+disk.DegradedGets())
+		p.Counter("smtsimd_store_disk_state_transitions_total", "Disk-tier state-machine transitions into a degraded state.", disk.StateTransitions())
+		p.Counter("smtsimd_store_disk_recoveries_total", "Disk-tier recovery probes that re-armed a degraded tier.", disk.Recoveries())
 	}
 	// Serving state as a gauge: 0 ok, 1 readonly, 2 memory-only — the
 	// alert-friendly twin of /healthz store_state.
-	writeGauge(w, "smtsimd_store_state", "Store serving state: 0 ok, 1 readonly, 2 memory-only.", storeStateValue(s.store.State()))
+	p.Gauge("smtsimd_store_state", "Store serving state: 0 ok, 1 readonly, 2 memory-only.", storeStateValue(s.store.State()))
 	if sc := s.cfg.Scrubber; sc != nil {
-		writeCounter(w, "smtsimd_scrub_passes_total", "Background scrub passes started.", sc.Passes())
-		writeCounter(w, "smtsimd_scrub_scanned_total", "Entries re-read and re-verified by the scrubber.", sc.Scanned())
-		writeCounter(w, "smtsimd_scrub_corrupt_total", "Entries the scrubber found corrupt (quarantined).", sc.Corrupt())
-		writeCounter(w, "smtsimd_scrub_repaired_total", "Corrupt entries re-fetched from a peer and re-persisted.", sc.Repaired())
-		writeCounter(w, "smtsimd_scrub_repair_failed_total", "Corrupt entries no peer could supply.", sc.RepairFailed())
+		p.Counter("smtsimd_scrub_passes_total", "Background scrub passes started.", sc.Passes())
+		p.Counter("smtsimd_scrub_scanned_total", "Entries re-read and re-verified by the scrubber.", sc.Scanned())
+		p.Counter("smtsimd_scrub_corrupt_total", "Entries the scrubber found corrupt (quarantined).", sc.Corrupt())
+		p.Counter("smtsimd_scrub_repaired_total", "Corrupt entries re-fetched from a peer and re-persisted.", sc.Repaired())
+		p.Counter("smtsimd_scrub_repair_failed_total", "Corrupt entries no peer could supply.", sc.RepairFailed())
 	}
 	if rp := s.cfg.Replicator; rp != nil {
-		writeCounter(w, "smtsimd_replication_syncs_total", "Anti-entropy sync rounds started.", rp.Syncs())
-		writeCounter(w, "smtsimd_replication_pulls_total", "Missing entries pulled from peers.", rp.Pulls())
-		writeCounter(w, "smtsimd_replication_pushes_total", "Under-replicated entries pushed to peers.", rp.Pushes())
-		writeCounter(w, "smtsimd_replication_pull_errors_total", "Pull attempts that failed or failed verification.", rp.PullErrors())
-		writeCounter(w, "smtsimd_replication_push_errors_total", "Push attempts a peer refused or dropped.", rp.PushErrors())
-		writeCounter(w, "smtsimd_replication_manifest_errors_total", "Peer manifest exchanges that failed.", rp.ManifestErrors())
+		p.Counter("smtsimd_replication_syncs_total", "Anti-entropy sync rounds started.", rp.Syncs())
+		p.Counter("smtsimd_replication_pulls_total", "Missing entries pulled from peers.", rp.Pulls())
+		p.Counter("smtsimd_replication_pushes_total", "Under-replicated entries pushed to peers.", rp.Pushes())
+		p.Counter("smtsimd_replication_pull_errors_total", "Pull attempts that failed or failed verification.", rp.PullErrors())
+		p.Counter("smtsimd_replication_push_errors_total", "Push attempts a peer refused or dropped.", rp.PushErrors())
+		p.Counter("smtsimd_replication_manifest_errors_total", "Peer manifest exchanges that failed.", rp.ManifestErrors())
 	}
 }
 

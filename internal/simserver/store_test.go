@@ -290,7 +290,7 @@ func TestWarmDiskStoreServesAcrossRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resultstore.NewTiered(resultstore.NewMemory(8), disk, nil)
+		return resultstore.NewTiered(resultstore.NewMemory(8), disk)
 	}
 	cfgs := batchConfigs(t, 3)
 	resultsByIndex := func(items []batchStreamLine) map[int]string {
