@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short check chaos bench bench-json golden-multicore golden-adaptive train experiments tools clean
+.PHONY: all build vet test test-short check chaos bench golden-multicore golden-adaptive train experiments tools clean
 
 all: build vet test
 
@@ -37,13 +37,6 @@ test-short:
 # microbenchmarks (minutes). Full-scale runs: see `experiments`.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Regenerate the committed perf snapshot (docs/perf.md). Full iteration
-# counts: a few minutes on an idle machine. Baselines chain: each PR's
-# file embeds the previous PR's under "baseline", so the committed file
-# reads as the whole trajectory.
-bench-json: tools
-	./bin/simbench -out BENCH_PR9.json -baseline BENCH_PR8.json
 
 # Regenerate (or, in CI, verify — see .github/workflows/ci.yml) the
 # committed golden multi-core experiment: a quick 2-core allocation

@@ -89,7 +89,7 @@ func main() {
 		batchSizeF    = flag.Int("batch-size", 0, "with -batch: configs per batch chunk (0 = default 64)")
 		peerLookupF   = flag.Bool("peer-lookup", false, "with -backends: ask every backend's result store before dispatching a run")
 		peerTimeoutF  = flag.Duration("peer-timeout", resultstore.DefaultPeerTimeout, "with -peer-lookup: budget for one whole peer lookup across all backends")
-		maxRetriesF   = flag.Int("max-retries", 3, "with -backends: re-dispatches per run after a failure (-1 disables)")
+		maxRetriesF   = flag.Int("max-retries", 3, "with -backends: re-dispatches per run after a failure (0 or -1 disables)")
 		fleetMetricsF = flag.Bool("fleet-metrics", false, "with -backends: print fleet client metrics to stderr on exit")
 		auditRateF    = flag.Float64("audit-rate", 0, "with -backends: fraction of runs (0..1) re-checked on a second backend; disagreements are majority-voted and byzantine backends quarantined")
 		auditSeedF    = flag.Uint64("audit-seed", 1, "with -backends: seed for the audit sampler (deterministic sampling)")
@@ -164,9 +164,13 @@ func main() {
 				fatalf("fleet: %v", err)
 			}
 		}
+		retries := *maxRetriesF
+		if retries == 0 {
+			retries = -1 // flag 0 means "no retries"; Config 0 means "default"
+		}
 		fc, err := fleet.New(fleet.Config{
 			Backends:   backends,
-			MaxRetries: *maxRetriesF,
+			MaxRetries: retries,
 			AuditRate:  *auditRateF,
 			AuditSeed:  *auditSeedF,
 			BatchSize:  *batchSizeF,

@@ -7,11 +7,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -238,5 +241,35 @@ func TestCLIAdtsSweepCheckpointResume(t *testing.T) {
 	if resumed != fresh {
 		t.Fatalf("resumed output differs from uninterrupted run:\nfresh:\n%s\nresumed:\n%s",
 			fresh, resumed)
+	}
+}
+
+// TestCLIAdtsSweepMaxRetriesZero: -max-retries 0 means one dispatch per
+// run and no re-dispatch. Against a backend that fails every run, the
+// sweep must POST exactly once and then fail, not retry until the
+// breaker opens and the run falls back to local execution.
+func TestCLIAdtsSweepMaxRetriesZero(t *testing.T) {
+	var posts atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/healthz":
+			w.Write([]byte(`{"status":"ok"}`))
+		case "/v1/runcfg":
+			posts.Add(1)
+			http.Error(w, "boom", http.StatusInternalServerError)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer srv.Close()
+
+	out, err := exec.Command(filepath.Join(binaries(t), "adts-sweep"),
+		"-table1", "-mixes", "int-compute", "-quanta", "1", "-intervals", "1",
+		"-threads", "2", "-workers", "1", "-backends", srv.URL, "-max-retries", "0").CombinedOutput()
+	if err == nil {
+		t.Fatalf("sweep against a failing backend exited 0 with -max-retries 0:\n%s", out)
+	}
+	if n := posts.Load(); n != 1 {
+		t.Fatalf("POST /v1/runcfg %d times with -max-retries 0, want 1\n%s", n, out)
 	}
 }

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/policy"
+	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -39,7 +41,7 @@ func main() {
 			jobs = append(jobs, stats.Job{Name: p.String(), Config: cfg})
 		}
 	}
-	results, err := stats.RunAll(jobs, 0)
+	results, err := runner.Run(context.Background(), stats.RunnerJobs(jobs), runner.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

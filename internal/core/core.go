@@ -278,59 +278,6 @@ func MinMaxRatio(xs []float64) float64 {
 	return lo / hi
 }
 
-// RunMany executes each configuration in order on pooled machines and
-// returns the results. After the first run of a given machine geometry,
-// subsequent runs reuse its shell, so a sweep pays machine construction
-// once per distinct geometry instead of once per run; workloads that
-// repeat within the batch — the shape of every policy/threshold sweep —
-// additionally replay their instruction stream from the shared trace
-// cache instead of re-deriving it per run. Results are identical to
-// building and running each Simulator separately.
-func RunMany(cfgs []Config) ([]Result, error) {
-	type workload struct {
-		mix     string
-		threads int
-		seed    uint64
-	}
-	reps := make(map[workload]int, len(cfgs))
-	for _, cfg := range cfgs {
-		if cfg.Programs == nil {
-			reps[workload{cfg.MixName, cfg.Threads, cfg.Seed}]++
-		}
-	}
-	out := make([]Result, len(cfgs))
-	for i, cfg := range cfgs {
-		if cfg.Programs == nil && reps[workload{cfg.MixName, cfg.Threads, cfg.Seed}] > 1 {
-			// Record roughly the run's cycle count per context, capped to
-			// bound cache memory; threads that outrun the prefix fall back
-			// to live generation with identical results. The quantum
-			// mirrors Simulator.Run's default: sizing off a zero
-			// Detector.Quantum would record a prefix far shorter than the
-			// run it serves.
-			quantum := cfg.Detector.Quantum
-			if quantum <= 0 {
-				quantum = 8192
-			}
-			per := cfg.FastForward + int64(cfg.Quanta)*quantum
-			if per > 65536 {
-				per = 65536
-			}
-			if per >= 1024 {
-				if progs, err := trace.CachedPrograms(cfg.MixName, cfg.Threads, cfg.Seed, int(per)); err == nil {
-					cfg.Programs = progs
-				}
-			}
-		}
-		sim, err := NewSimulator(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: RunMany config %d: %w", i, err)
-		}
-		out[i] = sim.Run()
-		sim.Close()
-	}
-	return out, nil
-}
-
 // Simulator couples a machine with a scheduling regime.
 type Simulator struct {
 	cfg    Config

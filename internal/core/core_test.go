@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/detector"
 	"repro/internal/dtvm"
+	"repro/internal/pipeline"
 	"repro/internal/policy"
-	"repro/internal/trace"
 )
 
 func short(mix string) Config {
@@ -267,109 +267,51 @@ func TestKernelDryRunCatchesBrokenKernels(t *testing.T) {
 	}
 }
 
-// TestRunManyMatchesIndividual pins the batch seam: a policy sweep over
-// one workload through RunMany (pooled shells + cached traces) must
-// produce exactly the results of independent Simulators.
-func TestRunManyMatchesIndividual(t *testing.T) {
-	trace.FlushTraceCache()
-	defer trace.FlushTraceCache()
-
-	var cfgs []Config
-	for _, p := range []policy.Policy{policy.ICOUNT, policy.RR, policy.BRCOUNT} {
-		cfg := DefaultConfig("kitchen-sink")
-		cfg.Quanta = 4
+// TestPooledSweepMatchesFresh pins the path every sweep runs: a
+// sequence of same-geometry configs through NewSimulator/Run/Close (as
+// stats.RunnerJobs does), so each run after the first draws machine
+// shells that an earlier run released. The oracle runs put their pooled
+// scratch shells into the rotation too. Every Result must equal that of
+// the same config run on a drained pool.
+func TestPooledSweepMatchesFresh(t *testing.T) {
+	run := func(cfg Config) Result {
+		t.Helper()
+		sim, err := NewSimulator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := sim.Run()
+		sim.Close()
+		return res
+	}
+	base := short("mixed-lowipc")
+	base.Quanta = 3
+	fixed := func(p policy.Policy) Config {
+		cfg := base
 		cfg.FixedPolicy = p
-		cfgs = append(cfgs, cfg)
+		return cfg
 	}
+	adts := base
+	adts.Mode = ModeADTS
+	adts.Detector.Heuristic = detector.Type3
+	orc := base
+	orc.Mode = ModeOracle
+	cfgs := []Config{fixed(policy.ICOUNT), orc, fixed(policy.BRCOUNT), adts, orc, fixed(policy.ICOUNT)}
 
-	batch, err := RunMany(cfgs)
-	if err != nil {
-		t.Fatal(err)
+	pipeline.DrainPools()
+	defer pipeline.DrainPools()
+	swept := make([]Result, len(cfgs))
+	for i, cfg := range cfgs {
+		swept[i] = run(cfg)
+	}
+	if pipeline.PoolCount() == 0 {
+		t.Fatal("sweep left no pooled shells: the pooled path was not exercised")
 	}
 	for i, cfg := range cfgs {
-		sim, err := NewSimulator(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := sim.Run()
-		sim.Close()
-		if batch[i].AggregateIPC != res.AggregateIPC || batch[i].Committed != res.Committed {
-			t.Fatalf("config %d (%s): RunMany IPC=%v committed=%d, individual IPC=%v committed=%d",
-				i, cfg.FixedPolicy, batch[i].AggregateIPC, batch[i].Committed, res.AggregateIPC, res.Committed)
-		}
-	}
-}
-
-// TestRunManyMixedRunLengths pins the trace-cache prefix seam: the
-// cache is keyed on (mix, threads, seed) but the recorded prefix length
-// is sized from each config's own FastForward/Quanta, so a batch can
-// cache a SHORT workload's prefix first and then serve a LONG run of
-// the same key. The cache must re-record the longer prefix (and replay
-// past any prefix bit-identically) — every result must equal an
-// independent, uncached Simulator's.
-func TestRunManyMixedRunLengths(t *testing.T) {
-	trace.FlushTraceCache()
-	defer trace.FlushTraceCache()
-
-	shortCfg := DefaultConfig("int-memory")
-	shortCfg.Threads = 2
-	shortCfg.FastForward = 0
-	shortCfg.Quanta = 2 // per-thread prefix request: 16384 cycles
-
-	longCfg := shortCfg
-	longCfg.FastForward = 4096
-	longCfg.Quanta = 6 // 53248 cycles: forces a prefix re-record
-
-	// Same (mix, threads, seed) key throughout; short first so the
-	// short prefix lands in the cache before the long run asks for
-	// more, then short again to read back the regrown recording.
-	cfgs := []Config{shortCfg, longCfg, shortCfg}
-	batch, err := RunMany(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range cfgs {
-		sim, err := NewSimulator(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := sim.Run()
-		sim.Close()
-		if !reflect.DeepEqual(batch[i], res) {
-			t.Fatalf("config %d (quanta=%d ff=%d): RunMany result diverged from individual run\nbatch: IPC=%v committed=%d\nindiv: IPC=%v committed=%d",
-				i, cfg.Quanta, cfg.FastForward, batch[i].AggregateIPC, batch[i].Committed, res.AggregateIPC, res.Committed)
-		}
-	}
-}
-
-// TestRunManyDefaultQuantumPrefix guards the prefix-length computation
-// itself: a config relying on the run loop's implicit 8192-cycle
-// default quantum (Detector.Quantum == 0 in fixed mode) must size its
-// recorded prefix from that same default, not from zero.
-func TestRunManyDefaultQuantumPrefix(t *testing.T) {
-	trace.FlushTraceCache()
-	defer trace.FlushTraceCache()
-
-	cfg := DefaultConfig("int-compute")
-	cfg.Threads = 2
-	cfg.FastForward = 0
-	cfg.Quanta = 3
-	cfg.Detector = detector.Config{} // fixed mode ignores it; quantum defaults to 8192
-
-	batch, err := RunMany([]Config{cfg, cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := NewSimulator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := sim.Run()
-	sim.Close()
-	for i := range batch {
-		if !reflect.DeepEqual(batch[i], res) {
-			t.Fatalf("run %d with default quantum diverged: batch IPC=%v, individual IPC=%v",
-				i, batch[i].AggregateIPC, res.AggregateIPC)
+		pipeline.DrainPools()
+		if fresh := run(cfg); !reflect.DeepEqual(swept[i], fresh) {
+			t.Fatalf("config %d (%s): pooled result diverged from fresh\npooled: IPC=%v committed=%d\nfresh:  IPC=%v committed=%d",
+				i, cfg.Mode, swept[i].AggregateIPC, swept[i].Committed, fresh.AggregateIPC, fresh.Committed)
 		}
 	}
 }

@@ -34,7 +34,7 @@ type clientMetrics struct {
 func (c *Client) WriteMetrics(w io.Writer) {
 	p := promtext.Writer{W: w}
 	counter := p.Counter
-	counter("fleet_dispatched_total", "Requests dispatched to backends, including retries and hedges.", c.metrics.dispatched.Load())
+	counter("fleet_dispatched_total", "Requests dispatched to backends, including retries.", c.metrics.dispatched.Load())
 	counter("fleet_retried_total", "Dispatches that were retries after a failed attempt.", c.metrics.retried.Load())
 	counter("fleet_rate_limited_total", "429 responses received from backends.", c.metrics.rateLimited.Load())
 	counter("fleet_local_fallback_total", "Jobs executed locally because no backend could take them.", c.metrics.localFallback.Load())

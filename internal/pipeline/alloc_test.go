@@ -99,82 +99,3 @@ func TestAcquireResetMatchesNew(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestCachedTraceMatchesFresh: a machine fed replay-backed programs
-// must be byte-identical to one generating its stream live — counters,
-// gauges and invariants — including past the recorded prefix, where the
-// replay program switches back to live generation mid-run.
-func TestCachedTraceMatchesFresh(t *testing.T) {
-	trace.FlushTraceCache()
-	defer trace.FlushTraceCache()
-
-	mix, _ := trace.MixByName("kitchen-sink")
-	fresh, err := mix.Programs(8, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A short prefix forces every thread across the replay/live boundary
-	// well before the run ends.
-	cached, err := trace.CachedPrograms("kitchen-sink", 8, 5, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-
-	a := New(cfg, fresh, 5)
-	a.Run(40000)
-	b := New(cfg, cached, 5)
-	b.Run(40000)
-
-	if a.TotalCommitted() != b.TotalCommitted() {
-		t.Fatalf("cached-trace machine diverged: %d vs %d committed",
-			a.TotalCommitted(), b.TotalCommitted())
-	}
-	for i := 0; i < a.NumThreads(); i++ {
-		if a.State(i).Cum != b.State(i).Cum {
-			t.Fatalf("thread %d: counters diverged:\nfresh  %+v\ncached %+v",
-				i, a.State(i).Cum, b.State(i).Cum)
-		}
-		if a.State(i).Live != b.State(i).Live {
-			t.Fatalf("thread %d: gauges diverged", i)
-		}
-	}
-	if err := b.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRunManyMatchesIndividualRuns: the batch path must produce exactly
-// the machines a loop of New+Run would, while reusing one shell.
-func TestRunManyMatchesIndividualRuns(t *testing.T) {
-	cfg := DefaultConfig()
-	names := []string{"kitchen-sink", "int-memory", "kitchen-sink"}
-	// Programs are consumed by the machine that runs them (New binds the
-	// caller's pointers), so each leg generates its own.
-	gen := func(name string) []*trace.Program {
-		mix, ok := trace.MixByName(name)
-		if !ok {
-			t.Fatalf("unknown mix %s", name)
-		}
-		progs, err := mix.Programs(8, 11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return progs
-	}
-
-	work := make([]Workload, len(names))
-	for i, name := range names {
-		work[i] = Workload{Programs: gen(name), Seed: 11, Cycles: 20000}
-	}
-	batch := make([]uint64, len(work))
-	RunMany(cfg, work, func(i int, m *Machine) { batch[i] = m.TotalCommitted() })
-
-	for i, name := range names {
-		m := New(cfg, gen(name), 11)
-		m.Run(work[i].Cycles)
-		if got := m.TotalCommitted(); batch[i] != got {
-			t.Fatalf("workload %d: RunMany committed %d, individual run %d", i, batch[i], got)
-		}
-	}
-}

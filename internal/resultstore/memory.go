@@ -68,15 +68,6 @@ func (c *Memory) Put(e *Entry) {
 	}
 }
 
-// Clear drops every entry without counting evictions (used by
-// benchmarks that want the next read to land on a lower tier).
-func (c *Memory) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	clear(c.items)
-}
-
 // Remove drops an entry if present (used by tests and repair paths).
 func (c *Memory) Remove(key string) {
 	c.mu.Lock()

@@ -56,10 +56,9 @@ type Job[T any] struct {
 }
 
 // Executor is the pluggable compute behind a Run call: it evaluates one
-// job and returns its result. The local executor (a nil Executor, or
-// Local) calls the job's own Run closure; internal/fleet provides a
-// distributed one that ships job payloads to a pool of smtsimd
-// backends. Executors must be deterministic in the same sense as
+// job and returns its result. A nil Executor runs locally, calling the
+// job's own Run closure; internal/fleet provides a distributed one that
+// ships job payloads to a pool of smtsimd backends. Executors must be deterministic in the same sense as
 // Job.Run: equal payloads produce equal results, no matter which
 // executor (or backend) served them — checkpoint resume and
 // index-aligned output depend on it.
@@ -84,13 +83,6 @@ type BatchExecutor[T any] interface {
 	Executor[T]
 	ExecuteBatch(ctx context.Context, jobs []Job[T]) ([]T, []error)
 }
-
-// Local is the identity executor: it runs every job in-process via its
-// Run closure. RunWith with a nil executor behaves identically.
-type Local[T any] struct{}
-
-// Execute implements Executor by calling j.Run.
-func (Local[T]) Execute(ctx context.Context, j Job[T]) (T, error) { return j.Run(ctx) }
 
 // Event describes one settled job, delivered to Options.Hook.
 type Event struct {

@@ -271,22 +271,6 @@ func Run(ctx context.Context, cfg core.Config) (core.Result, error) {
 	}
 }
 
-// RunMany executes the configs in order, reusing pooled machines
-// between runs (see core.RunMany), and stops at the first error or
-// context cancellation. Results are identical to calling Run per
-// config.
-func RunMany(ctx context.Context, cfgs []core.Config) ([]core.Result, error) {
-	out := make([]core.Result, len(cfgs))
-	for i, cfg := range cfgs {
-		res, err := Run(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
-}
-
 // ReportOptions selects the optional report sections.
 type ReportOptions struct {
 	// Verbose appends per-thread IPC lines.

@@ -1,5 +1,5 @@
-// Package stats provides the run harness and aggregation helpers the
-// experiment drivers share: a parallel simulation runner, summary
+// Package stats provides the helpers the experiment drivers share:
+// simulation jobs for internal/runner (RunnerJobs), summary
 // statistics, and plain-text/markdown table rendering for the paper's
 // figures.
 package stats
@@ -54,19 +54,6 @@ func RunnerJobs(jobs []Job) []runner.Job[core.Result] {
 		}
 	}
 	return rjobs
-}
-
-// RunAll executes the jobs on a bounded worker pool and returns results
-// index-aligned with jobs. Each simulation is single-threaded and
-// deterministic; parallelism across jobs is safe because simulators
-// share no mutable state. workers <= 0 selects GOMAXPROCS.
-//
-// RunAll is a compatibility shim over runner.Run: it fails fast on the
-// first job error, stops dispatching, and returns a joined error naming
-// every job that failed. Cancellation, checkpointing, and progress live
-// in internal/runner (see experiments.Options).
-func RunAll(jobs []Job, workers int) ([]core.Result, error) {
-	return runner.Run(context.Background(), RunnerJobs(jobs), runner.Options{Workers: workers})
 }
 
 // Mean returns the arithmetic mean; 0 for an empty slice.

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/core"
+	"repro/internal/runner"
 )
 
 // TestEmptyAndDegenerateInputs locks in the contract that every summary
@@ -178,7 +180,7 @@ func TestRunAllAlignmentAndParallel(t *testing.T) {
 		{Name: "b", Config: mk("fp-stream", 3)},
 		{Name: "c", Config: mk("int-compute", 2)},
 	}
-	res, err := RunAll(jobs, 4)
+	res, err := runner.Run(context.Background(), RunnerJobs(jobs), runner.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,13 +199,13 @@ func TestRunAllAlignmentAndParallel(t *testing.T) {
 
 func TestRunAllPropagatesErrors(t *testing.T) {
 	bad := core.DefaultConfig("no-such-mix")
-	_, err := RunAll([]Job{{Name: "bad", Config: bad}}, 1)
+	_, err := runner.Run(context.Background(), RunnerJobs([]Job{{Name: "bad", Config: bad}}), runner.Options{Workers: 1})
 	if err == nil || !strings.Contains(err.Error(), "bad") {
 		t.Fatalf("error not propagated with job name: %v", err)
 	}
 }
 
-// Regression: RunAll used to dispatch every remaining job after a
+// Regression: the sweep runner used to dispatch every remaining job after a
 // failure and keep only the first error. It must fail fast and name
 // each job that failed in a joined error.
 func TestRunAllFailsFastWithJoinedError(t *testing.T) {
@@ -219,7 +221,7 @@ func TestRunAllFailsFastWithJoinedError(t *testing.T) {
 	// at badA, so badB never runs and must not appear in the error.
 	badB := core.DefaultConfig("no-such-mix-b")
 	jobs = append(jobs, Job{Name: "badB", Config: badB})
-	_, err := RunAll(jobs, 1)
+	_, err := runner.Run(context.Background(), RunnerJobs(jobs), runner.Options{Workers: 1})
 	if err == nil {
 		t.Fatal("no error returned")
 	}

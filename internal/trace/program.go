@@ -45,26 +45,6 @@ type Program struct {
 	// immutably between clones; computed once in NewProgram so the
 	// per-instruction dependency draw skips the math.Log.
 	depLogQ []float64
-
-	// replay, when non-nil, is an immutable recorded prefix of this
-	// exact stream (see Record/CachedPrograms): Next serves instructions
-	// from it instead of re-deriving them, which is what lets a sweep
-	// re-simulating one workload under many policies pay the generator
-	// cost once. replayEnd is the frozen generator state at the end of
-	// the prefix; when the prefix runs out the program adopts it and
-	// generation continues live, bit-identically to a never-recorded
-	// run. Both are shared between clones.
-	replay    []replayItem
-	replayPos int
-	replayEnd *Program
-}
-
-// replayItem is one recorded instruction plus the phase it was generated
-// in — the only generator state a consumer can observe mid-stream
-// (WrongPathInst draws from the current phase's mixture and footprint).
-type replayItem struct {
-	inst  isa.Inst
-	phase uint16
 }
 
 // NewProgram instantiates prof for thread tid with the given seed. The
@@ -144,19 +124,6 @@ func (p *Program) hashStatic(pc uint64, salt uint64) uint64 {
 
 // Next produces the next instruction of the stream.
 func (p *Program) Next() isa.Inst {
-	if p.replay != nil {
-		if p.replayPos < len(p.replay) {
-			it := &p.replay[p.replayPos]
-			p.replayPos++
-			p.phase = int(it.phase)
-			p.seq = it.inst.Seq
-			return it.inst
-		}
-		// Prefix exhausted: adopt the frozen post-prefix generator state
-		// and continue live. The copy clears the replay fields (replayEnd
-		// itself was recorded live), so this branch runs once.
-		*p = *p.replayEnd
-	}
 	ph := &p.prof.Phases[p.phase]
 	p.seq++
 	p.phaseLeft--
