@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short check chaos bench golden-multicore golden-adaptive train experiments tools clean
+.PHONY: all build vet test test-short check chaos bench golden-paper golden-multicore golden-adaptive train experiments tools clean
 
 all: build vet test
 
@@ -37,6 +37,13 @@ test-short:
 # microbenchmarks (minutes). Full-scale runs: see `experiments`.
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Regenerate (or, in CI, verify — see .github/workflows/ci.yml) the
+# committed golden paper result: Table 1, Figures 7 and 8 and the oracle
+# bound (ADTS Types 1–4 vs fixed ICOUNT over every mix) at quick scale,
+# byte-identical on every machine. No -workers: the JSON echoes it.
+golden-paper: tools
+	./bin/adts-sweep -table1 -fig7 -fig8 -oracle -quanta 8 -intervals 1 -json > docs/results/paper-golden.json
 
 # Regenerate (or, in CI, verify — see .github/workflows/ci.yml) the
 # committed golden multi-core experiment: a quick 2-core allocation

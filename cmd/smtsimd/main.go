@@ -16,13 +16,14 @@
 // -store-dir enables the content-addressed disk tier: results survive
 // restarts, and a warm daemon answers repeated sweeps without running a
 // single simulation. -peers names the rest of the fleet and turns on
-// the self-healing machinery: anti-entropy replication (every result
-// kept at -replicas copies fleet-wide) and peer repair for the
-// background integrity scrubber (-scrub-interval), which re-verifies
-// every stored entry and quarantines bit rot. Classified disk faults
-// (full, read-only, permission, I/O) degrade the store to readonly or
-// memory-only instead of failing requests; /healthz reports store_state
-// so fleet dispatch weights away from degraded daemons.
+// the self-healing machinery: anti-entropy replication (each daemon
+// pulls the results its peers hold and it lacks, so a fleet whose
+// daemons list each other converges on every result) and peer repair
+// for the background integrity scrubber (-scrub-interval), which
+// re-verifies every stored entry and quarantines bit rot. Classified
+// disk faults (full, read-only, permission, I/O) degrade the store to
+// readonly or memory-only instead of failing requests; /healthz reports
+// store_state so fleet dispatch weights away from degraded daemons.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the
 // listener stops, active requests and in-flight simulations drain
@@ -63,7 +64,6 @@ func main() {
 
 		peersF      = flag.String("peers", "", "comma-separated peer smtsimd base URLs for anti-entropy replication and scrub repair")
 		peerTimeout = flag.Duration("peer-timeout", resultstore.DefaultPeerTimeout, "budget for one whole peer lookup across all peers")
-		replicas    = flag.Int("replicas", resultstore.DefaultReplicas, "with -peers: target fleet-wide copies per result, counting this daemon's")
 		syncEvery   = flag.Duration("sync-interval", resultstore.DefaultReplicateInterval, "with -peers: anti-entropy replication round period")
 		scrubEvery  = flag.Duration("scrub-interval", resultstore.DefaultScrubInterval, "with -store-dir: background integrity scrub period (0 disables)")
 
@@ -93,8 +93,9 @@ func main() {
 	}
 
 	// Self-healing machinery. -peers names the rest of the fleet: the
-	// replicator keeps every result at -replicas copies fleet-wide, and
-	// gives the scrubber somewhere to repair bit-rotted entries from.
+	// replicator pulls every result a peer holds and this daemon lacks,
+	// and the peers give the scrubber somewhere to repair bit-rotted
+	// entries from.
 	// The daemon's own request path never fans out to peers (that would
 	// recurse across the fleet); replication converges the stores in the
 	// background instead.
@@ -116,7 +117,6 @@ func main() {
 		}
 		replicator = resultstore.NewReplicator(store, resultstore.ReplicateConfig{
 			Peers:    src.Peers(),
-			Replicas: *replicas,
 			Interval: *syncEvery,
 			Log:      os.Stderr,
 		})

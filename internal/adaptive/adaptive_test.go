@@ -185,26 +185,6 @@ func TestUCBDeterministicAndLearns(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	b := NewEpsilonGreedy(dcfg())
-	b.Select(policy.ICOUNT, q(0.5, false, false))
-	c := b.Clone().(*EpsilonGreedy)
-	// Diverge the clone; the original's cells must not move.
-	for i := 0; i < 50; i++ {
-		c.Select(policy.ICOUNT, q(0.5, true, true))
-		c.Reward(0.5, 1.5)
-	}
-	if b.cells == c.cells {
-		t.Fatal("clone shares cell state")
-	}
-	var zero [NumContexts][numArms]armStat
-	zeroed := b.cells
-	zeroed[QuantizeQuantum(b.cfg, q(0.5, false, false))] = zero[0]
-	if zeroed != zero {
-		t.Fatal("original accumulated the clone's rewards")
-	}
-}
-
 func TestFitPicksBestArmPerContext(t *testing.T) {
 	samples := []Sample{
 		{Context: 1, Policy: "ICOUNT", IPC: 1.0},

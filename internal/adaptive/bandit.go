@@ -39,7 +39,7 @@ func reward(baseIPC, nextIPC float64) float64 {
 }
 
 // EpsilonGreedy is the online epsilon-greedy contextual bandit
-// selector. All state is plain data; Clone copies it by value.
+// selector. All state is plain data.
 type EpsilonGreedy struct {
 	cfg   detector.Config
 	rng   rng.PRNG
@@ -82,12 +82,6 @@ func (b *EpsilonGreedy) Reward(baseIPC, nextIPC float64) {
 	cell := &b.cells[b.lastCtx][b.lastArm]
 	cell.n++
 	cell.sum += reward(baseIPC, nextIPC)
-}
-
-// Clone implements detector.Selector.
-func (b *EpsilonGreedy) Clone() detector.Selector {
-	cp := *b
-	return &cp
 }
 
 // bestMeanArm returns the arm with the highest observed mean reward,
@@ -155,10 +149,4 @@ func (u *UCB) Reward(baseIPC, nextIPC float64) {
 	cell := &u.cells[u.lastCtx][u.lastArm]
 	cell.n++
 	cell.sum += reward(baseIPC, nextIPC)
-}
-
-// Clone implements detector.Selector.
-func (u *UCB) Clone() detector.Selector {
-	cp := *u
-	return &cp
 }

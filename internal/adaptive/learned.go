@@ -129,12 +129,6 @@ func (l *Learned) Select(incumbent policy.Policy, q detector.QuantumStats) polic
 // learn online.
 func (l *Learned) Reward(baseIPC, nextIPC float64) {}
 
-// Clone implements detector.Selector.
-func (l *Learned) Clone() detector.Selector {
-	cp := *l
-	return &cp
-}
-
 // Sample is one training observation: at some quantum the context was
 // Context, the next quantum ran under Policy and achieved IPC.
 type Sample struct {

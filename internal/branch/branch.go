@@ -11,16 +11,15 @@ package branch
 
 // Predictor predicts conditional-branch directions.
 //
-// Implementations must be deterministic and cloneable: Clone returns a
-// deep copy whose future behaviour is identical given identical inputs.
+// Implementations must be deterministic. The built-in kinds are copied
+// in place by CopyPredictor, whose copy behaves identically to the
+// source given identical inputs.
 type Predictor interface {
 	// Predict returns the predicted direction for the branch at pc
 	// executed by thread tid.
 	Predict(tid int, pc uint64) bool
 	// Update trains the predictor with the resolved outcome.
 	Update(tid int, pc uint64, taken bool)
-	// Clone returns an independent deep copy.
-	Clone() Predictor
 }
 
 // counter is a 2-bit saturating counter: 0,1 predict not-taken; 2,3 taken.
@@ -81,13 +80,6 @@ func (b *Bimodal) Update(tid int, pc uint64, taken bool) {
 	b.table[i] = b.table[i].update(taken)
 }
 
-// Clone implements Predictor.
-func (b *Bimodal) Clone() Predictor {
-	t := make([]counter, len(b.table))
-	copy(t, b.table)
-	return &Bimodal{table: t, mask: b.mask}
-}
-
 // GShare is a global-history predictor: the pattern-history table is
 // indexed by PC XOR a per-thread global history register.
 type GShare struct {
@@ -134,15 +126,6 @@ func (g *GShare) Update(tid int, pc uint64, taken bool) {
 	if taken {
 		g.hist[tid] |= 1
 	}
-}
-
-// Clone implements Predictor.
-func (g *GShare) Clone() Predictor {
-	t := make([]counter, len(g.table))
-	copy(t, g.table)
-	h := make([]uint64, len(g.hist))
-	copy(h, g.hist)
-	return &GShare{table: t, mask: g.mask, histBits: g.histBits, hist: h}
 }
 
 // Hybrid is a tournament predictor: a meta table of 2-bit counters chooses
@@ -193,18 +176,6 @@ func (h *Hybrid) Update(tid int, pc uint64, taken bool) {
 	h.gsh.Update(tid, pc, taken)
 }
 
-// Clone implements Predictor.
-func (h *Hybrid) Clone() Predictor {
-	m := make([]counter, len(h.meta))
-	copy(m, h.meta)
-	return &Hybrid{
-		bim:  h.bim.Clone().(*Bimodal),
-		gsh:  h.gsh.Clone().(*GShare),
-		meta: m,
-		mask: h.mask,
-	}
-}
-
 // Static always predicts the given direction; useful for tests and as a
 // degenerate baseline.
 type Static struct{ Taken bool }
@@ -214,6 +185,3 @@ func (s Static) Predict(int, uint64) bool { return s.Taken }
 
 // Update implements Predictor (no-op).
 func (s Static) Update(int, uint64, bool) {}
-
-// Clone implements Predictor.
-func (s Static) Clone() Predictor { return s }

@@ -104,19 +104,23 @@ func TestThreadsDoNotAliasTrivially(t *testing.T) {
 	}
 }
 
+// TestPredictorClones copies a trained predictor into a fresh one of
+// the same geometry with CopyPredictor.
 func TestPredictorClones(t *testing.T) {
-	preds := []Predictor{
-		NewBimodal(256),
-		NewGShare(256, 8, 2),
-		NewHybrid(256, 256, 256, 8, 2),
-		Static{Taken: true},
+	makers := []func() Predictor{
+		func() Predictor { return NewBimodal(256) },
+		func() Predictor { return NewGShare(256, 8, 2) },
+		func() Predictor { return NewHybrid(256, 256, 256, 8, 2) },
+		func() Predictor { return Static{Taken: true} },
 	}
-	for _, p := range preds {
+	for _, mk := range makers {
+		p := mk()
 		for i := 0; i < 50; i++ {
 			p.Update(0, uint64(i%7)*4, i%3 == 0)
 		}
-		c := p.Clone()
-		// Clone must agree now...
+		c := mk()
+		CopyPredictor(c, p)
+		// The copy must agree now...
 		for pc := uint64(0); pc < 32; pc += 4 {
 			if p.Predict(0, pc) != c.Predict(0, pc) {
 				t.Fatalf("%T clone disagrees immediately", p)
@@ -201,7 +205,8 @@ func TestBTBLRUEviction(t *testing.T) {
 func TestBTBClone(t *testing.T) {
 	b := NewBTB(16, 2)
 	b.Insert(0, 8, 80)
-	c := b.Clone()
+	c := NewBTB(16, 2)
+	c.CopyFrom(b)
 	c.Insert(0, 8, 81)
 	if tgt, _ := b.Lookup(0, 8); tgt != 80 {
 		t.Fatal("clone mutation leaked into original BTB")
@@ -250,7 +255,8 @@ func TestLocalClone(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		l.Update(0, 0x40, i%3 != 0)
 	}
-	c := l.Clone()
+	c := NewLocal(256, 8, 1024)
+	c.CopyFrom(l)
 	if c.Predict(0, 0x40) != l.Predict(0, 0x40) {
 		t.Fatal("clone disagrees")
 	}

@@ -85,18 +85,3 @@ func (b *BTB) touch(base, w int) {
 	}
 	b.lru[base+w] = max + 1
 }
-
-// Clone returns an independent deep copy.
-func (b *BTB) Clone() *BTB {
-	nb := &BTB{
-		sets:    b.sets,
-		ways:    b.ways,
-		tags:    make([]uint64, len(b.tags)),
-		targets: make([]uint64, len(b.targets)),
-		lru:     make([]uint8, len(b.lru)),
-	}
-	copy(nb.tags, b.tags)
-	copy(nb.targets, b.targets)
-	copy(nb.lru, b.lru)
-	return nb
-}

@@ -63,15 +63,6 @@ func (l *Local) Update(tid int, pc uint64, taken bool) {
 	}
 }
 
-// Clone implements Predictor.
-func (l *Local) Clone() Predictor {
-	nh := make([]uint16, len(l.hist))
-	copy(nh, l.hist)
-	np := make([]counter, len(l.pht))
-	copy(np, l.pht)
-	return &Local{hist: nh, histMask: l.histMask, histBits: l.histBits, pht: np, phtMask: l.phtMask}
-}
-
 // Kind names a predictor configuration for pipeline.Config.
 type Kind string
 

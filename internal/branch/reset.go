@@ -1,5 +1,7 @@
 package branch
 
+import "fmt"
+
 // This file provides in-place reuse for predictors and the BTB: Reset
 // restores the initial (just-constructed) state and CopyFrom overwrites
 // state with another instance's, both without allocating. The pipeline
@@ -101,41 +103,27 @@ func ResetPredictor(p Predictor) bool {
 	return true
 }
 
-// CopyPredictor overwrites dst's state with src's without allocating,
-// reporting whether it could (same concrete kind, same geometry; Static
-// carries its direction by value and always succeeds when kinds match).
-// Callers fall back to src.Clone() when it returns false.
-func CopyPredictor(dst, src Predictor) bool {
+// CopyPredictor overwrites dst's state with src's without allocating.
+// Kinds and geometries must match, and a mismatch panics, as every
+// CopyFrom does. Static carries its direction by value, so two Statics
+// must already agree on it.
+func CopyPredictor(dst, src Predictor) {
 	switch d := dst.(type) {
 	case *Bimodal:
-		if s, ok := src.(*Bimodal); ok && len(d.table) == len(s.table) {
-			d.CopyFrom(s)
-			return true
-		}
+		d.CopyFrom(src.(*Bimodal))
 	case *GShare:
-		if s, ok := src.(*GShare); ok && len(d.table) == len(s.table) && len(d.hist) == len(s.hist) {
-			d.CopyFrom(s)
-			return true
-		}
+		d.CopyFrom(src.(*GShare))
 	case *Hybrid:
-		if s, ok := src.(*Hybrid); ok &&
-			len(d.meta) == len(s.meta) &&
-			len(d.bim.table) == len(s.bim.table) &&
-			len(d.gsh.table) == len(s.gsh.table) && len(d.gsh.hist) == len(s.gsh.hist) {
-			d.CopyFrom(s)
-			return true
-		}
+		d.CopyFrom(src.(*Hybrid))
 	case *Local:
-		if s, ok := src.(*Local); ok && len(d.hist) == len(s.hist) && len(d.pht) == len(s.pht) {
-			d.CopyFrom(s)
-			return true
-		}
+		d.CopyFrom(src.(*Local))
 	case Static:
-		if s, ok := src.(Static); ok {
-			return d == s // value receiver: equal Statics need no copy
+		if src != Predictor(d) {
+			panic("branch: CopyPredictor Static direction mismatch")
 		}
+	default:
+		panic(fmt.Sprintf("branch: CopyPredictor of unknown kind %T", dst))
 	}
-	return false
 }
 
 // Reset invalidates every BTB entry.

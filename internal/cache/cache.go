@@ -40,8 +40,6 @@ type Level interface {
 	// Access performs an access on behalf of thread tid and returns its
 	// latency in cycles and whether this level missed.
 	Access(tid int, addr uint64, write bool) (lat int, miss bool)
-	// CloneLevel returns an independent deep copy.
-	CloneLevel() Level
 }
 
 // Memory is the DRAM terminus of the hierarchy: fixed latency, always hits.
@@ -54,12 +52,6 @@ type Memory struct {
 func (m *Memory) Access(int, uint64, bool) (int, bool) {
 	m.Accesses++
 	return m.Lat, false
-}
-
-// CloneLevel implements Level.
-func (m *Memory) CloneLevel() Level {
-	cp := *m
-	return &cp
 }
 
 // Stats holds per-thread access counts for one cache.
@@ -179,33 +171,6 @@ func (c *Cache) touch(base, w int) {
 	c.lru[base+w] = max + 1
 }
 
-// Clone returns a deep copy of this cache over the given cloned next
-// level. Callers cloning a hierarchy must clone shared lower levels once
-// and pass the same clone to each upper-level Clone.
-func (c *Cache) Clone(next Level) *Cache {
-	nc := &Cache{
-		cfg:   c.cfg,
-		tags:  make([]uint64, len(c.tags)),
-		lru:   make([]uint8, len(c.lru)),
-		next:  next,
-		stats: make([]Stats, len(c.stats)),
-	}
-	copy(nc.tags, c.tags)
-	copy(nc.lru, c.lru)
-	copy(nc.stats, c.stats)
-	return nc
-}
-
-// CloneLevel implements Level by cloning this cache and, recursively, its
-// next level. Only use on caches that are not shared by other parents.
-func (c *Cache) CloneLevel() Level {
-	var next Level
-	if c.next != nil {
-		next = c.next.CloneLevel()
-	}
-	return c.Clone(next)
-}
-
 // Hierarchy is the standard three-level configuration used by the
 // simulator: split L1s over a shared unified L2 over DRAM.
 type Hierarchy struct {
@@ -240,19 +205,6 @@ func NewHierarchy(cfg HierarchyConfig, threads int) *Hierarchy {
 	return &Hierarchy{
 		L1I: New(cfg.L1I, l2, threads),
 		L1D: New(cfg.L1D, l2, threads),
-		L2:  l2,
-		Mem: mem,
-	}
-}
-
-// Clone deep-copies the hierarchy, preserving the sharing structure
-// (both L1 clones point at the same L2 clone).
-func (h *Hierarchy) Clone() *Hierarchy {
-	mem := h.Mem.CloneLevel().(*Memory)
-	l2 := h.L2.Clone(mem)
-	return &Hierarchy{
-		L1I: h.L1I.Clone(l2),
-		L1D: h.L1D.Clone(l2),
 		L2:  l2,
 		Mem: mem,
 	}

@@ -89,7 +89,7 @@ func TestFleetHealsRottedAndFullStores(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.scrub = resultstore.NewScrubber(d.store, resultstore.ScrubConfig{Pace: -1, Source: src})
-		d.repl = resultstore.NewReplicator(d.store, resultstore.ReplicateConfig{Peers: others, Replicas: 3, Pace: -1})
+		d.repl = resultstore.NewReplicator(d.store, resultstore.ReplicateConfig{Peers: others, Pace: -1})
 	}
 
 	urls := []string{healthy.url, rotted.url, filled.url}

@@ -123,8 +123,6 @@ type Selector interface {
 	// that ran under the chosen policy. Called exactly once per Select,
 	// before the next Select.
 	Reward(baseIPC, nextIPC float64)
-	// Clone returns an independent deep copy.
-	Clone() Selector
 }
 
 // selectorFactories maps selector heuristics to constructors.
@@ -346,8 +344,7 @@ func (s Stats) BenignProbability() float64 {
 	return float64(s.Benign) / float64(t)
 }
 
-// Detector is the ADTS decision engine. It is deterministic plain data;
-// Clone yields an independent copy.
+// Detector is the ADTS decision engine. It is deterministic plain data.
 type Detector struct {
 	cfg       Config
 	incumbent policy.Policy
@@ -427,18 +424,6 @@ func (d *Detector) Stats() Stats {
 
 // Selector returns the active learned selector (nil for Type 1–4).
 func (d *Detector) Selector() Selector { return d.sel }
-
-// Clone returns an independent deep copy.
-func (d *Detector) Clone() *Detector {
-	cp := *d
-	if d.sel != nil {
-		cp.sel = d.sel.Clone()
-	}
-	if d.stats.PolicyQuanta != nil {
-		cp.stats.PolicyQuanta = append([]uint64(nil), d.stats.PolicyQuanta...)
-	}
-	return &cp
-}
 
 // OnQuantumEnd runs the detector thread's main loop body (Figure 3) for
 // one quantum boundary: score any pending switch, test IPC against the

@@ -252,19 +252,6 @@ func TestNeverSwitchToIncumbent(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	d := New(cfg(Type4))
-	d.OnQuantumEnd(q(0.5, true, false))
-	c := d.Clone()
-	c.OnQuantumEnd(q(0.1, false, true))
-	if d.Incumbent() == c.Incumbent() {
-		t.Fatal("clone advance should have diverged incumbents")
-	}
-	if d.Stats().Quanta == c.Stats().Quanta {
-		t.Fatal("clone stats still shared")
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	good := DefaultConfig(8)
 	if err := good.Validate(); err != nil {

@@ -14,7 +14,6 @@ import (
 type fakeSelector struct {
 	next    policy.Policy
 	rewards []float64
-	clones  int
 }
 
 func (f *fakeSelector) Select(incumbent policy.Policy, q QuantumStats) policy.Policy {
@@ -22,12 +21,6 @@ func (f *fakeSelector) Select(incumbent policy.Policy, q QuantumStats) policy.Po
 }
 func (f *fakeSelector) Reward(baseIPC, nextIPC float64) {
 	f.rewards = append(f.rewards, nextIPC-baseIPC)
-}
-func (f *fakeSelector) Clone() Selector {
-	f.clones++
-	cp := &fakeSelector{next: f.next}
-	cp.rewards = append(cp.rewards, f.rewards...)
-	return cp
 }
 
 var lastFake *fakeSelector
@@ -183,24 +176,5 @@ func TestMergePolicyQuanta(t *testing.T) {
 		if dst[i] != v {
 			t.Fatalf("merged[%d] = %d, want %d (full: %v)", i, dst[i], v, dst)
 		}
-	}
-}
-
-func TestSelectorCloneIndependence(t *testing.T) {
-	d := New(cfg(Bandit))
-	sel := lastFake
-	d.OnQuantumEnd(q(0.5, true, false))
-	c := d.Clone()
-	if sel.clones != 1 {
-		t.Fatalf("detector clone cloned selector %d times, want 1", sel.clones)
-	}
-	c.OnQuantumEnd(q(0.5, true, false))
-	c.OnQuantumEnd(q(9.0, false, false))
-	// The original's selector must not have seen the clone's rewards.
-	if len(sel.rewards) != 0 {
-		t.Fatalf("clone rewards leaked into original: %v", sel.rewards)
-	}
-	if c.Stats().Quanta == d.Stats().Quanta {
-		t.Fatal("clone stats still shared")
 	}
 }

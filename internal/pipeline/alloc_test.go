@@ -3,6 +3,7 @@ package pipeline
 import (
 	"testing"
 
+	"repro/internal/branch"
 	"repro/internal/trace"
 )
 
@@ -53,8 +54,14 @@ func TestCloneAllocationsBounded(t *testing.T) {
 // TestAcquireResetMatchesNew is the property machine pooling rests on:
 // a recycled shell, Reset to a workload, must replay byte-identically
 // to a freshly constructed machine — even when the shell previously ran
-// a different workload, seed and policy.
+// a different workload, seed and policy, and for every predictor kind.
 func TestAcquireResetMatchesNew(t *testing.T) {
+	for _, kind := range predictorKinds {
+		t.Run(string(kind), func(t *testing.T) { testAcquireResetMatchesNew(t, kind) })
+	}
+}
+
+func testAcquireResetMatchesNew(t *testing.T, kind branch.Kind) {
 	mixA, _ := trace.MixByName("kitchen-sink")
 	progsA, err := mixA.Programs(8, 7)
 	if err != nil {
@@ -72,6 +79,7 @@ func TestAcquireResetMatchesNew(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
+	cfg.PredictorKind = kind
 
 	fresh := New(cfg, progsB1, 3)
 	fresh.Run(30000)

@@ -625,10 +625,7 @@ func (m *Machine) CloneInto(dst *Machine) {
 	}
 	dst.now = m.now
 	dst.sel.CopyFrom(m.sel)
-	if !branch.CopyPredictor(dst.pred, m.pred) {
-		dst.pred = m.pred.Clone()
-		dst.predHybrid, _ = dst.pred.(*branch.Hybrid)
-	}
+	branch.CopyPredictor(dst.pred, m.pred)
 	dst.btb.CopyFrom(m.btb)
 	dst.hier.CopyFrom(m.hier)
 

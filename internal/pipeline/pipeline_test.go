@@ -3,6 +3,7 @@ package pipeline
 import (
 	"testing"
 
+	"repro/internal/branch"
 	"repro/internal/counters"
 	"repro/internal/policy"
 	"repro/internal/trace"
@@ -63,25 +64,34 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// predictorKinds lists every branch.Kind a Config can name, so the
+// copy and reset paths are exercised for each arm of CopyPredictor and
+// ResetPredictor.
+var predictorKinds = []branch.Kind{branch.KindHybrid, branch.KindBimodal, branch.KindGShare, branch.KindLocal, branch.KindTaken}
+
 // TestCloneEquivalence is the property the oracle depends on: a clone
-// must replay a bit-identical future.
+// must replay a bit-identical future, whatever the predictor kind.
 func TestCloneEquivalence(t *testing.T) {
-	m := testMachine(t, "kitchen-sink", 8, nil)
-	m.Run(15000) // into steady state, with in-flight work everywhere
-	c := m.Clone()
-	m.Run(15000)
-	c.Run(15000)
-	if m.TotalCommitted() != c.TotalCommitted() {
-		t.Fatalf("clone diverged: %d vs %d committed", m.TotalCommitted(), c.TotalCommitted())
-	}
-	for i := 0; i < m.NumThreads(); i++ {
-		if m.State(i).Cum != c.State(i).Cum {
-			t.Fatalf("thread %d: clone counters diverged:\n%+v\n%+v",
-				i, m.State(i).Cum, c.State(i).Cum)
-		}
-		if m.State(i).Live != c.State(i).Live {
-			t.Fatalf("thread %d: clone gauges diverged", i)
-		}
+	for _, kind := range predictorKinds {
+		t.Run(string(kind), func(t *testing.T) {
+			m := testMachine(t, "kitchen-sink", 8, func(c *Config) { c.PredictorKind = kind })
+			m.Run(15000) // into steady state, with in-flight work everywhere
+			c := m.Clone()
+			m.Run(15000)
+			c.Run(15000)
+			if m.TotalCommitted() != c.TotalCommitted() {
+				t.Fatalf("clone diverged: %d vs %d committed", m.TotalCommitted(), c.TotalCommitted())
+			}
+			for i := 0; i < m.NumThreads(); i++ {
+				if m.State(i).Cum != c.State(i).Cum {
+					t.Fatalf("thread %d: clone counters diverged:\n%+v\n%+v",
+						i, m.State(i).Cum, c.State(i).Cum)
+				}
+				if m.State(i).Live != c.State(i).Live {
+					t.Fatalf("thread %d: clone gauges diverged", i)
+				}
+			}
+		})
 	}
 }
 

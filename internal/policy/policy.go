@@ -143,20 +143,6 @@ func (s *Selector) Policy() Policy { return s.policy }
 // Policy_Switch action).
 func (s *Selector) SetPolicy(p Policy) { s.policy = p }
 
-// Clone returns an independent deep copy.
-func (s *Selector) Clone() *Selector {
-	ns := &Selector{
-		policy:   s.policy,
-		rrCursor: s.rrCursor,
-		keys:     make([]float64, len(s.keys)),
-		order:    make([]int, len(s.order)),
-		pk:       make([]int64, len(s.pk)),
-	}
-	copy(ns.keys, s.keys)
-	copy(ns.order, s.order)
-	return ns
-}
-
 // Reset restores the selector to its just-constructed state under pol,
 // without allocating. Machine pooling uses it.
 func (s *Selector) Reset(pol Policy) {

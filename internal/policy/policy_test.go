@@ -169,7 +169,8 @@ func TestOrderSorted(t *testing.T) {
 func TestSelectorCloneIndependence(t *testing.T) {
 	sel := NewSelector(ICOUNT, 4)
 	sel.Advance()
-	cl := sel.Clone()
+	cl := NewSelector(RR, 4)
+	cl.CopyFrom(sel)
 	if cl.Policy() != sel.Policy() {
 		t.Fatal("clone policy mismatch")
 	}
@@ -181,7 +182,8 @@ func TestSelectorCloneIndependence(t *testing.T) {
 	sts[2].Live.PreIssue = -1 // force distinct order
 	a := sel.Order(sts, make([]int, 4))
 	got := append([]int(nil), a...)
-	cl2 := sel.Clone()
+	cl2 := NewSelector(RR, 4)
+	cl2.CopyFrom(sel)
 	b := cl2.Order(sts, make([]int, 4))
 	for i := range got {
 		if got[i] != b[i] {

@@ -221,8 +221,7 @@ type Disk struct {
 
 type diskEntry struct {
 	size   int64
-	access int64  // seq of the last Get/Put; smallest evicts first
-	digest string // entry result digest, for manifest exchange
+	access int64 // seq of the last Get/Put; smallest evicts first
 }
 
 // persistedIndex is the on-disk shape of the access clock.
@@ -336,7 +335,7 @@ func (d *Disk) scan() error {
 		if seq > maxSeq {
 			maxSeq = seq
 		}
-		d.index[key] = &diskEntry{size: info.Size(), access: seq, digest: e.Digest}
+		d.index[key] = &diskEntry{size: info.Size(), access: seq}
 		d.bytes += info.Size()
 	}
 	d.seq = maxSeq + 1
@@ -531,7 +530,7 @@ func (d *Disk) Put(e *Entry) error {
 	if old, ok := d.index[e.Key]; ok {
 		d.bytes -= old.size
 	}
-	d.index[e.Key] = &diskEntry{size: size, access: d.seq, digest: e.Digest}
+	d.index[e.Key] = &diskEntry{size: size, access: d.seq}
 	d.seq++
 	d.bytes += size
 	d.evictLocked()
@@ -797,8 +796,8 @@ func (d *Disk) Close() error {
 	return d.writeAtomic(indexFile, append(raw, '\n'))
 }
 
-// Manifest lists the resident entries as {key, digest} pairs in key
-// order — the anti-entropy exchange unit. An offline tier reports
+// Manifest lists the resident keys in order — the anti-entropy
+// exchange unit. An offline tier reports
 // nothing: it cannot serve the entries it is advertising.
 func (d *Disk) Manifest() []ManifestEntry {
 	if DiskState(d.state.Load()) == DiskOffline {
@@ -807,8 +806,8 @@ func (d *Disk) Manifest() []ManifestEntry {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := make([]ManifestEntry, 0, len(d.index))
-	for k, ent := range d.index {
-		out = append(out, ManifestEntry{Key: k, Digest: ent.digest})
+	for k := range d.index {
+		out = append(out, ManifestEntry{Key: k})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out

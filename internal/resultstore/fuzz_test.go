@@ -1,6 +1,7 @@
 package resultstore
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -30,6 +31,29 @@ func FuzzVerifyRecord(f *testing.F) {
 		var got Entry
 		if verifyRecord(raw, key, &got) && (got.Key != key || !got.Verify()) {
 			t.Fatalf("accepted an entry for %q that fails verification: %+v", key, got)
+		}
+	})
+}
+
+// FuzzDecodeManifest drives the peer manifest decoder with untrusted
+// bodies: it must never panic, and every key it returns must pass
+// ValidKey, since the replicator builds request paths from them.
+func FuzzDecodeManifest(f *testing.F) {
+	f.Add([]byte(`{"state":"ok","entries":[{"key":"cfg:0123456789abcdef"}]}`))
+	f.Add([]byte(`{"state":"ok","entries":[{"key":"cfg:0123456789abcdef","digest":"00"},{"key":"../etc"}]}`))
+	f.Add([]byte(`{"entries":[{"key":""},{"key":"cfg:%2F"},{}]}`))
+	f.Add([]byte(`{"entries":null}`))
+	f.Add([]byte(`[`))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		has, err := decodeManifest(bytes.NewReader(body))
+		if err != nil && has != nil {
+			t.Fatalf("error %v with a non-nil key set", err)
+		}
+		for k := range has {
+			if !ValidKey(k) {
+				t.Fatalf("decoded invalid key %q", k)
+			}
 		}
 	})
 }

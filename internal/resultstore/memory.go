@@ -78,15 +78,15 @@ func (c *Memory) Remove(key string) {
 	}
 }
 
-// Manifest lists the resident entries as {key, digest} pairs in key
-// order, for the anti-entropy exchange. The memory tier advertises too
+// Manifest lists the resident keys in order, for the anti-entropy
+// exchange. The memory tier advertises too
 // so a daemon with a degraded disk can still replicate out what it
 // holds in RAM.
 func (c *Memory) Manifest() []ManifestEntry {
 	c.mu.Lock()
 	out := make([]ManifestEntry, 0, len(c.items))
-	for k, el := range c.items {
-		out = append(out, ManifestEntry{Key: k, Digest: el.Value.(*memEntry).val.Digest})
+	for k := range c.items {
+		out = append(out, ManifestEntry{Key: k})
 	}
 	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })

@@ -1,7 +1,6 @@
 package resultstore
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -23,27 +22,19 @@ const DefaultReplicateInterval = time.Minute
 // traffic from competing with simulation serving.
 const DefaultReplicatePace = 2 * time.Millisecond
 
-// DefaultReplicas is the target number of fleet-wide copies of each
-// entry (including the local one) when the caller sets none.
-const DefaultReplicas = 2
-
 // ReplicateConfig tunes a Replicator. Zero values select the
 // documented defaults.
 type ReplicateConfig struct {
 	// Peers are the other daemons' base URLs (normalized, no trailing
 	// slash). An empty list makes every sync a no-op.
 	Peers []string
-	// Replicas is the fleet-wide copy target per entry, counting the
-	// local copy; <= 0 selects DefaultReplicas. Keys seen on fewer than
-	// Replicas stores are pushed to peers that lack them.
-	Replicas int
 	// Interval is the period between background sync rounds; <= 0
 	// selects DefaultReplicateInterval. (SyncOnce ignores it.)
 	Interval time.Duration
 	// Pace is the idle gap between transfers; < 0 disables pacing, 0
 	// selects DefaultReplicatePace.
 	Pace time.Duration
-	// Timeout bounds one HTTP exchange (manifest, pull, or push); <= 0
+	// Timeout bounds one HTTP exchange (manifest or pull); <= 0
 	// selects 10s. Manifests and entries are both small.
 	Timeout time.Duration
 	// Log receives per-round summaries when anything moved; nil
@@ -57,19 +48,17 @@ type SyncReport struct {
 	PeerErrors int // peers that failed the manifest exchange
 	Pulled     int // missing entries fetched from peers
 	PullErrors int // pull attempts that failed or failed verification
-	Pushed     int // under-replicated entries shipped to peers
-	PushErrors int // push attempts a peer refused or dropped
 }
 
 // Replicator is the anti-entropy loop that makes the fleet's stores
-// converge: each round it exchanges compact key-digest manifests with
-// every peer, pulls keys it is missing, and pushes keys the
-// replication factor says are under-replicated. Every transferred
-// entry is digest-verified on both ends — the same end-to-end
-// integrity contract as the serving path — so replication can spread
-// results, never corruption. Transfers are paced (rate-limited) and
-// every loop is a cancellation point, so shutdown never waits on a
-// sync round.
+// converge: each round it fetches every peer's key manifest and pulls
+// the keys it is missing. Pull alone converges a fleet whose daemons
+// list each other: every daemon ends up holding every key, and a
+// daemon that lists no peers receives no copies. Every pulled entry is
+// digest-verified — the same end-to-end integrity contract as the
+// serving path — so replication can spread results, never corruption.
+// Transfers are paced (rate-limited) and every loop is a cancellation
+// point, so shutdown never waits on a sync round.
 type Replicator struct {
 	store *Tiered
 	cfg   ReplicateConfig
@@ -77,9 +66,7 @@ type Replicator struct {
 
 	syncs       atomic.Int64
 	pulls       atomic.Int64
-	pushes      atomic.Int64
 	pullErrors  atomic.Int64
-	pushErrors  atomic.Int64
 	manifestErr atomic.Int64
 
 	bg loop
@@ -88,9 +75,6 @@ type Replicator struct {
 // NewReplicator builds a replicator over the store for the given peer
 // set.
 func NewReplicator(store *Tiered, cfg ReplicateConfig) *Replicator {
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = DefaultReplicas
-	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultReplicateInterval
 	}
@@ -124,9 +108,8 @@ func (r *Replicator) Stop() {
 }
 
 // SyncOnce runs one full anti-entropy round synchronously: manifest
-// exchange with every peer, pull what is missing locally, push what is
-// under-replicated fleet-wide. Tests and the heal e2e call it directly
-// for deterministic convergence.
+// exchange with every peer, then pull what is missing locally. Tests
+// and the heal e2e call it directly for deterministic convergence.
 func (r *Replicator) SyncOnce(ctx context.Context) SyncReport {
 	var rep SyncReport
 	if r == nil || r.store == nil || len(r.cfg.Peers) == 0 {
@@ -161,14 +144,14 @@ func (r *Replicator) SyncOnce(ctx context.Context) SyncReport {
 		return rep
 	}
 
-	// Pull: keys any peer advertises that we cannot serve locally.
-	// Sorted for deterministic transfer order.
+	// Pull: keys any peer advertises that we cannot serve locally,
+	// each queued once (local doubles as the seen set). Sorted for
+	// deterministic transfer order.
 	var missing []string
-	seen := make(map[string]bool)
 	for _, m := range peerHas {
 		for k := range m {
-			if !local[k] && !seen[k] {
-				seen[k] = true
+			if !local[k] {
+				local[k] = true
 				missing = append(missing, k)
 			}
 		}
@@ -185,7 +168,6 @@ func (r *Replicator) SyncOnce(ctx context.Context) SyncReport {
 			}
 			if e := r.pull(ctx, peer, key); e != nil {
 				r.store.Put(e)
-				local[key] = true
 				rep.Pulled++
 				r.pulls.Add(1)
 				pulled = true
@@ -198,53 +180,9 @@ func (r *Replicator) SyncOnce(ctx context.Context) SyncReport {
 		}
 	}
 
-	// Push: local keys resident on fewer than Replicas stores
-	// fleet-wide. Ship to peers that lack them, nearest-first in peer
-	// order, until the factor is met.
-	var keys []string
-	for k := range local {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		copies := 1
-		for i := range r.cfg.Peers {
-			if peerHas[i] != nil && peerHas[i][key] {
-				copies++
-			}
-		}
-		if copies >= r.cfg.Replicas {
-			continue
-		}
-		e, _, ok := r.store.Get(key)
-		if !ok {
-			continue
-		}
-		for i, peer := range r.cfg.Peers {
-			if copies >= r.cfg.Replicas {
-				break
-			}
-			if peerHas[i] == nil || peerHas[i][key] {
-				continue
-			}
-			if !r.pace(ctx) {
-				return rep
-			}
-			if err := r.push(ctx, peer, e); err != nil {
-				rep.PushErrors++
-				r.pushErrors.Add(1)
-				continue
-			}
-			peerHas[i][key] = true
-			copies++
-			rep.Pushed++
-			r.pushes.Add(1)
-		}
-	}
-
-	if rep.Pulled > 0 || rep.Pushed > 0 || rep.PeerErrors > 0 {
-		fmt.Fprintf(r.cfg.Log, "resultstore: sync round: %d/%d peers, pulled %d (%d failed), pushed %d (%d failed)\n",
-			rep.PeersSeen, len(r.cfg.Peers), rep.Pulled, rep.PullErrors, rep.Pushed, rep.PushErrors)
+	if rep.Pulled > 0 || rep.PeerErrors > 0 {
+		fmt.Fprintf(r.cfg.Log, "resultstore: sync round: %d/%d peers, pulled %d (%d failed)\n",
+			rep.PeersSeen, len(r.cfg.Peers), rep.Pulled, rep.PullErrors)
 	}
 	return rep
 }
@@ -288,8 +226,15 @@ func (r *Replicator) fetchManifest(ctx context.Context, base string) (map[string
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
 		return nil, fmt.Errorf("resultstore: manifest from %s: HTTP %d", base, resp.StatusCode)
 	}
+	return decodeManifest(io.LimitReader(resp.Body, 32<<20))
+}
+
+// decodeManifest reads a peer's manifest body as the set of its valid
+// keys. The body is untrusted: entries whose key fails ValidKey are
+// dropped, so nothing downstream sees a malformed key.
+func decodeManifest(body io.Reader) (map[string]bool, error) {
 	var m manifestReply
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 32<<20)).Decode(&m); err != nil {
+	if err := json.NewDecoder(body).Decode(&m); err != nil {
 		return nil, err
 	}
 	has := make(map[string]bool, len(m.Entries))
@@ -313,45 +258,14 @@ func (r *Replicator) pull(ctx context.Context, base, key string) *Entry {
 	return e
 }
 
-// push ships one verified entry to one peer's POST /v1/store/push.
-func (r *Replicator) push(ctx context.Context, base string, e *Entry) error {
-	raw, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	pctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodPost, base+"/v1/store/push", bytes.NewReader(raw))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return fmt.Errorf("resultstore: push %s to %s: HTTP %d", e.Key, base, resp.StatusCode)
-	}
-	return nil
-}
-
 // Syncs reports completed + in-progress sync rounds.
 func (r *Replicator) Syncs() int64 { return r.syncs.Load() }
 
 // Pulls reports entries fetched from peers.
 func (r *Replicator) Pulls() int64 { return r.pulls.Load() }
 
-// Pushes reports entries shipped to under-replicated peers.
-func (r *Replicator) Pushes() int64 { return r.pushes.Load() }
-
 // PullErrors reports failed pull attempts.
 func (r *Replicator) PullErrors() int64 { return r.pullErrors.Load() }
-
-// PushErrors reports failed push attempts.
-func (r *Replicator) PushErrors() int64 { return r.pushErrors.Load() }
 
 // ManifestErrors reports failed peer manifest exchanges.
 func (r *Replicator) ManifestErrors() int64 { return r.manifestErr.Load() }

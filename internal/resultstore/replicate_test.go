@@ -8,11 +8,11 @@ import (
 	"testing"
 )
 
-// tieredPeerServer exposes a Tiered store over the three endpoints the
+// tieredPeerServer exposes a Tiered store over the two endpoints the
 // replicator speaks, hand-rolled here because importing simserver would
 // cycle (simserver imports resultstore). The handler bodies mirror
-// simserver's semantics: manifest of the local tiers, local-only result
-// reads, digest-verified pushes.
+// simserver's semantics: manifest of the local tiers and local-only
+// result reads.
 func tieredPeerServer(t *testing.T, st *Tiered) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
@@ -30,15 +30,6 @@ func tieredPeerServer(t *testing.T, st *Tiered) *httptest.Server {
 			return
 		}
 		json.NewEncoder(w).Encode(e)
-	})
-	mux.HandleFunc("POST /v1/store/push", func(w http.ResponseWriter, r *http.Request) {
-		var e Entry
-		if err := json.NewDecoder(r.Body).Decode(&e); err != nil || !ValidKey(e.Key) || !e.Verify() {
-			http.Error(w, "unverifiable entry", http.StatusBadRequest)
-			return
-		}
-		st.Put(&e)
-		w.WriteHeader(http.StatusOK)
 	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
@@ -67,58 +58,37 @@ func TestReplicatorPullsMissing(t *testing.T) {
 			t.Fatalf("key %s missing or wrong after pull", k)
 		}
 	}
-	// A second round has nothing to move (both sides hold everything,
-	// replication factor 2 is met).
+	// A second round has nothing to move (both sides hold everything).
 	rep2 := r.SyncOnce(context.Background())
-	if rep2.Pulled != 0 || rep2.Pushed != 0 {
+	if rep2.Pulled != 0 {
 		t.Fatalf("converged fleet still moved data: %+v", rep2)
 	}
 }
 
-func TestReplicatorPushesUnderReplicated(t *testing.T) {
-	local := memStore(16)
-	peer := memStore(16)
-	keys := []string{"cfg:aaaa000011112222", "cfg:bbbb000011112222"}
-	for i, k := range keys {
-		local.Put(testEntry(k, i+1))
+// TestReplicatorConvergesSymmetricFleet pins the property that makes
+// pull-only replication enough: in a fleet whose daemons list each
+// other, one sync round on each brings a key held by one store to all.
+func TestReplicatorConvergesSymmetricFleet(t *testing.T) {
+	key := "cfg:aaaa000011112222"
+	stores := []*Tiered{memStore(16), memStore(16), memStore(16)}
+	stores[0].Put(testEntry(key, 1))
+	urls := make([]string, len(stores))
+	for i, st := range stores {
+		urls[i] = tieredPeerServer(t, st).URL
 	}
-	ts := tieredPeerServer(t, peer)
-
-	r := NewReplicator(local, ReplicateConfig{Peers: []string{ts.URL}, Replicas: 2, Pace: -1})
-	rep := r.SyncOnce(context.Background())
-	if rep.Pushed != 2 || rep.PushErrors != 0 {
-		t.Fatalf("sync report = %+v, want 2 pushes", rep)
-	}
-	for _, k := range keys {
-		if _, _, ok := peer.Get(k); !ok {
-			t.Fatalf("key %s missing on peer after push", k)
+	for i, st := range stores {
+		var peers []string
+		for j, u := range urls {
+			if j != i {
+				peers = append(peers, u)
+			}
 		}
+		NewReplicator(st, ReplicateConfig{Peers: peers, Pace: -1}).SyncOnce(context.Background())
 	}
-}
-
-func TestReplicatorReplicationFactorBounds(t *testing.T) {
-	local := memStore(16)
-	peerA := memStore(16)
-	peerB := memStore(16)
-	local.Put(testEntry("cfg:aaaa000011112222", 1))
-	tsA := tieredPeerServer(t, peerA)
-	tsB := tieredPeerServer(t, peerB)
-
-	// Replicas=2 with two empty peers: exactly one copy ships.
-	r := NewReplicator(local, ReplicateConfig{Peers: []string{tsA.URL, tsB.URL}, Replicas: 2, Pace: -1})
-	rep := r.SyncOnce(context.Background())
-	if rep.Pushed != 1 {
-		t.Fatalf("Pushed = %d, want exactly 1 (factor met)", rep.Pushed)
-	}
-	onA := 0
-	if _, _, ok := peerA.Get("cfg:aaaa000011112222"); ok {
-		onA++
-	}
-	if _, _, ok := peerB.Get("cfg:aaaa000011112222"); ok {
-		onA++
-	}
-	if onA != 1 {
-		t.Fatalf("entry resident on %d peers, want 1", onA)
+	for i, st := range stores {
+		if e, _, ok := st.Get(key); !ok || e.Digest != testEntry(key, 1).Digest {
+			t.Fatalf("store %d does not hold %s after one round each", i, key)
+		}
 	}
 }
 
@@ -130,7 +100,7 @@ func TestReplicatorRejectsUnverifiablePulls(t *testing.T) {
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/store/manifest", func(w http.ResponseWriter, _ *http.Request) {
-		json.NewEncoder(w).Encode(manifestReply{State: StateOK, Entries: []ManifestEntry{{Key: key, Digest: corrupt.Digest}}})
+		json.NewEncoder(w).Encode(manifestReply{State: StateOK, Entries: []ManifestEntry{{Key: key}}})
 	})
 	mux.HandleFunc("GET /v1/result/{key}", func(w http.ResponseWriter, _ *http.Request) {
 		json.NewEncoder(w).Encode(corrupt)

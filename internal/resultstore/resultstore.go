@@ -11,11 +11,11 @@
 //     startup. Microseconds, survives restarts.
 //
 // A store never reads from another daemon on its request path.
-// Results cross daemons by three separate mechanisms, each over the
-// digest-verified GET /v1/result/{key} endpoint or its manifest/push
-// siblings: the fleet client's pre-dispatch lookup (PeerClient), the
-// background anti-entropy Replicator, and the Scrubber's repair of
-// rotted entries.
+// Results cross daemons only over the digest-verified
+// GET /v1/result/{key} endpoint, by three callers: the fleet client's
+// pre-dispatch lookup (PeerClient), the background anti-entropy
+// Replicator (which learns what to pull from GET /v1/store/manifest),
+// and the Scrubber's repair of rotted entries.
 //
 // Simulations are deterministic functions of their config and results
 // are SHA-256-digested end to end (simrun.ResultDigest), so an entry
@@ -55,13 +55,11 @@ const (
 )
 
 // ManifestEntry is one line of a store manifest: the anti-entropy
-// exchange unit. Peers compare manifests to find keys they are missing
-// (pull) and keys the replication factor says are under-replicated
-// (push); the digest lets a receiver reject a stale or lying
-// advertisement without fetching the body.
+// exchange unit. A daemon reads its peers' manifests to find the keys
+// it is missing and pulls them; every pulled entry is digest-verified,
+// so the manifest carries only the key.
 type ManifestEntry struct {
-	Key    string `json:"key"`
-	Digest string `json:"digest"`
+	Key string `json:"key"`
 }
 
 // Entry is one stored simulation result. Its JSON field set (and
@@ -206,10 +204,9 @@ func (t *Tiered) State() string {
 }
 
 // ManifestLocal lists every key the local tiers (memory, disk) can
-// serve, as sorted {key, digest} pairs — the GET /v1/store/manifest
-// payload. The memory tier is included so a daemon whose disk is
-// degraded still advertises (and can replicate out) the results it
-// holds in RAM.
+// serve, in key order — the GET /v1/store/manifest payload. The
+// memory tier is included so a daemon whose disk is degraded still
+// advertises (and can replicate out) the results it holds in RAM.
 func (t *Tiered) ManifestLocal() []ManifestEntry {
 	if t == nil {
 		return nil

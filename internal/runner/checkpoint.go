@@ -131,6 +131,20 @@ func OpenWith(path string, opts CheckpointOptions) (*Checkpoint, error) {
 	return &Checkpoint{path: path, w: w, sync: !opts.NoSync, done: done, skipped: skipped}, nil
 }
 
+// encodeLine renders one entry as a CRC-prefixed line, newline
+// included, and returns the JSON-encoded result it carries.
+func encodeLine(key string, v any) (string, json.RawMessage, error) {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return "", nil, err
+	}
+	payload, err := json.Marshal(Entry{Key: key, Result: raw})
+	if err != nil {
+		return "", nil, err
+	}
+	return fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(payload), payload), raw, nil
+}
+
 // parseLine decodes one checkpoint line in either format: the current
 // CRC-prefixed form "%08x <json>" or a legacy bare-JSON line.
 func parseLine(line []byte) (Entry, error) {
@@ -209,15 +223,10 @@ func (c *Checkpoint) Lookup(key string) (json.RawMessage, bool) {
 // opened with NoSync, fsyncs before returning — so a recorded result
 // survives power loss, not just process death.
 func (c *Checkpoint) Record(key string, v any) error {
-	raw, err := json.Marshal(v)
+	line, raw, err := encodeLine(key, v)
 	if err != nil {
 		return err
 	}
-	payload, err := json.Marshal(Entry{Key: key, Result: raw})
-	if err != nil {
-		return err
-	}
-	line := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(payload), payload)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, err := io.WriteString(c.w, line); err != nil {

@@ -33,9 +33,6 @@ type metrics struct {
 	batchRequests atomic.Int64 // POST /v1/batch requests received
 	batchItems    atomic.Int64 // batch item lines streamed
 
-	pushAccepts atomic.Int64 // POST /v1/store/push entries verified and stored
-	pushRejects atomic.Int64 // pushed entries refused (malformed, bad key, bad digest)
-
 	queueDepth atomic.Int64 // admitted but not yet running
 	inFlight   atomic.Int64 // simulations running now
 
@@ -112,8 +109,6 @@ func (m *metrics) writePrometheus(w io.Writer) {
 	counter("smtsimd_panics_total", "Panics recovered (HTTP handlers and simulation executors); each became a 500 instead of a dead daemon.", m.panics.Load())
 	counter("smtsimd_batch_requests_total", "POST /v1/batch requests received.", m.batchRequests.Load())
 	counter("smtsimd_batch_items_total", "Batch item result lines streamed.", m.batchItems.Load())
-	counter("smtsimd_store_push_accepts_total", "Pushed entries verified and stored (POST /v1/store/push).", m.pushAccepts.Load())
-	counter("smtsimd_store_push_rejects_total", "Pushed entries refused as malformed or unverifiable.", m.pushRejects.Load())
 	gauge("smtsimd_queue_depth", "Run requests admitted and waiting for a worker.", m.queueDepth.Load())
 	gauge("smtsimd_inflight", "Simulations running now.", m.inFlight.Load())
 

@@ -152,7 +152,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	s.mux.HandleFunc("GET /v1/result/{key}", s.handleResult)
 	s.mux.HandleFunc("GET /v1/store/manifest", s.handleManifest)
-	s.mux.HandleFunc("POST /v1/store/push", s.handlePush)
 	s.mux.HandleFunc("GET /v1/mixes", s.handleMixes)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -503,7 +502,6 @@ type StoreHealth struct {
 	ScrubPasses   int64  `json:"scrub_passes"`
 	ScrubRepaired int64  `json:"scrub_repaired"`
 	ReplPulls     int64  `json:"replication_pulls"`
-	ReplPushes    int64  `json:"replication_pushes"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -533,7 +531,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	if rp := s.cfg.Replicator; rp != nil {
 		h.Store.ReplPulls = rp.Pulls()
-		h.Store.ReplPushes = rp.Pushes()
 	}
 	writeJSON(w, http.StatusOK, h)
 }
@@ -584,9 +581,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if rp := s.cfg.Replicator; rp != nil {
 		p.Counter("smtsimd_replication_syncs_total", "Anti-entropy sync rounds started.", rp.Syncs())
 		p.Counter("smtsimd_replication_pulls_total", "Missing entries pulled from peers.", rp.Pulls())
-		p.Counter("smtsimd_replication_pushes_total", "Under-replicated entries pushed to peers.", rp.Pushes())
 		p.Counter("smtsimd_replication_pull_errors_total", "Pull attempts that failed or failed verification.", rp.PullErrors())
-		p.Counter("smtsimd_replication_push_errors_total", "Push attempts a peer refused or dropped.", rp.PushErrors())
 		p.Counter("smtsimd_replication_manifest_errors_total", "Peer manifest exchanges that failed.", rp.ManifestErrors())
 	}
 }
