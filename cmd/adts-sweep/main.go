@@ -9,17 +9,19 @@
 // Type 3/3'/4; see docs/adaptive.md).
 //
 // Runs go through the resilient runner (internal/runner): progress ticks
-// on stderr, Ctrl-C drains in-flight simulations and flushes them to the
-// checkpoint file, and -resume continues an interrupted sweep without
-// recomputing finished runs.
+// on stderr, Ctrl-C drains in-flight simulations and records them in the
+// checkpoint directory, and -resume continues an interrupted sweep
+// without recomputing finished runs. A checkpoint is a result-store
+// directory (internal/resultstore) keyed by config, so it resumes
+// locally or through a fleet, and smtsimd can serve it as -store-dir.
 //
 // Usage:
 //
 //	adts-sweep -all
 //	adts-sweep -fig7 -fig8 -quanta 64 -intervals 3
 //	adts-sweep -table1 -mixes kitchen-sink,int-memory
-//	adts-sweep -fig8 -checkpoint sweep.jsonl     # interruptible
-//	adts-sweep -fig8 -resume sweep.jsonl         # continue after Ctrl-C
+//	adts-sweep -fig8 -checkpoint sweep.ckpt      # interruptible
+//	adts-sweep -fig8 -resume sweep.ckpt          # continue after Ctrl-C
 //	adts-sweep -table1 -json > table1.json       # machine-readable
 //	adts-sweep -all -backends sim1:8080,sim2:8080,sim3:8080   # distributed
 //	adts-sweep -all -backends sim1:8080,sim2:8080 -batch -peer-lookup
@@ -51,7 +53,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/profiling"
 	"repro/internal/resultstore"
-	"repro/internal/runner"
 	"repro/internal/trace"
 )
 
@@ -80,8 +81,8 @@ func main() {
 		seed        = flag.Uint64("seed", 1, "base seed")
 		workers     = flag.Int("workers", 0, "parallel runs (0 = GOMAXPROCS)")
 		mixesFlag   = flag.String("mixes", "", "comma-separated mix subset (default: all 13)")
-		checkpointF = flag.String("checkpoint", "", "record completed runs to this JSONL file (overwrites)")
-		resumeF     = flag.String("resume", "", "resume from (and keep appending to) this checkpoint file")
+		checkpointF = flag.String("checkpoint", "", "record completed runs in this new or empty result-store directory")
+		resumeF     = flag.String("resume", "", "resume from (and keep recording to) this checkpoint directory")
 		jsonF       = flag.Bool("json", false, "emit machine-readable JSON results to stdout instead of tables")
 
 		backendsF     = flag.String("backends", "", "comma-separated smtsimd backends (host:port or URL) to shard runs across")
@@ -128,27 +129,30 @@ func main() {
 		}
 	}
 
-	// -resume implies checkpointing to the same file without truncating.
+	// -resume implies checkpointing to the same directory.
 	ckPath, ckResume := *checkpointF, false
 	if *resumeF != "" {
 		if ckPath != "" && ckPath != *resumeF {
-			fatalf("-checkpoint %q and -resume %q name different files", ckPath, *resumeF)
+			fatalf("-checkpoint %q and -resume %q name different directories", ckPath, *resumeF)
 		}
 		ckPath, ckResume = *resumeF, true
 	}
 	if ckPath != "" {
-		cp, err := runner.Open(ckPath, ckResume)
+		// A fresh checkpoint never adopts (or rearranges) existing files:
+		// continuing a directory's runs is what -resume is for. A path
+		// ReadDir cannot list is new, or fails in OpenDisk below.
+		if names, _ := os.ReadDir(ckPath); !ckResume && len(names) > 0 {
+			fatalf("-checkpoint %s: directory is not empty; use -resume %s to continue its runs", ckPath, ckPath)
+		}
+		ck, err := resultstore.OpenDisk(ckPath, resultstore.DiskOptions{Log: os.Stderr})
 		if err != nil {
 			fatalf("%v", err)
 		}
-		defer cp.Close()
-		if n := cp.Skipped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "warning: %d unreadable checkpoint line(s) in %s dropped (torn tail from an interrupt); those runs will be recomputed\n", n, ckPath)
+		defer ck.Close()
+		if ckResume {
+			fmt.Fprintf(os.Stderr, "resuming: %d runs already checkpointed in %s\n", ck.Len(), ckPath)
 		}
-		if ckResume && cp.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "resuming: %d runs already checkpointed in %s\n", cp.Len(), ckPath)
-		}
-		o.Checkpoint = cp
+		o.Checkpoint = ck
 	}
 
 	// -backends shards runs across a pool of smtsimd servers. Results
@@ -196,7 +200,7 @@ func main() {
 	}
 
 	// Ctrl-C / SIGTERM cancels the sweep context: in-flight runs drain
-	// and flush to the checkpoint before exit.
+	// and are recorded in the checkpoint before exit.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

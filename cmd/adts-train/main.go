@@ -13,22 +13,23 @@
 //
 //	adts-train -out internal/adaptive/learned_table.json
 //
-// Alternatively -from-checkpoint replays a runner checkpoint file
-// (adts-sweep -checkpoint) instead of simulating: per-run policy
-// timelines and quantum IPC series become samples keyed by the run's
-// aggregate counter signature. That context is coarser than the
-// per-quantum one (run-level rates stand in for quantum rates), but it
-// trains from data a sweep already paid for.
+// Alternatively -from-checkpoint replays a checkpoint directory
+// (adts-sweep -checkpoint, or any smtsimd -store-dir) instead of
+// simulating: per-run policy timelines and quantum IPC series become
+// samples keyed by the run's aggregate counter signature. That context
+// is coarser than the per-quantum one (run-level rates stand in for
+// quantum rates), but it trains from data a sweep already paid for.
+// Entries are read in key order, so the same directory trains the same
+// table whatever worker count wrote it.
 //
 // Usage:
 //
 //	adts-train -out learned_table.json
 //	adts-train -mixes kitchen-sink,int-memory -quanta 32 -intervals 2
-//	adts-train -from-checkpoint sweep.jsonl -out learned_table.json
+//	adts-train -from-checkpoint sweep.ckpt -out learned_table.json
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -39,7 +40,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/experiments"
-	"repro/internal/runner"
+	"repro/internal/resultstore"
 	"repro/internal/trace"
 )
 
@@ -52,7 +53,7 @@ func main() {
 		intervals  = flag.Int("intervals", 3, "measurement intervals per mix")
 		seed       = flag.Uint64("seed", 1, "base RNG seed")
 		m          = flag.Float64("m", 2, "detector IPC threshold used for context quantization")
-		checkpoint = flag.String("from-checkpoint", "", "replay a runner checkpoint file instead of simulating")
+		checkpoint = flag.String("from-checkpoint", "", "replay a checkpoint (result-store) directory instead of simulating")
 		verbose    = flag.Bool("v", false, "print per-context training summary")
 		versionF   = flag.Bool("version", false, "print version and exit")
 	)
@@ -159,21 +160,26 @@ func sweepSamples(mixes []string, threads, quanta, intervals int, seed uint64, m
 	return samples, nil
 }
 
-// replaySamples derives training samples from a recorded runner
-// checkpoint: each entry's policy timeline and quantum IPC series,
-// keyed by the run's aggregate counter signature.
-func replaySamples(path string, m float64) ([]adaptive.Sample, error) {
-	entries, err := runner.ReadEntries(path)
+// replaySamples derives training samples from a checkpoint directory:
+// each entry's policy timeline and quantum IPC series, in key order,
+// keyed by the run's aggregate counter signature. Entries that fail
+// verification are quarantined by the store and skipped.
+func replaySamples(dir string, m float64) ([]adaptive.Sample, error) {
+	if _, err := os.Stat(dir); err != nil {
+		return nil, err
+	}
+	store, err := resultstore.OpenDisk(dir, resultstore.DiskOptions{Log: os.Stderr})
 	if err != nil {
 		return nil, err
 	}
+	defer store.Close()
 	var samples []adaptive.Sample
-	for _, e := range entries {
-		var res core.Result
-		if err := json.Unmarshal(e.Result, &res); err != nil {
-			// Checkpoints can hold non-Result payloads; skip them.
+	for _, me := range store.Manifest() {
+		e, ok := store.Get(me.Key)
+		if !ok {
 			continue
 		}
+		res := e.Result
 		if len(res.PolicyTimeline) != len(res.QuantumIPC) || len(res.QuantumIPC) < 2 {
 			continue
 		}

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/adaptive"
 	"repro/internal/core"
-	"repro/internal/runner"
+	"repro/internal/resultstore"
 	"repro/internal/simrun"
 )
 
@@ -42,7 +42,8 @@ func TestSweepSamplesDeterministic(t *testing.T) {
 	}
 }
 
-// Checkpoint replay turns recorded ADTS runs into samples.
+// Checkpoint replay turns ADTS runs recorded in a store directory into
+// samples.
 func TestReplaySamples(t *testing.T) {
 	cfg, err := simrun.Request{Mix: "int-memory", Mode: "adts", Threads: 4, Quanta: 6, FastForward: -1}.Config()
 	if err != nil {
@@ -54,19 +55,19 @@ func TestReplaySamples(t *testing.T) {
 	}
 	res := sim.Run()
 
-	path := filepath.Join(t.TempDir(), "ck.jsonl")
-	cp, err := runner.Open(path, false)
+	dir := t.TempDir()
+	store, err := resultstore.OpenDisk(dir, resultstore.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Record("job#"+simrun.Key(cfg), res); err != nil {
+	if err := store.Put(resultstore.NewEntry(resultstore.ConfigKey(cfg), simrun.Request{}, cfg, res)); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Close(); err != nil {
+	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	samples, err := replaySamples(path, 2)
+	samples, err := replaySamples(dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,5 +78,9 @@ func TestReplaySamples(t *testing.T) {
 		if s.Policy != res.PolicyTimeline[i].String() || s.IPC != res.QuantumIPC[i+1] {
 			t.Fatalf("sample %d mismatches timeline: %+v", i, s)
 		}
+	}
+	// A mistyped directory is an error, not an empty training set.
+	if _, err := replaySamples(filepath.Join(dir, "missing"), 2); err == nil {
+		t.Fatal("replay of a missing directory succeeded")
 	}
 }

@@ -202,7 +202,7 @@ func TestCLIAdtsSweepCheckpointResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow CLI run")
 	}
-	ck := filepath.Join(t.TempDir(), "s.jsonl")
+	ck := filepath.Join(t.TempDir(), "ckpt")
 	args := []string{"-fig8", "-quanta", "2", "-intervals", "1",
 		"-mixes", "int-compute,mixed-lowipc", "-workers", "1"}
 	fresh := runStdout(t, "adts-sweep", args...)
@@ -217,7 +217,7 @@ func TestCLIAdtsSweepCheckpointResume(t *testing.T) {
 	// Interrupt once at least one run has been checkpointed.
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if fi, err := os.Stat(ck); err == nil && fi.Size() > 0 {
+		if entries, _ := filepath.Glob(filepath.Join(ck, "cfg-*.json")); len(entries) > 0 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -241,6 +241,30 @@ func TestCLIAdtsSweepCheckpointResume(t *testing.T) {
 	if resumed != fresh {
 		t.Fatalf("resumed output differs from uninterrupted run:\nfresh:\n%s\nresumed:\n%s",
 			fresh, resumed)
+	}
+}
+
+// TestCLIAdtsSweepCheckpointRefusesNonEmptyDir: -checkpoint starts a
+// fresh checkpoint, so a directory that already holds files is refused
+// (never truncated or adopted) with a pointer to -resume.
+func TestCLIAdtsSweepCheckpointRefusesNonEmptyDir(t *testing.T) {
+	ck := t.TempDir()
+	keep := filepath.Join(ck, "notes.txt")
+	if err := os.WriteFile(keep, []byte("mine"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(filepath.Join(binaries(t), "adts-sweep"),
+		"-table1", "-quanta", "1", "-intervals", "1", "-mixes", "int-compute",
+		"-checkpoint", ck).CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+		t.Fatalf("-checkpoint on a non-empty directory: err %v, want exit 1\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "-resume") {
+		t.Fatalf("refusal does not name -resume:\n%s", out)
+	}
+	if got, err := os.ReadFile(keep); err != nil || string(got) != "mine" {
+		t.Fatalf("refused checkpoint touched the directory's files: %q, %v", got, err)
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package chaos is the deterministic fault-injection layer behind the
 // `-tags chaos` end-to-end suite: a seeded http.RoundTripper wrapper
 // (Transport) that injects network and protocol faults into fleet →
-// smtsimd traffic, and a seeded io.WriteCloser wrapper (Writer) that
-// tears checkpoint appends mid-line the way a kill -9 or power loss
-// would.
+// smtsimd traffic, and an io.WriteCloser wrapper (Writer) that tears a
+// result-store write mid-record the way a kill -9 or power loss would.
 //
 // Every fault decision is a pure function of (Seed, event index): event
 // N derives its own PCG stream from the seed, so a logged seed replays

@@ -5,8 +5,8 @@
 // fault-injecting Transport one fault class at a time, and the rendered
 // output must stay byte-identical to a fault-free local run. A separate
 // test plants a byzantine backend (self-consistent lies) and proves the
-// audit quarantines it; another tears the checkpoint file mid-sweep and
-// proves -resume completes the sweep unpoisoned.
+// audit quarantines it; another tears a checkpoint entry write mid-sweep
+// and proves -resume completes the sweep unpoisoned.
 package chaos_test
 
 import (
@@ -15,8 +15,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,7 +25,7 @@ import (
 	"repro/internal/detector"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
-	"repro/internal/runner"
+	"repro/internal/resultstore"
 	"repro/internal/simrun"
 	"repro/internal/simserver"
 )
@@ -212,21 +212,25 @@ func TestByzantineBackendQuarantinedWithinAuditWindow(t *testing.T) {
 	}
 }
 
-// TestTornCheckpointResumeCompletesSweep tears the checkpoint file
-// mid-sweep (injected kill -9 on the append path), then resumes from
-// the torn file: the resumed sweep must complete, reuse at least one
-// checkpointed run, and render byte-identically.
+// TestTornCheckpointResumeCompletesSweep tears one checkpoint entry
+// write mid-sweep (injected kill -9 on the store's write path), then
+// resumes from the same directory: the resumed sweep must complete,
+// reuse at least one checkpointed run, and render byte-identically.
 func TestTornCheckpointResumeCompletesSweep(t *testing.T) {
 	want := groundTruth(t)
-	path := filepath.Join(t.TempDir(), "chaos.ckpt")
+	dir := t.TempDir()
 
-	// Phase 1: sweep with a writer that dies mid-append. The sweep
-	// fail-fasts on the checkpoint error, like a crashed process.
-	cp, err := runner.OpenWith(path, runner.CheckpointOptions{
+	// Phase 1: sweep with a writer that dies inside the 4th entry. The
+	// sweep fail-fasts on the record error, like a crashed process.
+	var writes atomic.Int32
+	cp, err := resultstore.OpenDisk(dir, resultstore.DiskOptions{
 		WrapWriter: func(w io.WriteCloser) io.WriteCloser {
-			// Checkpoint lines run ~2KB each (a full core.Result); tear a
-			// few records in, mid-line.
-			return chaos.NewWriter(w, 8000)
+			if writes.Add(1) == 4 {
+				// Entries run several KB each (a full core.Result); tear
+				// this one mid-record.
+				return chaos.NewWriter(w, 512)
+			}
+			return w
 		},
 	})
 	if err != nil {
@@ -241,16 +245,15 @@ func TestTornCheckpointResumeCompletesSweep(t *testing.T) {
 	}
 	cp.Close()
 
-	// Phase 2: resume from the torn file and finish.
-	cp2, err := runner.Open(path, true)
+	// Phase 2: resume from the torn directory and finish.
+	cp2, err := resultstore.OpenDisk(dir, resultstore.DiskOptions{})
 	if err != nil {
 		t.Fatalf("resume from torn checkpoint: %v", err)
 	}
-	defer cp2.Close()
 	if cp2.Len() == 0 {
-		t.Fatal("no records survived the tear; the test exercised nothing")
+		t.Fatal("no entries survived the tear; the test exercised nothing")
 	}
-	t.Logf("resume: %d records recovered, %d skipped", cp2.Len(), cp2.Skipped())
+	t.Logf("resume: %d entries recovered, %d quarantined", cp2.Len(), cp2.Quarantines())
 	or := chaosOptions()
 	or.Workers = 4
 	or.Checkpoint = cp2
@@ -261,15 +264,18 @@ func TestTornCheckpointResumeCompletesSweep(t *testing.T) {
 	if got := renderSweep(resumed); got != want {
 		t.Fatalf("resumed sweep diverges from clean run:\nwant:\n%s\ngot:\n%s", want, got)
 	}
+	if err := cp2.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// Phase 3: one more resume proves the file was never poisoned.
-	cp3, err := runner.Open(path, true)
+	// Phase 3: one more open proves the directory was never poisoned.
+	cp3, err := resultstore.OpenDisk(dir, resultstore.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cp3.Close()
-	if cp3.Skipped() != 0 {
-		t.Fatalf("third open skipped %d lines: torn tail poisoned the file", cp3.Skipped())
+	if cp3.Quarantines() != 0 {
+		t.Fatalf("third open quarantined %d files: the torn write poisoned the store", cp3.Quarantines())
 	}
 	if cp3.Len() == 0 {
 		t.Fatal("third open recovered nothing")

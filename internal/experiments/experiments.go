@@ -26,7 +26,9 @@ import (
 	"repro/internal/detector"
 	"repro/internal/pipeline"
 	"repro/internal/policy"
+	"repro/internal/resultstore"
 	"repro/internal/runner"
+	"repro/internal/simrun"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -51,15 +53,17 @@ type Options struct {
 	// pipeline.DefaultConfig; override for ablations).
 	Machine func() pipeline.Config `json:"-"`
 
-	// Checkpoint, when non-nil, records each completed run (keyed by
-	// job name + config hash) and satisfies already-recorded runs on
-	// resume instead of recomputing them.
-	Checkpoint *runner.Checkpoint `json:"-"`
+	// Checkpoint, when non-nil, is the result store a sweep resumes
+	// from: each completed run is put under its config key, and a run
+	// already stored there is satisfied without recomputing it. It is
+	// the same disk tier smtsimd serves, so a checkpoint directory is
+	// also a valid smtsimd -store-dir.
+	Checkpoint *resultstore.Disk `json:"-"`
 	// Progress, when non-nil, receives runner progress lines
 	// (completed/total, jobs/sec, ETA); the CLI passes stderr.
 	Progress io.Writer `json:"-"`
 	// RunHook, when non-nil, is called after every job settles
-	// (completed, resumed from checkpoint, or failed).
+	// (completed, resumed from the checkpoint, or failed).
 	RunHook func(runner.Event) `json:"-"`
 	// Executor, when non-nil, evaluates each job instead of running the
 	// simulation in-process — internal/fleet plugs in here to shard a
@@ -143,11 +147,27 @@ func (o Options) OracleConfig(mix string, interval int) core.Config {
 // options' worker bound, checkpoint, progress writer, hook, and
 // executor (nil = local simulation).
 func (o Options) runAll(ctx context.Context, jobs []stats.Job) ([]core.Result, error) {
-	return runner.RunWith(ctx, stats.RunnerJobs(jobs), runner.Options{
-		Workers:    o.Workers,
-		Checkpoint: o.Checkpoint,
-		Progress:   o.Progress,
-		Hook:       o.RunHook,
+	rjobs := stats.RunnerJobs(jobs)
+	if ck := o.Checkpoint; ck != nil {
+		for i := range rjobs {
+			cfg := jobs[i].Config
+			key := resultstore.ConfigKey(cfg)
+			rjobs[i].Stored = func() (core.Result, bool) {
+				e, ok := ck.Get(key)
+				if !ok {
+					return core.Result{}, false
+				}
+				return e.Result, true
+			}
+			rjobs[i].Record = func(res core.Result) error {
+				return ck.Put(resultstore.NewEntry(key, simrun.Request{}, cfg, res))
+			}
+		}
+	}
+	return runner.RunWith(ctx, rjobs, runner.Options{
+		Workers:  o.Workers,
+		Progress: o.Progress,
+		Hook:     o.RunHook,
 	}, o.Executor)
 }
 

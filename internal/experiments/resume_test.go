@@ -3,12 +3,12 @@ package experiments
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/detector"
+	"repro/internal/resultstore"
 	"repro/internal/runner"
 )
 
@@ -26,8 +26,8 @@ func TestSweepResumeDeterminism(t *testing.T) {
 	}
 
 	// Interrupted run: cancel the context after the third job settles.
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	cp, err := runner.Open(path, false)
+	dir := t.TempDir()
+	cp, err := resultstore.OpenDisk(dir, resultstore.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestSweepResumeDeterminism(t *testing.T) {
 
 	// Resume: completed jobs must be satisfied from the checkpoint, the
 	// rest recomputed, and every figure must match the fresh run.
-	cp2, err := runner.Open(path, true)
+	cp2, err := resultstore.OpenDisk(dir, resultstore.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,6 +93,49 @@ func TestSweepResumeDeterminism(t *testing.T) {
 	}
 	if fresh.BaselineIPC != resumed.BaselineIPC {
 		t.Errorf("baseline differs: %v vs %v", fresh.BaselineIPC, resumed.BaselineIPC)
+	}
+}
+
+// TestCheckpointKeyMismatchRecomputes: a checkpoint is keyed by the
+// full config, so a store written at quanta q satisfies no job at
+// quanta q+1 — every run is recomputed, none is served stale.
+func TestCheckpointKeyMismatchRecomputes(t *testing.T) {
+	o := tiny()
+	o.Quanta = 2
+	thresholds := []float64{2}
+	heuristics := []detector.Heuristic{detector.Type3}
+	cp, err := resultstore.OpenDisk(t.TempDir(), resultstore.DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Close()
+	o.Checkpoint = cp
+	if _, err := RunSweep(context.Background(), o, thresholds, heuristics); err != nil {
+		t.Fatal(err)
+	}
+	stored := cp.Len()
+	if stored == 0 {
+		t.Fatal("sweep recorded no runs")
+	}
+
+	o.Quanta++
+	var ran, resumed atomic.Int32
+	o.RunHook = func(e runner.Event) {
+		if e.Resumed {
+			resumed.Add(1)
+		} else {
+			ran.Add(1)
+		}
+	}
+	if _, err := RunSweep(context.Background(), o, thresholds, heuristics); err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Load() != 0 || int(ran.Load()) != stored {
+		t.Fatalf("stale checkpoint entries satisfied a changed config (resumed=%d, ran=%d of %d)",
+			resumed.Load(), ran.Load(), stored)
+	}
+	if cp.Len() != 2*stored {
+		t.Fatalf("store holds %d entries after the q+1 sweep, want %d", cp.Len(), 2*stored)
 	}
 }
 

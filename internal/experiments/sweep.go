@@ -40,7 +40,7 @@ type Sweep struct {
 
 // RunSweep executes the full grid: (thresholds x heuristics x mixes x
 // intervals) adaptive runs plus the fixed-ICOUNT baseline. Cancelling
-// ctx drains in-flight runs, flushes them to the options' checkpoint
+// ctx drains in-flight runs, records them in the options' checkpoint
 // (if any), and returns the context error.
 func RunSweep(ctx context.Context, o Options, thresholds []float64, heuristics []detector.Heuristic) (*Sweep, error) {
 	if thresholds == nil {

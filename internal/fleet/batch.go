@@ -69,14 +69,19 @@ func (c *Client) RunBatch(ctx context.Context, cfgs []core.Config) ([]core.Resul
 
 // runChunk resolves one chunk: batch dispatch with retries, then
 // per-item fallback for whatever the stream did not deliver (a failed
-// chunk, a corrupt line, or an empty or broken pool).
+// chunk, a corrupt line, or an empty or broken pool). Delivered items
+// are sampled for audit exactly as Run's are.
 func (c *Client) runChunk(ctx context.Context, cfgs []core.Config, out []core.Result, errs []error) {
 	var lines []*batchWireLine
-	served, err := c.withRetries(ctx, func(b *backend) (err error) {
-		c.metrics.batches.Add(1)
-		lines, err = c.sendBatch(ctx, b, cfgs)
-		return err
-	})
+	var served *backend
+	body, err := json.Marshal(batchPayload{Configs: cfgs})
+	if err == nil {
+		served, err = c.withRetries(ctx, func(b *backend) (err error) {
+			c.metrics.batches.Add(1)
+			lines, err = c.sendBatch(ctx, b, body, len(cfgs))
+			return err
+		})
+	}
 	if err != nil && ctx.Err() != nil {
 		for i := range errs {
 			errs[i] = ctx.Err()
@@ -88,7 +93,7 @@ func (c *Client) runChunk(ctx context.Context, cfgs []core.Config, out []core.Re
 			if l := lines[i]; l.Error != "" {
 				errs[i] = fmt.Errorf("fleet: %s: batch item %d: %s", served.url, i, l.Error)
 			} else {
-				out[i] = *l.Result
+				out[i] = c.maybeAudit(ctx, served, cfgs[i], *l.Result)
 			}
 			continue
 		}
@@ -100,18 +105,15 @@ func (c *Client) runChunk(ctx context.Context, cfgs []core.Config, out []core.Re
 	}
 }
 
-// sendBatch performs one POST /v1/batch against backend b and returns
-// its verified lines, index-aligned with cfgs. Lines whose digest does
-// not verify are counted against b and left nil for the caller to
-// re-fetch; a stream without a matching trailer fails the whole chunk.
-func (c *Client) sendBatch(ctx context.Context, b *backend, cfgs []core.Config) ([]*batchWireLine, error) {
-	body, err := json.Marshal(batchPayload{Configs: cfgs})
-	if err != nil {
-		return nil, fmt.Errorf("fleet: encoding batch: %w", err)
-	}
+// sendBatch performs one POST /v1/batch of n configs against backend b
+// and returns its verified lines, index-aligned with the configs. Lines
+// whose digest does not verify are counted against b and left nil for
+// the caller to re-fetch; a stream without a matching trailer fails the
+// whole chunk.
+func (c *Client) sendBatch(ctx context.Context, b *backend, body []byte, n int) ([]*batchWireLine, error) {
 	var lines []*batchWireLine
-	err = c.post(ctx, b, "/v1/batch", body, func(resp *http.Response) error {
-		l, corrupt, err := decodeBatch(resp.Body, len(cfgs))
+	err := c.post(ctx, b, "/v1/batch", body, func(resp *http.Response) error {
+		l, corrupt, err := decodeBatch(resp.Body, n)
 		for ; corrupt > 0; corrupt-- {
 			c.noteDigestMismatch(b)
 		}

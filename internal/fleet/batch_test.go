@@ -164,6 +164,58 @@ func TestRunBatchCorruptLineFallsBackPerItem(t *testing.T) {
 	}
 }
 
+// TestRunBatchAuditsItems: -audit-rate covers batch-delivered items,
+// not only per-item fallbacks. A self-consistent liar serving the whole
+// chunk is outvoted item by item by two honest backends: RunBatch
+// returns the majority results and quarantines the liar.
+func TestRunBatchAuditsItems(t *testing.T) {
+	lie := func(cfg core.Config) core.Result {
+		res := fakeResult(cfg)
+		res.AggregateIPC = 0.0001 // plausible but wrong
+		return res
+	}
+	liar := batchBackend(t, func(w http.ResponseWriter, r *http.Request) {
+		var p batchPayload
+		json.NewDecoder(r.Body).Decode(&p)
+		enc := json.NewEncoder(w)
+		for i, cfg := range p.Configs {
+			res := lie(cfg) // digest matches the lie: verification passes
+			enc.Encode(batchWireLine{Index: i, Key: "k", Result: &res, Digest: simrun.ResultDigest(res)})
+		}
+		enc.Encode(map[string]any{"trailer": true, "total": len(p.Configs)})
+	}, nil)
+	honestRunCfg := func(w http.ResponseWriter, r *http.Request) {
+		var cfg core.Config
+		json.NewDecoder(r.Body).Decode(&cfg)
+		res := fakeResult(cfg)
+		json.NewEncoder(w).Encode(runCfgReply{Key: "k", Result: res, Digest: simrun.ResultDigest(res)})
+	}
+	serve := func(w http.ResponseWriter, r *http.Request) { serveBatch(w, r, -1, false) }
+	h1 := batchBackend(t, serve, honestRunCfg)
+	h2 := batchBackend(t, serve, honestRunCfg)
+
+	c := newTestClient(t, Config{Backends: []string{liar.URL, h1.URL, h2.URL}, AuditRate: 1})
+	// Make the liar the least-loaded so it serves the chunk.
+	for _, b := range c.backends {
+		if b.url != strings.TrimRight(liar.URL, "/") {
+			b.inflight.Add(1)
+		}
+	}
+	cfgs := batchCfgs(3)
+	res, errs := c.RunBatch(context.Background(), cfgs)
+	for i := range cfgs {
+		if errs[i] != nil {
+			t.Fatalf("item %d: %v", i, errs[i])
+		}
+		if want := fakeResult(cfgs[i]); res[i].Mix != want.Mix || res[i].AggregateIPC != want.AggregateIPC {
+			t.Fatalf("item %d: RunBatch returned IPC %v, want the majority result's %v", i, res[i].AggregateIPC, want.AggregateIPC)
+		}
+	}
+	if c.Quarantined() != 1 {
+		t.Fatalf("Quarantined() = %d, want the liar quarantined", c.Quarantined())
+	}
+}
+
 // TestPeerLookupShortCircuitsRun: a verified peer store hit answers
 // Run without any dispatch.
 func TestPeerLookupShortCircuitsRun(t *testing.T) {

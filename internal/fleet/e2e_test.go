@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,6 +11,7 @@ import (
 
 	"repro/internal/detector"
 	"repro/internal/experiments"
+	"repro/internal/resultstore"
 	"repro/internal/runner"
 	"repro/internal/simserver"
 )
@@ -129,8 +129,8 @@ func TestE2EShardedSweepSurvivesBackendDeath(t *testing.T) {
 	// Part 2: a checkpointed fleet sweep interrupted mid-run resumes to
 	// byte-identical output (remote and local interchangeable even
 	// across an interrupt boundary).
-	path := filepath.Join(t.TempDir(), "fleet-sweep.jsonl")
-	cp, err := runner.Open(path, false)
+	dir := t.TempDir()
+	cp, err := resultstore.OpenDisk(dir, resultstore.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestE2EShardedSweepSurvivesBackendDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cp2, err := runner.Open(path, true)
+	cp2, err := resultstore.OpenDisk(dir, resultstore.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,6 +121,8 @@ type Client struct {
 
 	auditN atomic.Uint64 // successful runs seen by the audit sampler
 
+	pickMu sync.Mutex // makes pick's choice and slot reservation one step
+
 	skewMu   sync.Mutex
 	lastSkew string // last logged version-skew fingerprint
 }
@@ -210,6 +212,9 @@ func New(cfg Config) (*Client, error) {
 		ctx, cancel := context.WithCancel(context.Background())
 		c.stopProbe = cancel
 		c.probeDone = make(chan struct{})
+		// Probe once before returning, so the first dispatch wave routes
+		// on real health and store state, not unprobed defaults.
+		c.ProbeNow(ctx)
 		go c.probeLoop(ctx)
 	}
 	return c, nil
@@ -287,7 +292,7 @@ func (c *Client) Run(ctx context.Context, simCfg core.Config) (core.Result, erro
 	// (verified end to end by the peer client) costs one GET instead of
 	// a simulation slot.
 	if c.cfg.PeerLookup != nil {
-		if e, ok := c.cfg.PeerLookup.Lookup(ctx, "cfg:"+simrun.Key(simCfg)); ok {
+		if e, ok := c.cfg.PeerLookup.Lookup(ctx, resultstore.ConfigKey(simCfg)); ok {
 			c.metrics.peerHits.Add(1)
 			return e.Result, nil
 		}
@@ -306,7 +311,7 @@ func (c *Client) Run(ctx context.Context, simCfg core.Config) (core.Result, erro
 	if err != nil {
 		return zero, err
 	}
-	return c.maybeAudit(ctx, b, body, res), nil
+	return c.maybeAudit(ctx, b, simCfg, res), nil
 }
 
 // withRetries runs try on the least-loaded routable backend and, after
@@ -374,7 +379,15 @@ func (c *Client) backoff(attempt int) time.Duration {
 // selection is deterministic under equal load. The
 // half-open trial slot is only consumed for the backend actually
 // returned.
+//
+// pick reserves an in-flight slot on the backend it returns, under
+// one lock with the choice, so a wave of concurrent dispatchers
+// spreads across the pool instead of all choosing the same idle
+// backend. The caller must hand the backend to post, which releases
+// the slot.
 func (c *Client) pick(exclude ...*backend) *backend {
+	c.pickMu.Lock()
+	defer c.pickMu.Unlock()
 	excluded := func(b *backend) bool {
 		for _, e := range exclude {
 			if b == e {
@@ -408,6 +421,7 @@ func (c *Client) pick(exclude ...*backend) *backend {
 	})
 	for _, cd := range cands {
 		if cd.b.breaker.allow() {
+			cd.b.inflight.Add(1)
 			return cd.b
 		}
 	}
@@ -418,6 +432,7 @@ func (c *Client) pick(exclude ...*backend) *backend {
 			continue
 		}
 		if up, _ := e.probed(); up && e.breaker.allow() {
+			e.inflight.Add(1)
 			return e
 		}
 	}
@@ -506,13 +521,13 @@ func (c *Client) send(ctx context.Context, b *backend, body []byte) (core.Result
 
 // post is the one request path to a backend, shared by /v1/runcfg and
 // /v1/batch: it POSTs body to path and hands a 200 response to decode,
-// maintaining b's load gauge, breaker and latency stats. A 429 is
-// returned as a rateLimitedError without charging the breaker (the
-// backend is healthy, just saturated); transport failures, other
-// statuses and decode errors are charged. A caller that gave up is not
+// releasing the in-flight slot pick reserved on b and maintaining b's
+// breaker and latency stats. A 429 is returned as a rateLimitedError
+// without charging the breaker (the backend is healthy, just
+// saturated); transport failures, other statuses and decode errors are
+// charged. A caller that gave up is not
 // the backend's fault either: its context error returns uncharged.
 func (c *Client) post(ctx context.Context, b *backend, path string, body []byte, decode func(*http.Response) error) error {
-	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 	b.requests.Add(1)
 
@@ -567,12 +582,16 @@ func (c *Client) post(ctx context.Context, b *backend, path string, body []byte,
 // the original request. Audit dispatches never recurse (they bypass
 // Run) and audit failures never fail the run; auditing is a detector,
 // not a gate.
-func (c *Client) maybeAudit(ctx context.Context, served *backend, body []byte, res core.Result) core.Result {
+func (c *Client) maybeAudit(ctx context.Context, served *backend, cfg core.Config, res core.Result) core.Result {
 	if c.cfg.AuditRate <= 0 {
 		return res
 	}
 	n := c.auditN.Add(1)
 	if rand.New(rand.NewPCG(c.cfg.AuditSeed, n)).Float64() >= c.cfg.AuditRate {
+		return res
+	}
+	body, err := json.Marshal(cfg)
+	if err != nil {
 		return res
 	}
 	second := c.pick(served)

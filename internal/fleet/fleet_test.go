@@ -391,3 +391,22 @@ func TestRetriesExhaustedReturnsError(t *testing.T) {
 		t.Fatalf("retried = %d, want 2", got)
 	}
 }
+
+// TestPickReservesSlot: pick reserves the backend it returns, so
+// concurrent dispatchers choosing from an equally idle pool fan out
+// instead of all landing on the lowest URL.
+func TestPickReservesSlot(t *testing.T) {
+	var urls []string
+	for i := 0; i < 3; i++ {
+		urls = append(urls, fakeBackend(t, okReply("x")).URL)
+	}
+	c := newTestClient(t, Config{Backends: urls})
+	seen := make(map[*backend]bool)
+	for i := 0; i < 3; i++ {
+		b := c.pick()
+		if b == nil || seen[b] {
+			t.Fatalf("pick %d returned no or an already reserved backend; an unreleased pick must count as load", i)
+		}
+		seen[b] = true
+	}
+}

@@ -21,14 +21,13 @@ type healthReply struct {
 	StoreState string `json:"store_state"`
 }
 
-// probeLoop probes every backend at the configured interval until the
-// client is closed. The first sweep runs immediately so a dead backend
-// is discovered before the first dispatch wave completes.
+// probeLoop re-probes every backend at the configured interval until
+// the client is closed. New runs the first sweep itself, before any
+// dispatch.
 func (c *Client) probeLoop(ctx context.Context) {
 	defer close(c.probeDone)
 	t := time.NewTicker(c.cfg.ProbeInterval)
 	defer t.Stop()
-	c.ProbeNow(ctx)
 	for {
 		select {
 		case <-ctx.Done():

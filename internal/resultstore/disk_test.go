@@ -1,6 +1,7 @@
 package resultstore
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -182,6 +183,38 @@ func TestDiskTornWriteNeverPoisonsStore(t *testing.T) {
 
 // TestDiskTornIndexWriteTolerated tears the Close-time index write;
 // the next open must fall back to the directory scan.
+// syncCounter counts Sync calls that reach the file.
+type syncCounter struct {
+	io.WriteCloser
+	syncs *int
+}
+
+func (s syncCounter) Sync() error {
+	*s.syncs++
+	return s.WriteCloser.(interface{ Sync() error }).Sync()
+}
+
+// TestDiskPutFsyncs: every Put fsyncs its entry exactly once before it
+// returns, so a recorded run — a checkpointed sweep job included —
+// survives power loss, not just process death.
+func TestDiskPutFsyncs(t *testing.T) {
+	var syncs int
+	d := openTestDisk(t, t.TempDir(), DiskOptions{
+		WrapWriter: func(w io.WriteCloser) io.WriteCloser {
+			return syncCounter{WriteCloser: w, syncs: &syncs}
+		},
+	})
+	defer d.Close()
+	for i := 0; i < 3; i++ {
+		if err := d.Put(testEntry(fmt.Sprintf("cfg:%016x", i), i)); err != nil {
+			t.Fatal(err)
+		}
+		if syncs != i+1 {
+			t.Fatalf("after %d puts: %d syncs, want %d", i+1, syncs, i+1)
+		}
+	}
+}
+
 func TestDiskTornIndexWriteTolerated(t *testing.T) {
 	dir := t.TempDir()
 	d := openTestDisk(t, dir, DiskOptions{})

@@ -84,6 +84,25 @@ type Entry struct {
 	Digest string `json:"digest"`
 }
 
+// NewEntry builds the stored form of one simulation: the result with
+// its smtsim report and digest, under key, echoing req (zero for
+// raw-config entries). Every writer — smtsimd and sweep checkpoints —
+// builds entries here, so equal configs store equal bytes.
+func NewEntry(key string, req simrun.Request, cfg core.Config, res core.Result) *Entry {
+	return &Entry{
+		Key:     key,
+		Request: req,
+		Result:  res,
+		Report:  simrun.Report(cfg, res, simrun.ReportOptions{}),
+		Digest:  simrun.ResultDigest(res),
+	}
+}
+
+// ConfigKey is the store key of a raw-config entry: simrun.Key behind
+// the "cfg:" prefix, so a raw-config entry (whose request echo is
+// empty) is never served to a POST /v1/run caller.
+func ConfigKey(cfg core.Config) string { return "cfg:" + simrun.Key(cfg) }
+
 // Verify recomputes the result digest and reports whether it matches
 // the entry's claim. Entries with no digest are unverifiable and fail.
 func (e *Entry) Verify() bool {

@@ -1,19 +1,21 @@
 // Package runner is the resilient job executor behind every sweep: a
 // context-aware worker pool with graceful cancellation (in-flight jobs
-// drain and their results are flushed before Run returns), per-job
-// panic recovery with one bounded retry, JSONL checkpointing keyed by
-// job name + config hash so an interrupted sweep resumes instead of
-// recomputing, and a progress reporter ticking on stderr.
+// drain and their results are recorded before Run returns), per-job
+// panic recovery with one bounded retry, resume through each job's
+// Stored/Record closures so an interrupted sweep picks up instead of
+// recomputing, and a progress reporter ticking on stderr. The runner
+// knows nothing about where results are persisted: the sweep drivers
+// (internal/experiments) back the closures with a result store.
 //
 // Lifecycle of one Run call:
 //
-//  1. Resume pass — jobs whose Key is already in the checkpoint are
+//  1. Resume pass — jobs whose Stored closure reports a result are
 //     satisfied from it without running.
 //  2. Dispatch — remaining jobs are fed to a bounded worker pool.
 //     Results land index-aligned with the input slice, so output is
 //     byte-identical regardless of worker count or resume point.
-//  3. Settle — each completed job is appended to the checkpoint
-//     immediately (one JSONL line per job, flushed per write).
+//  3. Settle — each completed job is handed to its Record closure
+//     immediately; a Record error fails the job.
 //  4. Drain — on context cancellation or first job failure no new
 //     jobs are dispatched; in-flight jobs finish and are recorded.
 //
@@ -23,9 +25,6 @@ package runner
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -40,19 +39,22 @@ import (
 type Job[T any] struct {
 	// Name identifies the job in errors and hook events.
 	Name string
-	// Key is the checkpoint identity (job name + config hash; see
-	// KeyOf). Empty disables checkpointing for this job.
-	Key string
 	// Run computes the result locally. It must be deterministic for
-	// checkpoint resume to be sound. It is also every Executor's
-	// fallback, so it must stay correct even when an executor normally
-	// routes the job elsewhere.
+	// resume to be sound. It is also every Executor's fallback, so it
+	// must stay correct even when an executor normally routes the job
+	// elsewhere.
 	Run func(ctx context.Context) (T, error)
 	// Payload optionally exposes the job's input (e.g. a simulation
 	// config) so a non-local Executor can ship it to a remote backend
 	// instead of calling Run. Executors that cannot interpret the
 	// payload fall back to Run.
 	Payload any
+	// Stored, when non-nil, is asked before dispatch for an already
+	// recorded result; a hit satisfies the job without running it.
+	Stored func() (T, bool)
+	// Record, when non-nil, persists the job's result as it settles.
+	// A Record error fails the job.
+	Record func(T) error
 }
 
 // Executor is the pluggable compute behind a Run call: it evaluates one
@@ -60,8 +62,8 @@ type Job[T any] struct {
 // job's own Run closure; internal/fleet provides a distributed one that
 // ships job payloads to a pool of smtsimd backends. Executors must be deterministic in the same sense as
 // Job.Run: equal payloads produce equal results, no matter which
-// executor (or backend) served them — checkpoint resume and
-// index-aligned output depend on it.
+// executor (or backend) served them — resume and index-aligned
+// output depend on it.
 //
 // Execute may be called concurrently from pool workers.
 type Executor[T any] interface {
@@ -72,7 +74,7 @@ type Executor[T any] interface {
 // chunk of jobs in one call (e.g. one POST /v1/batch round trip to a
 // backend, instead of one request per job). RunWith detects it and
 // hands each worker a chunk of pending jobs; per-job settle semantics
-// — checkpointing, hooks, fail-fast — are unchanged.
+// — recording, hooks, fail-fast — are unchanged.
 //
 // ExecuteBatch must return results and errors index-aligned with its
 // input; the errors slice may be nil when every job succeeded. A
@@ -89,7 +91,7 @@ type Event struct {
 	Index     int    // position in the input slice
 	Name      string // job name
 	Err       error  // non-nil when the job failed
-	Resumed   bool   // satisfied from the checkpoint without running
+	Resumed   bool   // satisfied by Job.Stored without running
 	Attempts  int    // execution attempts (0 when resumed)
 	Completed int    // jobs settled so far, including this one
 	Total     int    // total jobs in this Run call
@@ -99,9 +101,6 @@ type Event struct {
 type Options struct {
 	// Workers bounds pool parallelism; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Checkpoint, when non-nil, is consulted before running each job
-	// and appended to after each completion.
-	Checkpoint *Checkpoint
 	// Progress, when non-nil, receives periodic completed/total,
 	// jobs/sec and ETA lines (the CLI passes stderr).
 	Progress io.Writer
@@ -120,43 +119,18 @@ type PanicError struct {
 
 func (p *PanicError) Error() string { return fmt.Sprintf("panic: %v", p.Value) }
 
-// ConfigHash is the canonical identity of a configuration: a short
-// SHA-256 of its JSON encoding. Simulations are deterministic functions
-// of their config, so equal hashes mean byte-identical results — the
-// checkpoint store and the simserver result cache both key on it.
-// Unmarshalable configs hash to "" (callers treat that as uncacheable).
-func ConfigHash(config any) string {
-	raw, err := json.Marshal(config)
-	if err != nil {
-		return ""
-	}
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:8])
-}
-
-// KeyOf derives a checkpoint key from a job name and its config: the
-// name plus the config's ConfigHash, so a stale checkpoint written
-// under different experimental conditions never satisfies a job.
-func KeyOf(name string, config any) string {
-	h := ConfigHash(config)
-	if h == "" {
-		return name
-	}
-	return name + "#" + h
-}
-
 // Run executes the jobs and returns results index-aligned with them.
 //
 // On success the error is nil. On job failure, dispatch stops at the
 // first error and the returned error joins one error per failed job.
 // On context cancellation, in-flight jobs drain, their results are
-// checkpointed, and the returned error wraps ctx.Err(); the result
+// recorded, and the returned error wraps ctx.Err(); the result
 // slice holds every completed job (zero values elsewhere).
 func Run[T any](ctx context.Context, jobs []Job[T], o Options) ([]T, error) {
 	return RunWith[T](ctx, jobs, o, nil)
 }
 
-// RunWith is Run with a pluggable Executor: the pool, checkpointing,
+// RunWith is Run with a pluggable Executor: the pool, resume, recording,
 // progress, fail-fast, and drain semantics are identical, but each
 // pending job is evaluated by exec instead of its own Run closure. A
 // nil exec selects local execution.
@@ -171,19 +145,15 @@ func RunWith[T any](ctx context.Context, jobs []Job[T], o Options, exec Executor
 		}
 	}
 
-	// Resume pass: satisfy jobs already in the checkpoint.
+	// Resume pass: satisfy jobs whose result is already recorded.
 	pending := make([]int, 0, len(jobs))
 	for i, j := range jobs {
-		if o.Checkpoint != nil && j.Key != "" {
-			if raw, ok := o.Checkpoint.Lookup(j.Key); ok {
-				var v T
-				if err := json.Unmarshal(raw, &v); err == nil {
-					results[i] = v
-					n := int(completed.Add(1))
-					hook(Event{Index: i, Name: j.Name, Resumed: true, Completed: n, Total: len(jobs)})
-					continue
-				}
-				// Corrupt entry: fall through and recompute.
+		if j.Stored != nil {
+			if v, ok := j.Stored(); ok {
+				results[i] = v
+				n := int(completed.Add(1))
+				hook(Event{Index: i, Name: j.Name, Resumed: true, Completed: n, Total: len(jobs)})
+				continue
 			}
 		}
 		pending = append(pending, i)
@@ -206,13 +176,13 @@ func RunWith[T any](ctx context.Context, jobs []Job[T], o Options, exec Executor
 		workers = len(pending)
 	}
 
-	// settle records one finished job: checkpoint, result/error slot,
+	// settle records one finished job: Record, result/error slot,
 	// fail-fast cancel, hook. Shared by the per-job and batch paths.
 	settle := func(i int, v T, attempts int, err error) {
 		j := jobs[i]
-		if err == nil && o.Checkpoint != nil && j.Key != "" {
-			if cerr := o.Checkpoint.Record(j.Key, v); cerr != nil {
-				err = fmt.Errorf("checkpoint: %w", cerr)
+		if err == nil && j.Record != nil {
+			if rerr := j.Record(v); rerr != nil {
+				err = fmt.Errorf("record: %w", rerr)
 			}
 		}
 		if err != nil {

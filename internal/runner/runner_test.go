@@ -2,11 +2,8 @@ package runner
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,6 +22,45 @@ func intJob(name string, v int, calls *atomic.Int32) Job[int] {
 			return v, nil
 		},
 	}
+}
+
+// memStore is a map-backed Stored/Record pair standing in for a result
+// store: it satisfies and records jobs by name.
+type memStore struct {
+	mu sync.Mutex
+	m  map[string]int
+}
+
+func newMemStore() *memStore { return &memStore{m: make(map[string]int)} }
+
+// wire points job j's Stored and Record closures at the store.
+func (s *memStore) wire(j *Job[int]) {
+	name := j.Name
+	j.Stored = func() (int, bool) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		v, ok := s.m[name]
+		return v, ok
+	}
+	j.Record = func(v int) error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.m[name] = v
+		return nil
+	}
+}
+
+func (s *memStore) lookup(name string) (int, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v, ok := s.m[name]
+	return v, ok
+}
+
+func (s *memStore) len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.m)
 }
 
 func TestRunAligned(t *testing.T) {
@@ -46,13 +82,7 @@ func TestRunAligned(t *testing.T) {
 }
 
 func TestCancellationMidRunDrainsAndFlushes(t *testing.T) {
-	dir := t.TempDir()
-	cp, err := Open(filepath.Join(dir, "ck.jsonl"), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp.Close()
-
+	store := newMemStore()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var calls [5]atomic.Int32
@@ -61,7 +91,6 @@ func TestCancellationMidRunDrainsAndFlushes(t *testing.T) {
 		i := i
 		jobs[i] = Job[int]{
 			Name: fmt.Sprintf("j%d", i),
-			Key:  fmt.Sprintf("k%d", i),
 			Run: func(context.Context) (int, error) {
 				calls[i].Add(1)
 				if i == 2 {
@@ -70,18 +99,19 @@ func TestCancellationMidRunDrainsAndFlushes(t *testing.T) {
 				return 10 * i, nil
 			},
 		}
+		store.wire(&jobs[i])
 	}
-	got, err := Run(ctx, jobs, Options{Workers: 1, Checkpoint: cp})
+	got, err := Run(ctx, jobs, Options{Workers: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// The in-flight job (j2) drained: its result is present and flushed.
+	// The in-flight job (j2) drained: its result is present and recorded.
 	for i := 0; i <= 2; i++ {
 		if got[i] != 10*i {
 			t.Fatalf("completed job j%d lost: got %d", i, got[i])
 		}
-		if _, ok := cp.Lookup(fmt.Sprintf("k%d", i)); !ok {
-			t.Fatalf("job j%d not checkpointed", i)
+		if _, ok := store.lookup(fmt.Sprintf("j%d", i)); !ok {
+			t.Fatalf("job j%d not recorded", i)
 		}
 	}
 	// Undispatched jobs never ran and were not recorded.
@@ -89,8 +119,8 @@ func TestCancellationMidRunDrainsAndFlushes(t *testing.T) {
 		if n := calls[i].Load(); n != 0 {
 			t.Fatalf("job j%d ran %d times after cancellation", i, n)
 		}
-		if _, ok := cp.Lookup(fmt.Sprintf("k%d", i)); ok {
-			t.Fatalf("unrun job j%d checkpointed", i)
+		if _, ok := store.lookup(fmt.Sprintf("j%d", i)); ok {
+			t.Fatalf("unrun job j%d recorded", i)
 		}
 	}
 }
@@ -211,34 +241,20 @@ func TestConcurrentFailuresAllNamed(t *testing.T) {
 }
 
 func TestCheckpointResumeSkipsCompleted(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ck.jsonl")
-
-	cp, err := Open(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := newMemStore()
 	jobs := make([]Job[int], 6)
 	for i := range jobs {
 		jobs[i] = intJob(fmt.Sprintf("j%d", i), 7*i, nil)
-		jobs[i].Key = fmt.Sprintf("j%d#abc", i)
+		store.wire(&jobs[i])
 	}
-	first, err := Run(context.Background(), jobs, Options{Workers: 2, Checkpoint: cp})
+	first, err := Run(context.Background(), jobs, Options{Workers: 2})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Reopen for resume; every job must be satisfied without running.
-	cp2, err := Open(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp2.Close()
-	if cp2.Len() != len(jobs) {
-		t.Fatalf("resume loaded %d entries, want %d", cp2.Len(), len(jobs))
+	// Resume: every job must be satisfied from the store without running.
+	if store.len() != len(jobs) {
+		t.Fatalf("store recorded %d entries, want %d", store.len(), len(jobs))
 	}
 	var ran atomic.Int32
 	var resumedEvents atomic.Int32
@@ -249,8 +265,7 @@ func TestCheckpointResumeSkipsCompleted(t *testing.T) {
 		}
 	}
 	second, err := Run(context.Background(), jobs, Options{
-		Workers:    2,
-		Checkpoint: cp2,
+		Workers: 2,
 		Hook: func(e Event) {
 			if e.Resumed {
 				resumedEvents.Add(1)
@@ -273,162 +288,34 @@ func TestCheckpointResumeSkipsCompleted(t *testing.T) {
 	}
 }
 
-func TestCheckpointKeyMismatchRecomputes(t *testing.T) {
-	// A key records the config hash: a job whose key differs (changed
-	// config) must be recomputed, not satisfied by the stale entry.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ck.jsonl")
-	cp, err := Open(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.Record("sim/a#oldcfg", 1); err != nil {
-		t.Fatal(err)
-	}
-	cp.Close()
-
-	cp2, err := Open(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp2.Close()
-	var ran atomic.Int32
-	jobs := []Job[int]{{
-		Name: "sim/a",
-		Key:  "sim/a#newcfg",
-		Run: func(context.Context) (int, error) {
-			ran.Add(1)
-			return 2, nil
-		},
-	}}
-	got, err := Run(context.Background(), jobs, Options{Workers: 1, Checkpoint: cp2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != 1 || got[0] != 2 {
-		t.Fatalf("stale checkpoint entry satisfied a changed config (ran=%d, got=%d)", ran.Load(), got[0])
-	}
-}
-
-func TestCheckpointToleratesTornTailLine(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ck.jsonl")
-	cp, err := Open(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.Record("good", 5); err != nil {
-		t.Fatal(err)
-	}
-	cp.Close()
-	// Simulate an interrupt mid-write: a torn, unterminated tail line.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"key":"torn","resu`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	cp2, err := Open(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp2.Close()
-	if cp2.Len() != 1 {
-		t.Fatalf("loaded %d entries, want 1 (torn line skipped)", cp2.Len())
-	}
-	if _, ok := cp2.Lookup("good"); !ok {
-		t.Fatal("intact entry lost")
-	}
-}
-
-func TestTornTailTruncatedRerunsAndSurvivesSecondResume(t *testing.T) {
-	// The dangerous failure mode: a torn tail line left in place would
-	// be CONCATENATED with the next O_APPEND write, poisoning the new
-	// entry for every later resume. Open must truncate the torn bytes so
-	// an entry recorded after resume survives a second resume.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ck.jsonl")
-	cp, err := Open(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.Record("j0#h", 10); err != nil {
-		t.Fatal(err)
-	}
-	cp.Close()
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A hand-truncated final line: interrupt hit mid-append.
-	if _, err := f.WriteString(`{"key":"j1#h","result":2`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	cp2, err := Open(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp2.Skipped() != 1 {
-		t.Fatalf("Skipped() = %d, want 1", cp2.Skipped())
-	}
-	if cp2.Len() != 1 {
-		t.Fatalf("loaded %d entries, want 1", cp2.Len())
-	}
-	// The torn job is not satisfied by the checkpoint: it reruns.
-	var ran atomic.Int32
+// TestRecordErrorFailsJob: a result that cannot be recorded fails its
+// job (naming the cause) and stops dispatch, so a sweep never reports
+// success for runs a resume could not find.
+func TestRecordErrorFailsJob(t *testing.T) {
+	errDiskFull := errors.New("disk full")
+	var after atomic.Int32
 	jobs := []Job[int]{
-		{Name: "j0", Key: "j0#h", Run: func(context.Context) (int, error) { ran.Add(1); return -1, nil }},
-		{Name: "j1", Key: "j1#h", Run: func(context.Context) (int, error) { ran.Add(1); return 20, nil }},
+		intJob("ok0", 1, nil),
+		intJob("unrecorded1", 2, nil),
+		intJob("never2", 3, &after),
 	}
-	got, err := Run(context.Background(), jobs, Options{Workers: 1, Checkpoint: cp2})
-	if err != nil {
-		t.Fatal(err)
+	store := newMemStore()
+	for i := range jobs {
+		store.wire(&jobs[i])
 	}
-	if ran.Load() != 1 {
-		t.Fatalf("%d jobs ran, want 1 (only the torn one)", ran.Load())
+	jobs[1].Record = func(int) error { return errDiskFull }
+	_, err := Run(context.Background(), jobs, Options{Workers: 1})
+	if !errors.Is(err, errDiskFull) {
+		t.Fatalf("err = %v, want the record error", err)
 	}
-	if got[0] != 10 || got[1] != 20 {
-		t.Fatalf("results = %v, want [10 20]", got)
+	if !strings.Contains(err.Error(), `job "unrecorded1"`) {
+		t.Fatalf("error does not name the job: %v", err)
 	}
-	cp2.Close()
-
-	// Second resume: both entries must load — proving the rerun's entry
-	// landed on a clean line, not glued onto the torn bytes.
-	cp3, err := Open(path, true)
-	if err != nil {
-		t.Fatal(err)
+	if n := after.Load(); n != 0 {
+		t.Fatalf("%d jobs dispatched after the record failure", n)
 	}
-	defer cp3.Close()
-	if cp3.Skipped() != 0 {
-		t.Fatalf("second resume Skipped() = %d, want 0 (torn tail should be gone)", cp3.Skipped())
-	}
-	if cp3.Len() != 2 {
-		t.Fatalf("second resume loaded %d entries, want 2", cp3.Len())
-	}
-	for _, key := range []string{"j0#h", "j1#h"} {
-		if _, ok := cp3.Lookup(key); !ok {
-			t.Fatalf("entry %q lost after second resume", key)
-		}
-	}
-}
-
-func TestKeyOfChangesWithConfig(t *testing.T) {
-	type cfg struct{ Threads, Quanta int }
-	a := KeyOf("sim/mix/i0", cfg{8, 64})
-	b := KeyOf("sim/mix/i0", cfg{8, 32})
-	if a == b {
-		t.Fatal("config change did not change the key")
-	}
-	if !strings.HasPrefix(a, "sim/mix/i0#") {
-		t.Fatalf("key %q does not embed the job name", a)
-	}
-	if a != KeyOf("sim/mix/i0", cfg{8, 64}) {
-		t.Fatal("key not deterministic")
+	if v, ok := store.lookup("ok0"); !ok || v != 1 {
+		t.Fatalf("job before the failure not recorded: %d, %v", v, ok)
 	}
 }
 
@@ -476,46 +363,3 @@ func TestProgressLineFormat(t *testing.T) {
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
-func TestReadEntriesFileOrder(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ck.jsonl")
-	cp, err := Open(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := cp.Record(fmt.Sprintf("k%d", i), i*i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := ReadEntries(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 5 {
-		t.Fatalf("got %d entries, want 5", len(entries))
-	}
-	for i, e := range entries {
-		if want := fmt.Sprintf("k%d", i); e.Key != want {
-			t.Fatalf("entry %d key %q, want %q (file order)", i, e.Key, want)
-		}
-		var v int
-		if err := json.Unmarshal(e.Result, &v); err != nil || v != i*i {
-			t.Fatalf("entry %d result %s, want %d", i, e.Result, i*i)
-		}
-	}
-	// A corrupt mid-file line is skipped, matching resume semantics.
-	data, _ := os.ReadFile(path)
-	corrupt := append([]byte("00000000 {garbage\n"), data...)
-	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	entries, err = ReadEntries(path)
-	if err != nil || len(entries) != 5 {
-		t.Fatalf("corrupt line not skipped: %d entries, err %v", len(entries), err)
-	}
-}

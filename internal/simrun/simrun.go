@@ -21,7 +21,6 @@ import (
 	"repro/internal/multicore"
 	"repro/internal/pipeline"
 	"repro/internal/policy"
-	"repro/internal/runner"
 	"repro/internal/trace"
 )
 
@@ -199,11 +198,18 @@ func (r Request) Config() (core.Config, error) {
 	return cfg, nil
 }
 
-// Key is the canonical cache/checkpoint identity of a config: equal
-// keys guarantee byte-identical results because simulations are
-// deterministic functions of their config.
+// Key is the canonical identity of a config: a short SHA-256 of its
+// JSON encoding. Equal keys guarantee byte-identical results because
+// simulations are deterministic functions of their config; every
+// result store, sweep checkpoint included, keys on it. Unmarshalable
+// configs hash to "" (callers treat that as uncacheable).
 func Key(cfg core.Config) string {
-	return runner.ConfigHash(cfg)
+	raw, err := json.Marshal(cfg)
+	if err != nil {
+		return ""
+	}
+	sum := sha256.Sum256(raw)
+	return hex.EncodeToString(sum[:8])
 }
 
 // ResultDigest is the canonical SHA-256 digest of a simulation result:

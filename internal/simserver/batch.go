@@ -98,7 +98,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.badRequest(w, fmt.Sprintf("item %d: %v", i, err))
 			return
 		}
-		keys[i] = "cfg:" + simrun.Key(breq.Configs[i])
+		keys[i] = resultstore.ConfigKey(breq.Configs[i])
 	}
 
 	start := time.Now()

@@ -3,10 +3,10 @@
 // layered on top of the deterministic simulator —
 //
 //  1. Result store: a tiered store (internal/resultstore) keyed by the
-//     canonical config hash (internal/runner.ConfigHash) — in-memory
-//     LRU, optionally backed by a size-bounded on-disk tier that
-//     survives restarts. Simulations are deterministic, so stored
-//     results are exact, with no TTL and no invalidation.
+//     canonical config hash (simrun.Key) — in-memory LRU, optionally
+//     backed by a size-bounded on-disk tier that survives restarts.
+//     Simulations are deterministic, so stored results are exact, with
+//     no TTL and no invalidation.
 //  2. Singleflight: N concurrent identical requests trigger exactly one
 //     simulation; the rest coalesce onto its result.
 //  3. Admission control: a bounded queue in front of a bounded worker
@@ -282,7 +282,7 @@ func (s *Server) handleRunCfg(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, err.Error())
 		return
 	}
-	key := "cfg:" + simrun.Key(cfg)
+	key := resultstore.ConfigKey(cfg)
 	if e, d, ok := s.serveOne(w, r, key, simrun.Request{}, cfg); ok {
 		writeJSON(w, http.StatusOK, runCfgReply{Key: key, Result: e.Result, Digest: e.Digest, delivery: d})
 	}
@@ -411,13 +411,7 @@ func (s *Server) execute(key string, f *flight, req simrun.Request, cfg core.Con
 	}
 	s.metrics.observeRunSeconds(elapsed.Seconds())
 	s.metrics.observeSimThroughput(res.Cycles+cfg.FastForward, elapsed.Nanoseconds())
-	resp := &runResponse{
-		Key:     key,
-		Request: req,
-		Result:  res,
-		Report:  simrun.Report(cfg, res, simrun.ReportOptions{}),
-		Digest:  simrun.ResultDigest(res),
-	}
+	resp := resultstore.NewEntry(key, req, cfg, res)
 	s.store.Put(resp)
 	s.flights.finish(key, f, resp, nil)
 }

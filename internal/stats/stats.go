@@ -23,17 +23,15 @@ type Job struct {
 }
 
 // RunnerJobs converts simulation jobs into runner jobs: each builds a
-// simulator and runs it, keyed by job name + config hash so checkpoint
-// resume only ever satisfies identical work. The config rides along as
-// the job payload so a non-local runner.Executor (internal/fleet) can
-// ship it to a remote backend instead of calling Run.
+// simulator and runs it. The config rides along as the job payload so
+// a non-local runner.Executor (internal/fleet) can ship it to a remote
+// backend instead of calling Run.
 func RunnerJobs(jobs []Job) []runner.Job[core.Result] {
 	rjobs := make([]runner.Job[core.Result], len(jobs))
 	for i, j := range jobs {
 		j := j
 		rjobs[i] = runner.Job[core.Result]{
 			Name:    j.Name,
-			Key:     runner.KeyOf(j.Name, j.Config),
 			Payload: j.Config,
 			Run: func(context.Context) (core.Result, error) {
 				// Multi-core configs fan out through internal/multicore;

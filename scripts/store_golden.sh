@@ -9,7 +9,11 @@
 #      out of the tiered store, and
 #   3. a background scrub pass over the warm store is a no-op: every
 #      entry re-verifies, nothing is quarantined, and a third sweep
-#      after the scrub is still byte-identical with zero simulations.
+#      after the scrub is still byte-identical with zero simulations,
+#   4. a sweep checkpoint is a store directory: a local
+#      `adts-sweep -checkpoint CK` run, served by a second
+#      `smtsimd -store-dir CK`, replays byte-identically through it with
+#      zero simulations.
 #
 # Run from the repo root: ./scripts/store_golden.sh
 set -euo pipefail
@@ -17,9 +21,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ADDR="127.0.0.1:18470"
+CK_ADDR="127.0.0.1:18471"
 STORE_DIR="$(mktemp -d)"
 OUT_DIR="$(mktemp -d)"
-trap 'kill "$DAEMON_PID" 2>/dev/null || true; wait "$DAEMON_PID" 2>/dev/null || true; rm -rf "$STORE_DIR" "$OUT_DIR"' EXIT
+DAEMON_PID="" CK_PID=""
+trap 'kill $DAEMON_PID $CK_PID 2>/dev/null || true; wait $DAEMON_PID $CK_PID 2>/dev/null || true; rm -rf "$STORE_DIR" "$OUT_DIR"' EXIT
 
 go build -o "$OUT_DIR/smtsimd" ./cmd/smtsimd/
 go build -o "$OUT_DIR/adts-sweep" ./cmd/adts-sweep/
@@ -29,20 +35,26 @@ go build -o "$OUT_DIR/adts-sweep" ./cmd/adts-sweep/
 "$OUT_DIR/smtsimd" -addr "$ADDR" -store-dir "$STORE_DIR" -scrub-interval 2s &
 DAEMON_PID=$!
 
-for i in $(seq 1 50); do
-    if curl -sf "http://$ADDR/healthz" >/dev/null 2>&1; then break; fi
-    [ "$i" = 50 ] && { echo "smtsimd never came up" >&2; exit 1; }
-    sleep 0.2
-done
+wait_up() {
+    for i in $(seq 1 50); do
+        if curl -sf "http://$1/healthz" >/dev/null 2>&1; then return 0; fi
+        sleep 0.2
+    done
+    echo "smtsimd at $1 never came up" >&2
+    exit 1
+}
+wait_up "$ADDR"
 
 sims() {
-    curl -sf "http://$ADDR/metrics" | awk '$1 == "smtsimd_simulations_total" {print $2}'
+    curl -sf "http://${1:-$ADDR}/metrics" | awk '$1 == "smtsimd_simulations_total" {print $2}'
 }
 
+# sweep [extra adts-sweep flags...] runs the fixed quick sweep, through
+# the first daemon unless the flags say otherwise.
 sweep() {
+    [ $# -gt 0 ] || set -- -backends "$ADDR" -batch -peer-lookup
     "$OUT_DIR/adts-sweep" -table1 -quanta 4 -intervals 1 \
-        -mixes kitchen-sink,int-memory,mixed-lowipc \
-        -backends "$ADDR" -batch -peer-lookup -json
+        -mixes kitchen-sink,int-memory,mixed-lowipc -json "$@"
 }
 
 echo "== pass 1 (cold store) =="
@@ -104,3 +116,26 @@ if [ "$AFTER3" -ne "$AFTER1" ]; then
     exit 1
 fi
 echo "OK: scrub over the warm store was a no-op; third pass byte-identical with zero simulations"
+
+echo "== checkpoint directory served as a store =="
+CK="$OUT_DIR/ckpt"
+sweep -checkpoint "$CK" > "$OUT_DIR/local.json"
+if ! diff -u "$OUT_DIR/pass1.json" "$OUT_DIR/local.json"; then
+    echo "FAIL: local checkpointed sweep diverges from the daemon sweep" >&2
+    exit 1
+fi
+"$OUT_DIR/smtsimd" -addr "$CK_ADDR" -store-dir "$CK" &
+CK_PID=$!
+wait_up "$CK_ADDR"
+sweep -backends "$CK_ADDR" -batch -peer-lookup > "$OUT_DIR/ckpt.json"
+CK_SIMS="$(sims "$CK_ADDR")"
+echo "checkpoint store pass done: smtsimd_simulations_total=$CK_SIMS"
+if ! diff -u "$OUT_DIR/local.json" "$OUT_DIR/ckpt.json"; then
+    echo "FAIL: sweep through a daemon serving the checkpoint diverges from the local run" >&2
+    exit 1
+fi
+if [ "$CK_SIMS" -ne 0 ]; then
+    echo "FAIL: the daemon serving the checkpoint performed $CK_SIMS simulation(s); every run was already in it" >&2
+    exit 1
+fi
+echo "OK: checkpoint directory served as -store-dir, byte-identical with zero simulations"
