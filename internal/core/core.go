@@ -174,9 +174,23 @@ func (c Config) Validate() error {
 	if err := c.Machine.Validate(); err != nil {
 		return err
 	}
-	if c.Mode == ModeADTS {
+	switch c.Mode {
+	case ModeADTS:
 		if err := c.Detector.Validate(); err != nil {
 			return err
+		}
+	case ModeOracle:
+		// The oracle looks each candidate one detector quantum ahead.
+		if c.Detector.Quantum <= 0 {
+			return fmt.Errorf("core: oracle mode needs a positive Detector.Quantum, got %d", c.Detector.Quantum)
+		}
+		if c.OracleCandidates != nil && len(c.OracleCandidates) == 0 {
+			return fmt.Errorf("core: OracleCandidates is empty; omit it for the default candidates")
+		}
+		for _, p := range c.OracleCandidates {
+			if p >= policy.NumPolicies {
+				return fmt.Errorf("core: unknown oracle candidate %v", p)
+			}
 		}
 	}
 	return nil

@@ -45,6 +45,32 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestOracleConfigValidation: oracle configs that used to pass
+// Validate and then panic mid-run, or return a NaN result, are rejected
+// up front.
+func TestOracleConfigValidation(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		tweak func(*Config)
+		ok    bool
+	}{
+		{"default candidates", func(*Config) {}, true},
+		{"explicit candidates", func(c *Config) { c.OracleCandidates = []policy.Policy{policy.RR, policy.STALLCOUNT} }, true},
+		{"empty candidates", func(c *Config) { c.OracleCandidates = []policy.Policy{} }, false},
+		{"unknown candidate", func(c *Config) { c.OracleCandidates = []policy.Policy{policy.ICOUNT, policy.NumPolicies} }, false},
+		{"zero quantum", func(c *Config) { c.Detector.Quantum = 0 }, false},
+		{"negative quantum", func(c *Config) { c.Detector.Quantum = -8192 }, false},
+		{"zero quantum outside oracle mode", func(c *Config) { c.Mode = ModeFixed; c.Detector.Quantum = 0 }, true},
+	} {
+		cfg := DefaultConfig("kitchen-sink")
+		cfg.Threads, cfg.Mode = 2, ModeOracle
+		c.tweak(&cfg)
+		if err := cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
 func TestResultConsistency(t *testing.T) {
 	cfg := short("mixed-even-1")
 	sim, err := NewSimulator(cfg)

@@ -102,6 +102,7 @@ func (s *System) Profile() ([]Signature, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			defer core.CapturePanic(&errs[i])
 			cfg := s.cfg
 			cfg.Cores = 0
 			cfg.Allocation = ""
@@ -194,11 +195,15 @@ func (s *System) RunWithAssignment(assignment [][]int) (Result, error) {
 	// makes the reduction per-quantum (and keeps the door open for
 	// future quantum-granular reallocation) — correctness only needs
 	// the per-core runs to be independent, which they are.
-	parallelCores(len(sims), func(c int) { sims[c].Start() })
+	if err := parallelCores(len(sims), func(c int) { sims[c].Start() }); err != nil {
+		return Result{}, err
+	}
 	quantumIPC := make([]float64, s.cfg.Quanta)
 	perCoreQ := make([]float64, len(sims))
 	for q := 0; q < s.cfg.Quanta; q++ {
-		parallelCores(len(sims), func(c int) { perCoreQ[c] = sims[c].StepQuantum() })
+		if err := parallelCores(len(sims), func(c int) { perCoreQ[c] = sims[c].StepQuantum() }); err != nil {
+			return Result{}, err
+		}
 		for _, ipc := range perCoreQ {
 			quantumIPC[q] += ipc
 		}
@@ -333,15 +338,25 @@ func RunConfig(cfg core.Config) (core.Result, error) {
 
 // parallelCores runs f(0..n-1) on n goroutines and waits. The work per
 // call is a whole scheduling quantum (thousands of simulated cycles),
-// so goroutine overhead is noise.
-func parallelCores(n int, f func(c int)) {
+// so goroutine overhead is noise. A panic in f is recovered on its
+// goroutine and returned as a *core.PanicError (the lowest core's, if
+// several panic).
+func parallelCores(n int, f func(c int)) error {
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for c := 0; c < n; c++ {
 		go func(c int) {
 			defer wg.Done()
+			defer core.CapturePanic(&errs[c])
 			f(c)
 		}(c)
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

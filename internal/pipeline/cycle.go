@@ -128,6 +128,7 @@ func (m *Machine) peek(t *thread) {
 // mispredicted branch (the PC stream redirects), or at a syscall.
 // It returns the number of instructions fetched.
 func (m *Machine) fetchThread(t *thread, slots int) int {
+	m.progress++
 	pc := m.fetchPC(t)
 
 	// I-cache access for this block. The detector thread never reaches
@@ -369,6 +370,7 @@ func (m *Machine) dispatchOne(t *thread) bool {
 	// Pop from the fetch buffer.
 	t.ifqHead++
 	m.ifqTotal--
+	m.progress++
 	return true
 }
 
@@ -546,6 +548,7 @@ func (m *Machine) tryIssue(t *thread, e *robEntry, robIdx uint64) bool {
 	}
 	bi := uint64(e.completeAt) & (eventRing - 1)
 	m.events[bi] = append(m.events[bi], event{tid: int8(t.id), robIdx: robIdx, gen: e.gen})
+	m.progress++
 	t.st.Live.IQ--
 	t.st.Live.PreIssue--
 	// BRCOUNT, LDCOUNT and MEMCOUNT count instructions in the pre-issue
@@ -575,6 +578,9 @@ func (m *Machine) processCompletions() {
 	// by issue's resolution pass.
 	m.activeTids = m.activeTids[:0]
 	bucket := &m.events[uint64(m.now)&(eventRing-1)]
+	if len(*bucket) != 0 {
+		m.progress++
+	}
 	for _, ev := range *bucket {
 		t := m.threads[ev.tid]
 		e := t.entry(ev.robIdx)
@@ -786,6 +792,7 @@ func (m *Machine) drainBlockers() int {
 // commitEntry retires one instruction, updating architectural counters
 // and freeing its resources.
 func (m *Machine) commitEntry(t *thread, e *robEntry) {
+	m.progress++
 	c := &t.st.Cum
 	c.Committed++
 	switch e.inst.Class {

@@ -400,6 +400,12 @@ type Machine struct {
 	// and I-cache-block divisions to shifts when the configured sizes
 	// are powers of two (255 = not a power of two, divide).
 	fbShift, icShift uint8
+
+	// progress counts instruction movements: completion buckets, commits,
+	// issues, dispatches and fetch attempts. A cycle that leaves it
+	// unchanged was idle, and Run then tries to skip ahead. Only its
+	// change within one cycle matters, so copies and resets ignore it.
+	progress uint64
 }
 
 const doneRingShift = 11 // log2(doneRing)
@@ -737,10 +743,17 @@ func (m *Machine) AggregateIPC() float64 {
 	return float64(m.TotalCommitted()) / float64(m.now)
 }
 
-// Run advances the machine n cycles.
+// Run advances the machine n cycles. It leaves exactly the state n
+// Cycle calls would, but after a cycle in which nothing moved it jumps
+// over the idle stretch ahead in one step (see skipQuiescent).
 func (m *Machine) Run(n int64) {
-	for i := int64(0); i < n; i++ {
+	end := m.now + n
+	for m.now < end {
+		mark := m.progress
 		m.Cycle()
+		if m.progress == mark && m.now < end {
+			m.skipQuiescent(end)
+		}
 	}
 }
 

@@ -173,20 +173,22 @@ func TestWrongPathAblation(t *testing.T) {
 	}
 }
 
+// sysHeavy is a high-syscall synthetic profile that exercises the
+// drain path.
+var sysHeavy = &trace.Profile{
+	Name: "sysheavy", Class: "int",
+	Phases: []trace.Phase{{
+		Name: "main", MeanLen: 10000,
+		BranchFrac: 0.1, LoadFrac: 0.2, StoreFrac: 0.1, SyscallRate: 0.002,
+		DataFootprint: 64 << 10, SeqFrac: 0.5, StackFrac: 0.2, CodeWords: 2000,
+		BiasedW: 0.6, LoopW: 0.3, RandomW: 0.1, MeanDepDist: 5, DepProb: 0.7,
+	}},
+}
+
 func TestSyscallDrain(t *testing.T) {
-	// High-syscall synthetic profile to exercise the drain path.
-	prof := &trace.Profile{
-		Name: "sysheavy", Class: "int",
-		Phases: []trace.Phase{{
-			Name: "main", MeanLen: 10000,
-			BranchFrac: 0.1, LoadFrac: 0.2, StoreFrac: 0.1, SyscallRate: 0.002,
-			DataFootprint: 64 << 10, SeqFrac: 0.5, StackFrac: 0.2, CodeWords: 2000,
-			BiasedW: 0.6, LoopW: 0.3, RandomW: 0.1, MeanDepDist: 5, DepProb: 0.7,
-		}},
-	}
 	progs := []*trace.Program{
-		trace.NewProgram(prof, 0, 1),
-		trace.NewProgram(prof, 1, 1),
+		trace.NewProgram(sysHeavy, 0, 1),
+		trace.NewProgram(sysHeavy, 1, 1),
 	}
 	m := New(DefaultConfig(), progs, 1)
 	m.Run(60000)

@@ -432,3 +432,14 @@ func (s *Selector) Advance() {
 		s.rrCursor = (s.rrCursor + 1) % n
 	}
 }
+
+// AdvanceBy rotates the round-robin cursor k steps, as k Advance calls
+// would (the pipeline's skip over idle cycles).
+func (s *Selector) AdvanceBy(k int) {
+	if n := len(s.keys); n > 0 {
+		s.rrCursor = (s.rrCursor + k%n) % n
+	}
+}
+
+// Cursor returns the round-robin cursor.
+func (s *Selector) Cursor() int { return s.rrCursor }

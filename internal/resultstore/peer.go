@@ -61,8 +61,6 @@ func (p *PeerClient) Lookup(ctx context.Context, key string) (*Entry, bool) {
 	}
 
 	lctx, cancel := context.WithTimeout(ctx, p.cfg.Timeout)
-	defer cancel()
-
 	results := make(chan *Entry, len(p.cfg.Peers))
 	var wg sync.WaitGroup
 	for _, peer := range p.cfg.Peers {
@@ -72,11 +70,14 @@ func (p *PeerClient) Lookup(ctx context.Context, key string) (*Entry, bool) {
 			results <- p.fetch(lctx, base, key)
 		}(peer)
 	}
-	go func() { wg.Wait(); close(results) }()
+	// The first hit returns at once, but the losers' requests run on
+	// under the timeout rather than being cancelled: a cancelled request
+	// makes the transport drop its keep-alive connection, and the next
+	// lookup would pay a fresh dial to that peer.
+	go func() { wg.Wait(); cancel(); close(results) }()
 
 	for e := range results {
 		if e != nil {
-			cancel() // losers are abandoned
 			p.hits.Add(1)
 			return e, true
 		}

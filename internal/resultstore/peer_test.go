@@ -3,6 +3,7 @@ package resultstore
 import (
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -97,5 +98,41 @@ func TestPeerLookupSurvivesDeadAndSlowPeers(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("broken-pool lookup took %s, want ~timeout", elapsed)
+	}
+}
+
+// TestPeerLookupKeepsLoserConnections: when two peers both hold the
+// key, the slower one loses every lookup. Its request must be left to
+// finish, not cancelled, so its keep-alive connection survives and
+// later lookups reuse it instead of dialling again.
+func TestPeerLookupKeepsLoserConnections(t *testing.T) {
+	e := testEntry("cfg:1234123412341234", 4)
+	var dials atomic.Int64
+	peer := func(delay time.Duration) string {
+		ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			time.Sleep(delay)
+			json.NewEncoder(w).Encode(e)
+		}))
+		ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				dials.Add(1)
+			}
+		}
+		ts.Start()
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	p := NewPeerClient(PeerConfig{Peers: []string{peer(0), peer(5 * time.Millisecond)}})
+	const lookups = 50
+	for i := 0; i < lookups; i++ {
+		if _, ok := p.Lookup(context.Background(), e.Key); !ok {
+			t.Fatalf("lookup %d missed", i)
+		}
+		// Pace the lookups so the loser finishes before the next one,
+		// as it does when a simulation sits between two lookups.
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := dials.Load(); n > 4 {
+		t.Fatalf("%d lookups opened %d connections to 2 peers, want the first ones reused", lookups, n)
 	}
 }

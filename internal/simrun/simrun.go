@@ -237,18 +237,23 @@ func Run(ctx context.Context, cfg core.Config) (core.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return core.Result{}, err
 	}
+	// Each run goes on a goroutine of its own so ctx can abandon it. A
+	// panic there is recovered on that goroutine and returned as a
+	// *core.PanicError: no caller's recover could reach it.
+	type out struct {
+		res core.Result
+		err error
+	}
+	done := make(chan out, 1)
 	if cfg.Cores > 1 {
 		// Multi-core systems run through internal/multicore, which
 		// profiles (if the policy needs it), allocates threads to
 		// cores, and reduces per-core runs into one system Result.
-		type out struct {
-			res core.Result
-			err error
-		}
-		done := make(chan out, 1)
 		go func() {
-			res, err := multicore.RunConfig(cfg)
-			done <- out{res, err}
+			var o out
+			defer func() { done <- o }()
+			defer core.CapturePanic(&o.err)
+			o.res, o.err = multicore.RunConfig(cfg)
 		}()
 		select {
 		case o := <-done:
@@ -261,14 +266,22 @@ func Run(ctx context.Context, cfg core.Config) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
-	done := make(chan core.Result, 1)
-	go func() { done <- sim.Run() }()
+	go func() {
+		var o out
+		defer func() { done <- o }()
+		defer core.CapturePanic(&o.err)
+		o.res = sim.Run()
+	}()
 	select {
-	case res := <-done:
+	case o := <-done:
+		if o.err != nil {
+			// A panicked machine is in no state to be reused.
+			return core.Result{}, o.err
+		}
 		// The run completed, so nothing references the machine any
 		// more: recycle it for the next request of this geometry.
 		sim.Close()
-		return res, nil
+		return o.res, nil
 	case <-ctx.Done():
 		// The simulator has no preemption point; the goroutine finishes
 		// its (bounded) run and the buffered channel lets it exit. The

@@ -2,6 +2,7 @@ package simrun
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -183,6 +184,41 @@ func TestMultiCoreRequestErrors(t *testing.T) {
 	} {
 		if _, err := r.Config(); err == nil {
 			t.Errorf("Request %+v: want error, got nil", r)
+		}
+	}
+}
+
+// spinOnceCommitting is a detector kernel that halts on the dry run
+// (which sees zero IPC) but loops past dtvm.MaxSteps as soon as a
+// quantum commits anything, so the simulator panics mid-run.
+const spinOnceCommitting = `
+	loadc r1, ipc
+	loadi r2, 0
+	blt   r2, r1, spin
+	keep
+	halt
+spin:
+	jmp spin
+`
+
+// TestRunReturnsSimulationPanics: Run simulates on goroutines of its
+// own (one per single-core run; one per core under multicore), where no
+// caller can recover. A panic there must come back
+// as a *core.PanicError, not kill the process.
+func TestRunReturnsSimulationPanics(t *testing.T) {
+	kernel, err := dtvm.Assemble(spinOnceCommitting)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cores := range []int{0, 2} {
+		cfg := core.DefaultConfig("int-compute")
+		cfg.Threads, cfg.Cores, cfg.Quanta, cfg.FastForward = 4, cores, 2, 1024
+		cfg.Mode = core.ModeADTS
+		cfg.Kernel = kernel
+		_, err := Run(context.Background(), cfg)
+		var pe *core.PanicError
+		if !errors.As(err, &pe) || !strings.Contains(err.Error(), "detector kernel failed") {
+			t.Fatalf("cores=%d: Run err = %v, want a *core.PanicError from the kernel", cores, err)
 		}
 	}
 }

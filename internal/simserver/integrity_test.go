@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dtvm"
 	"repro/internal/simrun"
 )
 
@@ -91,6 +92,47 @@ func TestSimulationPanicBecomes500AndDaemonSurvives(t *testing.T) {
 	resp, body = postRun(t, ts.URL, `{"mix":"int-compute","threads":2,"quanta":2,"seed":7}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-panic run status = %d, want 200 (body %s)", resp.StatusCode, body)
+	}
+}
+
+// TestSimrunPanicBecomes500AndDaemonSurvives: with the real runner, a
+// simulation panics on a goroutine simrun.Run starts, out of runSafe's
+// reach. simrun hands it back as a *core.PanicError, and the daemon
+// answers 500, counts the panic and keeps serving.
+func TestSimrunPanicBecomes500AndDaemonSurvives(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+
+	// The kernel halts on the dry run (zero IPC) and loops past
+	// dtvm.MaxSteps once a quantum commits anything.
+	kernel, err := dtvm.Assemble("loadc r1, ipc\nloadi r2, 0\nblt r2, r1, spin\nkeep\nhalt\nspin:\njmp spin\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig("int-compute")
+	cfg.Threads, cfg.Quanta, cfg.FastForward = 2, 2, 1024
+	cfg.Mode, cfg.Kernel = core.ModeADTS, kernel
+	body, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, raw := postRunCfg(t, ts.URL, body)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(raw), "panic") {
+		t.Fatalf("panicking run: status %d body %s, want a 500 naming the panic", resp.StatusCode, raw)
+	}
+	if got := scrapeMetric(t, ts.URL, "smtsimd_panics_total"); got != "1" {
+		t.Fatalf("smtsimd_panics_total = %q, want 1", got)
+	}
+
+	cfg.Kernel = nil
+	body, err = json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, raw := postRunCfg(t, ts.URL, body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-panic run status = %d, want 200 (body %s)", resp.StatusCode, raw)
 	}
 }
 

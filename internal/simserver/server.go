@@ -420,15 +420,19 @@ func (s *Server) execute(key string, f *flight, req simrun.Request, cfg core.Con
 // runs detached from any request goroutine, so the HTTP middleware
 // cannot catch a panic here — without this recover, one poisoned config
 // would kill the whole daemon instead of failing one flight with a 500.
-func (s *Server) runSafe(ctx context.Context, cfg core.Config) (res core.Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			s.metrics.panics.Add(1)
-			fmt.Fprintf(os.Stderr, "simserver: panic in simulation: %v\n%s", v, debug.Stack())
-			res, err = core.Result{}, fmt.Errorf("simserver: simulation panic: %v", v)
-		}
+// simrun.Run simulates on goroutines of its own and hands their panics
+// back as *core.PanicError; those count the same way.
+func (s *Server) runSafe(ctx context.Context, cfg core.Config) (core.Result, error) {
+	res, err := func() (res core.Result, err error) {
+		defer core.CapturePanic(&err)
+		return s.cfg.Run(ctx, cfg)
 	}()
-	return s.cfg.Run(ctx, cfg)
+	if pe := (*core.PanicError)(nil); errors.As(err, &pe) {
+		s.metrics.panics.Add(1)
+		fmt.Fprintf(os.Stderr, "simserver: panic in simulation: %v\n%s", pe.Value, pe.Stack)
+		return core.Result{}, fmt.Errorf("simserver: %w", pe)
+	}
+	return res, err
 }
 
 // replyError maps a flight failure to an HTTP status.
