@@ -8,12 +8,13 @@ all: build vet test
 
 # PR gate: vet + full build + race-checked tests for the concurrent
 # runner, the simulation service, the tiered result store, the fleet
-# client, the multi-core system (parallel per-quantum core loop), and
-# their callers, plus the chaos fault-injection e2e suite.
+# client, the multi-core system (parallel per-quantum core loop), the
+# machine shell pool (its pristine shells are shared across goroutines)
+# and their callers, plus the chaos fault-injection e2e suite.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
-	$(GO) test -race ./internal/runner ./internal/stats ./internal/simrun ./internal/resultstore ./internal/simserver ./internal/fleet ./internal/multicore
+	$(GO) test -race ./internal/runner ./internal/stats ./internal/simrun ./internal/resultstore ./internal/simserver ./internal/fleet ./internal/multicore ./internal/pipeline ./internal/core
 	$(MAKE) chaos
 
 # Chaos suite: deterministic fault injection end to end (docs/chaos.md).

@@ -15,15 +15,16 @@
 //
 // -store-dir enables the content-addressed disk tier: results survive
 // restarts, and a warm daemon answers repeated sweeps without running a
-// single simulation. -peers names the rest of the fleet and turns on
-// the self-healing machinery: anti-entropy replication (each daemon
-// pulls the results its peers hold and it lacks, so a fleet whose
-// daemons list each other converges on every result) and peer repair
-// for the background integrity scrubber (-scrub-interval), which
-// re-verifies every stored entry and quarantines bit rot. Classified
-// disk faults (full, read-only, permission, I/O) degrade the store to
-// readonly or memory-only instead of failing requests; /healthz reports
-// store_state so fleet dispatch weights away from degraded daemons.
+// single simulation. The background integrity scrubber
+// (-scrub-interval) re-verifies every stored entry and quarantines bit
+// rot. -peers names the rest of the fleet and turns on anti-entropy
+// replication: each daemon pulls the results its peers hold and it
+// lacks, so a fleet whose daemons list each other converges on every
+// result, and an entry the scrubber quarantined is pulled again within
+// one -sync-interval. Classified disk faults (full, read-only,
+// permission, I/O) degrade the store to readonly or memory-only instead
+// of failing requests; /healthz reports store_state so fleet dispatch
+// weights away from degraded daemons.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the
 // listener stops, active requests and in-flight simulations drain
@@ -62,10 +63,9 @@ func main() {
 		storeMax = flag.Int64("store-max-bytes", 256<<20, "disk store size bound before oldest-access eviction")
 		quarMax  = flag.Int64("quarantine-max-bytes", resultstore.DefaultQuarantineMaxBytes, "quarantine directory size bound; oldest quarantined files age out past it")
 
-		peersF      = flag.String("peers", "", "comma-separated peer smtsimd base URLs for anti-entropy replication and scrub repair")
-		peerTimeout = flag.Duration("peer-timeout", resultstore.DefaultPeerTimeout, "budget for one whole peer lookup across all peers")
-		syncEvery   = flag.Duration("sync-interval", resultstore.DefaultReplicateInterval, "with -peers: anti-entropy replication round period")
-		scrubEvery  = flag.Duration("scrub-interval", resultstore.DefaultScrubInterval, "with -store-dir: background integrity scrub period (0 disables)")
+		peersF     = flag.String("peers", "", "comma-separated peer smtsimd base URLs for anti-entropy replication (which also refills entries the scrubber quarantined)")
+		syncEvery  = flag.Duration("sync-interval", resultstore.DefaultReplicateInterval, "with -peers: anti-entropy replication round period")
+		scrubEvery = flag.Duration("scrub-interval", resultstore.DefaultScrubInterval, "with -store-dir: background integrity scrub period (0 disables)")
 
 		version = flag.Bool("version", false, "print version and exit")
 	)
@@ -92,31 +92,26 @@ func main() {
 		store = resultstore.NewTiered(resultstore.NewMemory(*cache), disk)
 	}
 
-	// Self-healing machinery. -peers names the rest of the fleet: the
-	// replicator pulls every result a peer holds and this daemon lacks,
-	// and the peers give the scrubber somewhere to repair bit-rotted
-	// entries from.
-	// The daemon's own request path never fans out to peers (that would
-	// recurse across the fleet); replication converges the stores in the
-	// background instead.
+	// Self-healing machinery. The scrubber quarantines bit-rotted
+	// entries; -peers names the rest of the fleet, and the replicator
+	// pulls every result a peer holds and this daemon lacks, quarantined
+	// keys included. The daemon's own request path never fans out to
+	// peers (that would recurse across the fleet); replication converges
+	// the stores in the background instead.
 	var (
-		peerSrc    resultstore.PeerLookup
 		scrubber   *resultstore.Scrubber
 		replicator *resultstore.Replicator
-		cfgTimeout time.Duration
 	)
 	if *peersF != "" {
-		src, err := fleet.NewPeerLookup(strings.Split(*peersF, ","), *peerTimeout)
+		peers, err := fleet.NormalizeURLs(strings.Split(*peersF, ","))
 		if err != nil {
 			fatal(fmt.Errorf("parsing -peers: %w", err))
 		}
-		peerSrc = src
-		cfgTimeout = *peerTimeout
 		if store == nil {
 			store = resultstore.NewTiered(resultstore.NewMemory(*cache), nil)
 		}
 		replicator = resultstore.NewReplicator(store, resultstore.ReplicateConfig{
-			Peers:    src.Peers(),
+			Peers:    peers,
 			Interval: *syncEvery,
 			Log:      os.Stderr,
 		})
@@ -124,7 +119,6 @@ func main() {
 	if *storeDir != "" && *scrubEvery > 0 {
 		scrubber = resultstore.NewScrubber(store, resultstore.ScrubConfig{
 			Interval: *scrubEvery,
-			Source:   peerSrc, // nil without -peers: detect + quarantine, no repair
 			Log:      os.Stderr,
 		})
 	}
@@ -136,7 +130,6 @@ func main() {
 		RunTimeout:   *timeout,
 		RetryAfter:   *retry,
 		Store:        store,
-		PeerTimeout:  cfgTimeout,
 		Scrubber:     scrubber,
 		Replicator:   replicator,
 	})

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
@@ -74,9 +73,10 @@ func TestFleetHealsRottedAndFullStores(t *testing.T) {
 	daemons := []*healDaemon{healthy, rotted, filled}
 
 	// Self-healing wiring: each daemon replicates with the other two
-	// (factor 3 = every daemon holds every result) and scrubs with the
-	// fleet as its repair source. SyncOnce/ScrubOnce are driven by hand
-	// for deterministic convergence instead of waiting on tickers.
+	// (factor 3 = every daemon holds every result) and scrubs its own
+	// disk; replication refills whatever a scrub quarantines.
+	// SyncOnce/ScrubOnce are driven by hand for deterministic
+	// convergence instead of waiting on tickers.
 	for i, d := range daemons {
 		var others []string
 		for j, o := range daemons {
@@ -84,11 +84,7 @@ func TestFleetHealsRottedAndFullStores(t *testing.T) {
 				others = append(others, o.url)
 			}
 		}
-		src, err := fleet.NewPeerLookup(others, 500*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.scrub = resultstore.NewScrubber(d.store, resultstore.ScrubConfig{Pace: -1, Source: src})
+		d.scrub = resultstore.NewScrubber(d.store, resultstore.ScrubConfig{Pace: -1})
 		d.repl = resultstore.NewReplicator(d.store, resultstore.ReplicateConfig{Peers: others, Pace: -1})
 	}
 
@@ -155,7 +151,7 @@ func TestFleetHealsRottedAndFullStores(t *testing.T) {
 
 	// Bit-rot three of the rotted daemon's entry files and evict the
 	// same keys from its RAM, so serving them genuinely requires the
-	// scrub-quarantine-repair path.
+	// scrub-quarantine-pull path.
 	names, err := filepath.Glob(filepath.Join(rotted.dir, "*.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -178,18 +174,23 @@ func TestFleetHealsRottedAndFullStores(t *testing.T) {
 		t.Fatalf("rotted %d entry files, want 3 (store holds %d files)", len(rotKeys), len(names))
 	}
 
-	// Scrub detects every flipped bit, quarantines the file, and heals
-	// it from a peer — the store converges without losing a single key.
+	// Scrub detects every flipped bit and quarantines the file, which
+	// drops its key from the local manifest; the next pull round fetches
+	// exactly those keys from a peer — the store converges without
+	// losing a single key.
 	srep := rotted.scrub.ScrubOnce(ctx)
-	if srep.Corrupt != 3 || srep.Repaired != 3 || srep.RepairFailed != 0 {
-		t.Fatalf("scrub pass = %+v, want 3 corrupt, 3 repaired", srep)
+	if srep.Corrupt != 3 {
+		t.Fatalf("scrub pass = %+v, want 3 corrupt", srep)
 	}
 	if q := rotted.disk.Quarantines(); q != 3 {
 		t.Fatalf("Quarantines = %d, want 3", q)
 	}
+	if rep := rotted.repl.SyncOnce(ctx); rep.Pulled != 3 || rep.PullErrors != 0 || rep.PeerErrors != 0 {
+		t.Fatalf("refill round = %+v, want 3 pulled", rep)
+	}
 	for _, key := range rotKeys {
 		if _, ok := rotted.disk.Get(key); !ok {
-			t.Fatalf("repaired key %s does not serve from disk", key)
+			t.Fatalf("refilled key %s does not serve from disk", key)
 		}
 	}
 

@@ -1,14 +1,18 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
-	"reflect"
 	"testing"
 
+	"repro/internal/branch"
 	"repro/internal/detector"
 	"repro/internal/dtvm"
 	"repro/internal/pipeline"
 	"repro/internal/policy"
+	"repro/internal/rng"
+	"repro/internal/trace"
 )
 
 func short(mix string) Config {
@@ -293,51 +297,95 @@ func TestKernelDryRunCatchesBrokenKernels(t *testing.T) {
 	}
 }
 
+// pooledSweepConfigs draws the pooled-vs-fresh harness's seeded random
+// valid single-core configs: ten machine geometries (every predictor
+// kind twice; 1, 2, 4 and 8 threads) with three configs each, cycling
+// through fixed (random policy), ADTS Types 1–4 (and 3'), learned and
+// oracle modes over random mixes, seeds and thresholds. Configs of one
+// geometry run back to back, so each draws the shells its predecessors
+// released.
+func pooledSweepConfigs() []Config {
+	kinds := []branch.Kind{branch.KindHybrid, branch.KindBimodal, branch.KindGShare, branch.KindLocal, branch.KindTaken}
+	threads := []int{1, 2, 4, 8}
+	mixes := trace.Mixes()
+	pols := policy.All()
+	modes := []func(*Config, *rng.PRNG){
+		func(c *Config, r *rng.PRNG) { c.FixedPolicy = pols[r.Intn(len(pols))] },
+	}
+	for _, h := range append(detector.AllHeuristics(), detector.Learned) {
+		modes = append(modes, func(c *Config, r *rng.PRNG) {
+			c.Mode = ModeADTS
+			c.Detector.Heuristic = h
+			c.Detector.IPCThreshold = float64(1 + r.Intn(3))
+		})
+	}
+	modes = append(modes, func(c *Config, _ *rng.PRNG) { c.Mode = ModeOracle })
+
+	r := rng.New(18)
+	var cfgs []Config
+	for g := 0; g < 10; g++ {
+		n := threads[(g+g/5)%len(threads)]
+		for k := 0; k < 3; k++ {
+			cfg := DefaultConfig(mixes[r.Intn(len(mixes))].Name)
+			cfg.Threads = n
+			cfg.Seed = 1 + r.Uint64n(1000)
+			cfg.Machine.PredictorKind = kinds[g%len(kinds)]
+			cfg.Detector = detector.DefaultConfig(n)
+			cfg.Detector.Quantum = 4096
+			cfg.FastForward = 2048
+			cfg.Quanta = 3
+			modes[len(cfgs)%len(modes)](&cfg, &r)
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	return cfgs
+}
+
 // TestPooledSweepMatchesFresh pins the path every sweep runs: a
-// sequence of same-geometry configs through NewSimulator/Run/Close (as
-// stats.RunnerJobs does), so each run after the first draws machine
-// shells that an earlier run released. The oracle runs put their pooled
-// scratch shells into the rotation too. Every Result must equal that of
-// the same config run on a drained pool.
+// sequence of configs through NewSimulator/StepQuantum/Close (as
+// stats.RunnerJobs does), so each run after the first of its geometry
+// draws a machine shell that an earlier run released. The oracle runs
+// put their pooled scratch shells into the rotation too. Every Result
+// must be JSON byte-equal to that of the same config run on a drained
+// pool, and the machine must pass CheckInvariants after every quantum.
 func TestPooledSweepMatchesFresh(t *testing.T) {
-	run := func(cfg Config) Result {
+	run := func(i int, cfg Config) []byte {
 		t.Helper()
 		sim, err := NewSimulator(cfg)
 		if err != nil {
+			t.Fatalf("config %d: %v", i, err)
+		}
+		sim.Start()
+		for q := 0; q < cfg.Quanta; q++ {
+			sim.StepQuantum()
+			if err := sim.Machine().CheckInvariants(); err != nil {
+				t.Fatalf("config %d quantum %d: %v", i, q, err)
+			}
+		}
+		res := sim.Finish()
+		sim.Close()
+		b, err := json.Marshal(res)
+		if err != nil {
 			t.Fatal(err)
 		}
-		res := sim.Run()
-		sim.Close()
-		return res
+		return b
 	}
-	base := short("mixed-lowipc")
-	base.Quanta = 3
-	fixed := func(p policy.Policy) Config {
-		cfg := base
-		cfg.FixedPolicy = p
-		return cfg
-	}
-	adts := base
-	adts.Mode = ModeADTS
-	adts.Detector.Heuristic = detector.Type3
-	orc := base
-	orc.Mode = ModeOracle
-	cfgs := []Config{fixed(policy.ICOUNT), orc, fixed(policy.BRCOUNT), adts, orc, fixed(policy.ICOUNT)}
+	cfgs := pooledSweepConfigs()
 
 	pipeline.DrainPools()
 	defer pipeline.DrainPools()
-	swept := make([]Result, len(cfgs))
+	swept := make([][]byte, len(cfgs))
 	for i, cfg := range cfgs {
-		swept[i] = run(cfg)
+		swept[i] = run(i, cfg)
 	}
 	if pipeline.PoolCount() == 0 {
 		t.Fatal("sweep left no pooled shells: the pooled path was not exercised")
 	}
 	for i, cfg := range cfgs {
 		pipeline.DrainPools()
-		if fresh := run(cfg); !reflect.DeepEqual(swept[i], fresh) {
-			t.Fatalf("config %d (%s): pooled result diverged from fresh\npooled: IPC=%v committed=%d\nfresh:  IPC=%v committed=%d",
-				i, cfg.Mode, swept[i].AggregateIPC, swept[i].Committed, fresh.AggregateIPC, fresh.Committed)
+		if fresh := run(i, cfg); !bytes.Equal(swept[i], fresh) {
+			t.Fatalf("config %d (%s %s, %d threads, predictor %q): pooled result diverged from fresh\npooled: %s\nfresh:  %s",
+				i, cfg.Mode, cfg.MixName, cfg.Threads, cfg.Machine.PredictorKind, swept[i], fresh)
 		}
 	}
 }

@@ -33,9 +33,9 @@ type backend struct {
 	store   string // backend-reported store_state ("" = not reported)
 }
 
-// normalizeURLs accepts "host:port" addresses or full URLs and returns
+// NormalizeURLs accepts "host:port" addresses or full URLs and returns
 // base URLs without a trailing slash, dropping duplicates in order.
-func normalizeURLs(addrs []string) ([]string, error) {
+func NormalizeURLs(addrs []string) ([]string, error) {
 	var urls []string
 	seen := make(map[string]bool)
 	for _, s := range addrs {

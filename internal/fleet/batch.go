@@ -21,7 +21,7 @@ import (
 // and treats all failures as misses, so it is safe to consult before
 // every dispatch.
 func NewPeerLookup(backends []string, timeout time.Duration) (*resultstore.PeerClient, error) {
-	urls, err := normalizeURLs(backends)
+	urls, err := NormalizeURLs(backends)
 	if err != nil {
 		return nil, err
 	}

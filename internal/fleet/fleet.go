@@ -197,7 +197,7 @@ func New(cfg Config) (*Client, error) {
 	if c.http == nil {
 		c.http = &http.Client{}
 	}
-	urls, err := normalizeURLs(cfg.Backends)
+	urls, err := NormalizeURLs(cfg.Backends)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/branch"
+	"repro/internal/policy"
 	"repro/internal/trace"
 )
 
@@ -52,9 +53,10 @@ func TestCloneAllocationsBounded(t *testing.T) {
 }
 
 // TestAcquireResetMatchesNew is the property machine pooling rests on:
-// a recycled shell, Reset to a workload, must replay byte-identically
-// to a freshly constructed machine — even when the shell previously ran
-// a different workload, seed and policy, and for every predictor kind.
+// a released shell, acquired for a new workload, must replay
+// byte-identically to a freshly constructed machine — even when the
+// shell previously ran a different workload, seed and policy, and for
+// every predictor kind.
 func TestAcquireResetMatchesNew(t *testing.T) {
 	for _, kind := range predictorKinds {
 		t.Run(string(kind), func(t *testing.T) { testAcquireResetMatchesNew(t, kind) })
@@ -62,6 +64,8 @@ func TestAcquireResetMatchesNew(t *testing.T) {
 }
 
 func testAcquireResetMatchesNew(t *testing.T, kind branch.Kind) {
+	DrainPools()
+	defer DrainPools()
 	mixA, _ := trace.MixByName("kitchen-sink")
 	progsA, err := mixA.Programs(8, 7)
 	if err != nil {
@@ -84,24 +88,24 @@ func testAcquireResetMatchesNew(t *testing.T, kind branch.Kind) {
 	fresh := New(cfg, progsB1, 3)
 	fresh.Run(30000)
 
-	// Dirty a shell thoroughly on workload A, then reset it to B.
-	recycled := New(cfg, progsA, 7)
-	recycled.Run(25000)
-	recycled.Reset(progsB2, 3)
+	// Dirty a shell thoroughly on workload A, release it, then acquire
+	// it for B.
+	dirty := New(cfg, progsA, 7)
+	dirty.SetPolicy(policy.BRCOUNT)
+	dirty.Run(25000)
+	Release(dirty)
+	recycled := Acquire(cfg, progsB2, 3)
+	if recycled != dirty {
+		t.Fatal("Acquire built a new machine while the pool held a shell of its geometry")
+	}
 	recycled.Run(30000)
 
 	if fresh.TotalCommitted() != recycled.TotalCommitted() {
-		t.Fatalf("reset shell diverged from fresh machine: %d vs %d committed",
+		t.Fatalf("reused shell diverged from fresh machine: %d vs %d committed",
 			fresh.TotalCommitted(), recycled.TotalCommitted())
 	}
-	for i := 0; i < fresh.NumThreads(); i++ {
-		if fresh.State(i).Cum != recycled.State(i).Cum {
-			t.Fatalf("thread %d: counters diverged:\nfresh    %+v\nrecycled %+v",
-				i, fresh.State(i).Cum, recycled.State(i).Cum)
-		}
-		if fresh.State(i).Live != recycled.State(i).Live {
-			t.Fatalf("thread %d: gauges diverged", i)
-		}
+	if a, b := snapshot(fresh), snapshot(recycled); a != b {
+		t.Fatalf("reused shell diverged from fresh machine:\nfresh    %+v\nrecycled %+v", a, b)
 	}
 	if err := recycled.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -228,18 +228,6 @@ func (q *issueQ) purgeThread(tid int, after uint64, all bool) {
 	}
 }
 
-// reset empties the queue without releasing its storage.
-func (q *issueQ) reset() {
-	for i := range q.occ {
-		q.occ[i] = 0
-	}
-	for i := range q.unresW {
-		q.unresW[i] = 0
-	}
-	q.tail = 0
-	q.count = 0
-}
-
 // copyFrom overwrites q's contents with src's. Physical geometries match
 // because both queues were built from the same Config.
 func (q *issueQ) copyFrom(src *issueQ) {
@@ -320,8 +308,10 @@ func (t *thread) copyFrom(src *thread) {
 	copy(t.rob, src.rob)
 	copy(t.doneAt, src.doneAt)
 	copy(t.ifq, src.ifq)
-	t.progVal = *src.prog
-	t.prog = &t.progVal
+	if src.prog != nil { // a pristine shell has no program yet
+		t.progVal = *src.prog
+		t.prog = &t.progVal
+	}
 }
 
 // DTStats reports the detector-thread cost model's bookkeeping.
@@ -404,7 +394,7 @@ type Machine struct {
 	// progress counts instruction movements: completion buckets, commits,
 	// issues, dispatches and fetch attempts. A cycle that leaves it
 	// unchanged was idle, and Run then tries to skip ahead. Only its
-	// change within one cycle matters, so copies and resets ignore it.
+	// change within one cycle matters, so copies ignore it.
 	progress uint64
 }
 
@@ -539,69 +529,6 @@ func (m *Machine) attach(progs []*trace.Program, seed uint64) {
 	}
 }
 
-// Reset restores the machine to the state New(m.Config(), progs, seed)
-// would construct, reusing every allocation. A reset machine replays the
-// exact cycle-for-cycle behaviour of a freshly built one; machine pools
-// rely on that equivalence.
-func (m *Machine) Reset(progs []*trace.Program, seed uint64) {
-	if len(progs) != len(m.threads) {
-		panic("pipeline: Reset with mismatched program count")
-	}
-	m.now = 0
-	m.sel.Reset(m.cfg.InitialPolicy)
-	if !branch.ResetPredictor(m.pred) {
-		m.pred = newPredictor(m.cfg, len(m.threads))
-		m.predHybrid, _ = m.pred.(*branch.Hybrid)
-	}
-	m.btb.Reset()
-	m.hier.Reset()
-
-	m.intIQ.reset()
-	m.fpIQ.reset()
-	for i := range m.lastDone {
-		m.lastDone[i] = 0
-	}
-	m.ifqTotal = 0
-	m.lsqUsed = 0
-	m.dMissTotal = 0
-	m.intRegsUsed = 0
-	m.fpRegsUsed = 0
-	for k := range m.fuBusy {
-		for u := range m.fuBusy[k] {
-			m.fuBusy[k][u] = 0
-		}
-	}
-	for i := range m.events {
-		m.events[i] = m.events[i][:0]
-	}
-	m.commitCursor = 0
-	m.renameCursor = 0
-	m.draining = false
-	m.drainTid = 0
-	m.dtToFetch = 0
-	m.dtToIssue = 0
-	m.dtSwitchArmed = false
-	m.dtSwitchTo = 0
-	m.dtJobStart = 0
-	m.dtStats = DTStats{}
-
-	for _, t := range m.threads {
-		rob, done, ifq := t.rob, t.doneAt, t.ifq
-		id, robMask, ifqMask := t.id, t.robMask, t.ifqMask
-		*t = thread{}
-		t.id = id
-		t.rob, t.robMask = rob, robMask
-		t.doneAt = done
-		t.ifq, t.ifqMask = ifq, ifqMask
-		// The done ring must be clean: ready() consults it for any
-		// dependency inside the window, and a fresh machine sees zeroes.
-		for i := range t.doneAt {
-			t.doneAt[i] = 0
-		}
-	}
-	m.attach(progs, seed)
-}
-
 // Clone returns an independent deep copy. The clone and the original
 // diverge only through future SetPolicy / flag calls — identical inputs
 // replay identical cycles (the oracle scheduler depends on this). The
@@ -609,7 +536,7 @@ func (m *Machine) Reset(progs []*trace.Program, seed uint64) {
 // available, so a clone handed back with Release costs no construction
 // the next time.
 func (m *Machine) Clone() *Machine {
-	nm := takeShell(shellKey{m.cfg, len(m.threads)})
+	nm, _ := takeShell(shellKey{m.cfg, len(m.threads)}, false)
 	if nm == nil {
 		nm = newShell(m.cfg, len(m.threads))
 	}
@@ -619,9 +546,10 @@ func (m *Machine) Clone() *Machine {
 
 // CloneInto overwrites dst — a machine of identical geometry, typically
 // a previous Clone — with a deep copy of m, reusing all of dst's
-// storage. It is the oracle's scratch path: per-candidate lookahead with
-// zero steady-state allocation. dst's programs become machine-owned
-// copies; the source machine is never aliased.
+// storage. It is the oracle's scratch path (per-candidate lookahead with
+// zero steady-state allocation) and Acquire's restore path (copying a
+// never-run pristine shell over a pooled one). dst's programs become
+// machine-owned copies; the source machine is never aliased or written.
 func (m *Machine) CloneInto(dst *Machine) {
 	if dst == m {
 		panic("pipeline: CloneInto self")

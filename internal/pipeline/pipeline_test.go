@@ -65,8 +65,8 @@ func TestDeterminism(t *testing.T) {
 }
 
 // predictorKinds lists every branch.Kind a Config can name, so the
-// copy and reset paths are exercised for each arm of CopyPredictor and
-// ResetPredictor.
+// clone and pooled-reuse paths are exercised for each arm of
+// CopyPredictor.
 var predictorKinds = []branch.Kind{branch.KindHybrid, branch.KindBimodal, branch.KindGShare, branch.KindLocal, branch.KindTaken}
 
 // TestCloneEquivalence is the property the oracle depends on: a clone

@@ -143,17 +143,6 @@ func (s *Selector) Policy() Policy { return s.policy }
 // Policy_Switch action).
 func (s *Selector) SetPolicy(p Policy) { s.policy = p }
 
-// Reset restores the selector to its just-constructed state under pol,
-// without allocating. Machine pooling uses it.
-func (s *Selector) Reset(pol Policy) {
-	s.policy = pol
-	s.rrCursor = 0
-	for i := range s.keys {
-		s.keys[i] = 0
-		s.order[i] = 0
-	}
-}
-
 // CopyFrom overwrites s's state with src's without allocating. The two
 // selectors must cover the same number of contexts.
 func (s *Selector) CopyFrom(src *Selector) {

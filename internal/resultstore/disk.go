@@ -400,8 +400,8 @@ func (d *Disk) Get(key string) (*Entry, bool) {
 // Check re-reads and re-verifies one entry without promoting its
 // access clock — the scrubber's read path, so background integrity
 // sweeps do not perturb LRU eviction order. A corrupt entry is
-// quarantined and reported as ErrCorrupt (the repair path re-fetches
-// it from a peer); a missing entry is os.ErrNotExist; a degraded tier
+// quarantined and reported as ErrCorrupt (its key leaves the manifest,
+// so a replication pull refills it); a missing entry is os.ErrNotExist; a degraded tier
 // is ErrDegraded.
 func (d *Disk) Check(key string) error {
 	if !ValidKey(key) {

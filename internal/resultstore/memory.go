@@ -68,7 +68,7 @@ func (c *Memory) Put(e *Entry) {
 	}
 }
 
-// Remove drops an entry if present (used by tests and repair paths).
+// Remove drops an entry if present (used by tests).
 func (c *Memory) Remove(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

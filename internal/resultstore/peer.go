@@ -16,8 +16,7 @@ import (
 // passes no budget. Peer lookups are an optimization on the way to a
 // simulation, so the default is deliberately tight: a slow peer must
 // never cost more than the simulation it would have saved. Deployments
-// with slower networks raise it (-peer-timeout on smtsimd and
-// adts-sweep).
+// with slower networks raise it (adts-sweep -peer-timeout).
 const DefaultPeerTimeout = 500 * time.Millisecond
 
 // PeerConfig tunes a PeerClient. Zero values select the documented
@@ -33,8 +32,7 @@ type PeerConfig struct {
 
 // PeerClient is the cross-daemon read: GET /v1/result/{key} against
 // every peer in parallel, first verified hit wins. The fleet client
-// asks it once per config before dispatching, and the scrubber asks it
-// for a replacement of each rotted entry. All failures — timeouts,
+// asks it once per config before dispatching. All failures — timeouts,
 // resets, corrupt bodies, digest mismatches — are misses; chaos on the
 // peer path can cost latency, never correctness.
 type PeerClient struct {

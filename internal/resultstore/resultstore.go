@@ -12,10 +12,12 @@
 //
 // A store never reads from another daemon on its request path.
 // Results cross daemons only over the digest-verified
-// GET /v1/result/{key} endpoint, by three callers: the fleet client's
-// pre-dispatch lookup (PeerClient), the background anti-entropy
-// Replicator (which learns what to pull from GET /v1/store/manifest),
-// and the Scrubber's repair of rotted entries.
+// GET /v1/result/{key} endpoint, by two callers: the fleet client's
+// pre-dispatch lookup (PeerClient) and the background anti-entropy
+// Replicator (which learns what to pull from GET /v1/store/manifest).
+// The Replicator is also how a daemon refills an entry its Scrubber
+// quarantined: the key drops out of the local manifest, so the next
+// pull round fetches it again.
 //
 // Simulations are deterministic functions of their config and results
 // are SHA-256-digested end to end (simrun.ResultDigest), so an entry
@@ -129,8 +131,7 @@ func ValidKey(key string) bool {
 }
 
 // PeerLookup is a fleet-wide best-effort lookup: the fleet client
-// consults one before dispatching a config, and the scrubber repairs
-// rotted entries from one. Implementations must digest-verify entries
+// consults one before dispatching a config. Implementations must digest-verify entries
 // before returning them and must treat every failure (timeout,
 // corruption, dead peer) as a miss.
 type PeerLookup interface {

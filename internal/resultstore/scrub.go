@@ -29,11 +29,6 @@ type ScrubConfig struct {
 	// Pace is the idle gap between per-entry checks; < 0 disables
 	// pacing, 0 selects DefaultScrubPace.
 	Pace time.Duration
-	// Source, when non-nil, is where corrupt entries are repaired from:
-	// the scrubber re-fetches a quarantined key from the fleet and
-	// re-persists it, turning detect-and-drop into detect-and-heal. Nil
-	// leaves corrupt entries quarantined (the next Get re-simulates).
-	Source PeerLookup
 	// Log receives per-pass summaries when anything was found; nil
 	// discards them.
 	Log io.Writer
@@ -41,29 +36,26 @@ type ScrubConfig struct {
 
 // ScrubReport summarizes one scrub pass.
 type ScrubReport struct {
-	Scanned      int  // entries re-read and re-verified
-	Corrupt      int  // entries that failed verification (quarantined)
-	Repaired     int  // corrupt entries re-fetched from a peer and re-persisted
-	RepairFailed int  // corrupt entries no peer could supply
-	Recovered    bool // a degraded tier re-armed during this pass
+	Scanned   int  // entries re-read and re-verified
+	Corrupt   int  // entries that failed verification (quarantined)
+	Recovered bool // a degraded tier re-armed during this pass
 }
 
 // Scrubber is the background integrity sweep over the disk tier: it
 // periodically re-reads every resident entry, re-verifies the SHA-256
-// envelope, quarantines bit-rotted files, and — when a repair source
-// is configured — heals them by re-fetching from peers. Each pass also
-// offers a degraded tier one recovery probe, so a disk that filled and
-// was cleaned up re-arms within one scrub interval without operator
-// action.
+// envelope and quarantines bit-rotted files. It detects only; a
+// quarantined key drops out of the local manifest, so the Replicator's
+// next pull round fetches it again from a peer that holds it (without
+// peers, the next Get re-simulates). Each pass also offers a degraded
+// tier one recovery probe, so a disk that filled and was cleaned up
+// re-arms within one scrub interval without operator action.
 type Scrubber struct {
 	store *Tiered
 	cfg   ScrubConfig
 
-	passes       atomic.Int64
-	scanned      atomic.Int64
-	corrupt      atomic.Int64
-	repaired     atomic.Int64
-	repairFailed atomic.Int64
+	passes  atomic.Int64
+	scanned atomic.Int64
+	corrupt atomic.Int64
 
 	bg loop
 }
@@ -104,8 +96,7 @@ func (s *Scrubber) Stop() {
 
 // ScrubOnce runs one full pass synchronously: re-arm probe for a
 // degraded tier, then a paced re-read + re-verify of every resident
-// entry, quarantining and (when a source is configured) repairing
-// corruption. Tests and the CLI call it directly for deterministic
+// entry, quarantining corruption. Tests and the CLI call it directly for deterministic
 // convergence; the background loop calls it on its ticker.
 func (s *Scrubber) ScrubOnce(ctx context.Context) ScrubReport {
 	var rep ScrubReport
@@ -136,13 +127,6 @@ func (s *Scrubber) ScrubOnce(ctx context.Context) ScrubReport {
 		case errors.Is(err, ErrCorrupt):
 			rep.Corrupt++
 			s.corrupt.Add(1)
-			if s.repair(ctx, me.Key) {
-				rep.Repaired++
-				s.repaired.Add(1)
-			} else {
-				rep.RepairFailed++
-				s.repairFailed.Add(1)
-			}
 		case errors.Is(err, ErrDegraded):
 			// The tier went down mid-pass; the next pass re-probes.
 			return rep
@@ -156,25 +140,10 @@ func (s *Scrubber) ScrubOnce(ctx context.Context) ScrubReport {
 		}
 	}
 	if rep.Corrupt > 0 || rep.Recovered {
-		fmt.Fprintf(s.cfg.Log, "resultstore: scrub pass: %d scanned, %d corrupt, %d repaired, %d unrepairable\n",
-			rep.Scanned, rep.Corrupt, rep.Repaired, rep.RepairFailed)
+		fmt.Fprintf(s.cfg.Log, "resultstore: scrub pass: %d scanned, %d corrupt (quarantined)\n",
+			rep.Scanned, rep.Corrupt)
 	}
 	return rep
-}
-
-// repair re-fetches one quarantined key from the repair source and
-// re-persists it through the tiered store (memory + disk), verifying
-// the digest end to end.
-func (s *Scrubber) repair(ctx context.Context, key string) bool {
-	if s.cfg.Source == nil {
-		return false
-	}
-	e, ok := s.cfg.Source.Lookup(ctx, key)
-	if !ok {
-		return false
-	}
-	s.store.Put(e)
-	return true
 }
 
 // Passes reports completed + in-progress scrub passes.
@@ -185,9 +154,3 @@ func (s *Scrubber) Scanned() int64 { return s.scanned.Load() }
 
 // Corrupt reports entries that failed verification during scrubs.
 func (s *Scrubber) Corrupt() int64 { return s.corrupt.Load() }
-
-// Repaired reports corrupt entries healed from a peer.
-func (s *Scrubber) Repaired() int64 { return s.repaired.Load() }
-
-// RepairFailed reports corrupt entries no peer could supply.
-func (s *Scrubber) RepairFailed() int64 { return s.repairFailed.Load() }

@@ -9,14 +9,6 @@ import (
 	"time"
 )
 
-// mapLookup is a fake repair source: a fixed key→entry map.
-type mapLookup struct{ m map[string]*Entry }
-
-func (l mapLookup) Lookup(_ context.Context, key string) (*Entry, bool) {
-	e, ok := l.m[key]
-	return e, ok
-}
-
 // rotFile flips one bit in the middle of a stored entry file,
 // simulating media bit rot under a valid name.
 func rotFile(t *testing.T, path string) {
@@ -44,7 +36,7 @@ func TestScrubCleanStoreIsNoop(t *testing.T) {
 	if rep.Scanned != len(keys) {
 		t.Fatalf("Scanned = %d, want %d", rep.Scanned, len(keys))
 	}
-	if rep.Corrupt != 0 || rep.Repaired != 0 || rep.RepairFailed != 0 || rep.Recovered {
+	if rep.Corrupt != 0 || rep.Recovered {
 		t.Fatalf("clean store scrub was not a no-op: %+v", rep)
 	}
 	if d.Quarantines() != 0 {
@@ -52,6 +44,9 @@ func TestScrubCleanStoreIsNoop(t *testing.T) {
 	}
 }
 
+// TestScrubDetectsQuarantinesAndRepairs: a scrub pass quarantines a
+// rotted entry, which drops its key from the local manifest, and one
+// replication round refills it from a peer that holds it.
 func TestScrubDetectsQuarantinesAndRepairs(t *testing.T) {
 	dir := t.TempDir()
 	d := openTestDisk(t, dir, DiskOptions{})
@@ -62,28 +57,44 @@ func TestScrubDetectsQuarantinesAndRepairs(t *testing.T) {
 	st.Put(good)
 	st.Put(bad)
 	// The rotted entry must not be rescued from RAM: drop it from the
-	// memory tier so the repair has to come from the peer source.
+	// memory tier so the refill has to come from the peer.
 	st.Memory().Remove(bad.Key)
 	rotFile(t, filepath.Join(dir, fileFromKey(bad.Key)))
 
-	src := mapLookup{m: map[string]*Entry{bad.Key: testEntry(bad.Key, 2)}}
-	s := NewScrubber(st, ScrubConfig{Pace: -1, Source: src})
+	s := NewScrubber(st, ScrubConfig{Pace: -1})
 	rep := s.ScrubOnce(context.Background())
-	if rep.Corrupt != 1 || rep.Repaired != 1 || rep.RepairFailed != 0 {
-		t.Fatalf("scrub report = %+v, want 1 corrupt, 1 repaired", rep)
+	if rep.Scanned != 2 || rep.Corrupt != 1 {
+		t.Fatalf("scrub report = %+v, want 2 scanned, 1 corrupt", rep)
 	}
 	if d.Quarantines() != 1 {
 		t.Fatalf("Quarantines = %d, want 1", d.Quarantines())
 	}
-	// The repaired entry serves from disk again, byte-identical.
-	got, ok := d.Get(bad.Key)
-	if !ok || got.Digest != bad.Digest {
-		t.Fatal("repaired entry does not serve from disk")
+	if _, ok := d.Get(bad.Key); ok {
+		t.Fatal("corrupt entry still serves after scrub")
+	}
+	for _, me := range st.ManifestLocal() {
+		if me.Key == bad.Key {
+			t.Fatal("quarantined key is still in the local manifest")
+		}
 	}
 	// The quarantined original is kept for inspection.
 	qfiles, err := os.ReadDir(filepath.Join(dir, quarantineDir))
 	if err != nil || len(qfiles) != 1 {
 		t.Fatalf("quarantine dir has %d files (err %v), want 1", len(qfiles), err)
+	}
+
+	// One pull round from a peer that holds the key refills it.
+	peer := memStore(8)
+	peer.Put(testEntry(good.Key, 1))
+	peer.Put(testEntry(bad.Key, 2))
+	r := NewReplicator(st, ReplicateConfig{Peers: []string{tieredPeerServer(t, peer).URL}, Pace: -1})
+	if srep := r.SyncOnce(context.Background()); srep.Pulled != 1 || srep.PullErrors != 0 {
+		t.Fatalf("sync report = %+v, want exactly the quarantined key pulled", srep)
+	}
+	// The refilled entry serves from disk again, byte-identical.
+	got, ok := d.Get(bad.Key)
+	if !ok || got.Digest != bad.Digest {
+		t.Fatal("refilled entry does not serve from disk")
 	}
 	// A second pass over the healed store is a no-op.
 	rep2 := s.ScrubOnce(context.Background())
@@ -92,25 +103,38 @@ func TestScrubDetectsQuarantinesAndRepairs(t *testing.T) {
 	}
 }
 
-func TestScrubRepairFailedWithoutSource(t *testing.T) {
+// TestScrubQuarantinedKeyServesFromMemory pins the refill latency of a
+// rotted key the memory tier still holds: it keeps serving from memory
+// and stays in the manifest, so no pull round fetches it; once memory
+// evicts it, the next round writes it back to disk.
+func TestScrubQuarantinedKeyServesFromMemory(t *testing.T) {
 	dir := t.TempDir()
 	d := openTestDisk(t, dir, DiskOptions{})
 	defer d.Close()
-	st := NewTiered(NewMemory(8), d)
+	st := NewTiered(NewMemory(1), d)
 	bad := testEntry("cfg:bbbb000011112222", 2)
 	st.Put(bad)
-	st.Memory().Remove(bad.Key)
 	rotFile(t, filepath.Join(dir, fileFromKey(bad.Key)))
-
-	s := NewScrubber(st, ScrubConfig{Pace: -1})
-	rep := s.ScrubOnce(context.Background())
-	if rep.Corrupt != 1 || rep.RepairFailed != 1 || rep.Repaired != 0 {
-		t.Fatalf("scrub report = %+v, want 1 corrupt, 1 repair-failed", rep)
+	if rep := NewScrubber(st, ScrubConfig{Pace: -1}).ScrubOnce(context.Background()); rep.Corrupt != 1 {
+		t.Fatalf("scrub report = %+v, want 1 corrupt", rep)
 	}
-	// The entry is gone (quarantined); the next Get is a clean miss that
-	// will re-simulate.
-	if _, ok := d.Get(bad.Key); ok {
-		t.Fatal("corrupt entry still serves after scrub")
+	if _, tier, ok := st.Get(bad.Key); !ok || tier != TierMemory {
+		t.Fatalf("quarantined key served from %q (ok %v), want memory", tier, ok)
+	}
+
+	peer := memStore(8)
+	peer.Put(testEntry(bad.Key, 2))
+	r := NewReplicator(st, ReplicateConfig{Peers: []string{tieredPeerServer(t, peer).URL}, Pace: -1})
+	if srep := r.SyncOnce(context.Background()); srep.Pulled != 0 {
+		t.Fatalf("sync pulled %d entries while memory still served the key", srep.Pulled)
+	}
+	// Evict it from memory (capacity 1); the next round refills disk.
+	st.Put(testEntry("cfg:aaaa000011112222", 1))
+	if srep := r.SyncOnce(context.Background()); srep.Pulled != 1 {
+		t.Fatalf("sync report = %+v, want the evicted key pulled", srep)
+	}
+	if got, ok := d.Get(bad.Key); !ok || got.Digest != bad.Digest {
+		t.Fatal("refilled entry does not serve from disk")
 	}
 }
 

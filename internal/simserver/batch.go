@@ -13,9 +13,9 @@ import (
 )
 
 // handleResult is GET /v1/result/{key}: the surface behind the fleet's
-// pre-dispatch lookup, replication pulls and scrub repair. It serves
-// the local tiers (memory, disk), the only tiers a store has, so a
-// lookup never recurses across the fleet. A miss is a plain 404; the
+// pre-dispatch lookup and replication pulls (which also refill entries
+// a scrub quarantined). It serves the local tiers (memory, disk), the
+// only tiers a store has, so a lookup never recurses across the fleet. A miss is a plain 404; the
 // caller treats every non-200 as a miss.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")

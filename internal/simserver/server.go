@@ -71,12 +71,7 @@ type Config struct {
 	// MaxBatchItems bounds one POST /v1/batch request; <= 0 selects
 	// 4096.
 	MaxBatchItems int
-	// PeerTimeout is the budget of the daemon's peer lookups (scrub
-	// repair), surfaced in /healthz as peer_timeout_ms so operators can
-	// confirm what a daemon is actually running with; 0 means no peers
-	// are configured.
-	PeerTimeout time.Duration
-	// Scrubber, when set, has its pass/repair counters surfaced in
+	// Scrubber, when set, has its pass/scan/corrupt counters surfaced in
 	// /healthz and /metrics. The owner (cmd/smtsimd) starts and stops it;
 	// the server only reports.
 	Scrubber *resultstore.Scrubber
@@ -482,13 +477,10 @@ type Health struct {
 	StoreState string `json:"store_state"`
 	// Store is the per-tier store detail for operators and runbooks.
 	Store StoreHealth `json:"store"`
-	// PeerTimeoutMS echoes the configured peer-lookup budget
-	// (-peer-timeout); 0 when no peers are configured.
-	PeerTimeoutMS int64 `json:"peer_timeout_ms,omitempty"`
 }
 
 // StoreHealth is the /healthz store block: occupancy, degraded-state
-// detail, and the self-healing counters (quarantines, scrub repairs,
+// detail, and the self-healing counters (quarantines, scrub passes,
 // replication transfers).
 type StoreHealth struct {
 	State         string `json:"state"`
@@ -498,7 +490,6 @@ type StoreHealth struct {
 	DiskBytes     int64  `json:"disk_bytes"`
 	Quarantines   int64  `json:"quarantines"`
 	ScrubPasses   int64  `json:"scrub_passes"`
-	ScrubRepaired int64  `json:"scrub_repaired"`
 	ReplPulls     int64  `json:"replication_pulls"`
 }
 
@@ -508,10 +499,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		status = "draining"
 	}
 	h := Health{
-		Status:        status,
-		Version:       buildinfo.Version(),
-		StoreState:    s.store.State(),
-		PeerTimeoutMS: s.cfg.PeerTimeout.Milliseconds(),
+		Status:     status,
+		Version:    buildinfo.Version(),
+		StoreState: s.store.State(),
 	}
 	h.Store.State = h.StoreState
 	if mem := s.store.Memory(); mem != nil {
@@ -525,7 +515,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	if sc := s.cfg.Scrubber; sc != nil {
 		h.Store.ScrubPasses = sc.Passes()
-		h.Store.ScrubRepaired = sc.Repaired()
 	}
 	if rp := s.cfg.Replicator; rp != nil {
 		h.Store.ReplPulls = rp.Pulls()
@@ -573,8 +562,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		p.Counter("smtsimd_scrub_passes_total", "Background scrub passes started.", sc.Passes())
 		p.Counter("smtsimd_scrub_scanned_total", "Entries re-read and re-verified by the scrubber.", sc.Scanned())
 		p.Counter("smtsimd_scrub_corrupt_total", "Entries the scrubber found corrupt (quarantined).", sc.Corrupt())
-		p.Counter("smtsimd_scrub_repaired_total", "Corrupt entries re-fetched from a peer and re-persisted.", sc.Repaired())
-		p.Counter("smtsimd_scrub_repair_failed_total", "Corrupt entries no peer could supply.", sc.RepairFailed())
 	}
 	if rp := s.cfg.Replicator; rp != nil {
 		p.Counter("smtsimd_replication_syncs_total", "Anti-entropy sync rounds started.", rp.Syncs())
