@@ -24,16 +24,19 @@
 //	adts-sweep -fig8 -resume sweep.ckpt          # continue after Ctrl-C
 //	adts-sweep -table1 -json > table1.json       # machine-readable
 //	adts-sweep -all -backends sim1:8080,sim2:8080,sim3:8080   # distributed
-//	adts-sweep -all -backends sim1:8080,sim2:8080 -batch -peer-lookup
+//	adts-sweep -all -backends sim1:8080,sim2:8080 -peer-lookup
+//	adts-sweep -all -backends sim1:8080,sim2:8080 -batch
 //
 // With -backends, each simulation is dispatched to a pool of smtsimd
-// servers (least-loaded, with health probing, retries, and circuit
-// breakers — see docs/fleet.md); results are byte-identical to a local
-// run, and -checkpoint/-resume work unchanged. -batch ships runs as
-// chunked POST /v1/batch streams (one request per chunk instead of per
-// run), and -peer-lookup consults every backend's result store before
-// dispatching, so a fleet that has seen a config anywhere never
-// re-simulates it (see docs/resultstore.md).
+// servers as a POST /v1/batch of one (least-loaded, with health
+// probing, retries, and circuit breakers — see docs/fleet.md); results
+// are byte-identical to a local run, and -checkpoint/-resume work
+// unchanged. -batch ships runs in chunks of many configs (one request
+// per chunk instead of per run). -peer-lookup consults every backend's
+// result store before dispatching a run, so a fleet that has seen a
+// config anywhere never re-simulates it (see docs/resultstore.md); it
+// applies to per-run dispatch only, since with -batch the backend that
+// receives a chunk serves what its own store holds.
 package main
 
 import (
@@ -86,9 +89,9 @@ func main() {
 		jsonF       = flag.Bool("json", false, "emit machine-readable JSON results to stdout instead of tables")
 
 		backendsF     = flag.String("backends", "", "comma-separated smtsimd backends (host:port or URL) to shard runs across")
-		batchF        = flag.Bool("batch", false, "with -backends: ship runs in chunked POST /v1/batch streams instead of one request per run")
+		batchF        = flag.Bool("batch", false, "with -backends: ship runs in chunks of many configs per POST /v1/batch instead of one request per run")
 		batchSizeF    = flag.Int("batch-size", 0, "with -batch: configs per batch chunk (0 = default 64)")
-		peerLookupF   = flag.Bool("peer-lookup", false, "with -backends: ask every backend's result store before dispatching a run")
+		peerLookupF   = flag.Bool("peer-lookup", false, "with -backends: ask every backend's result store before dispatching a run (per-run dispatch only; with -batch the receiving backend's own store serves hits)")
 		peerTimeoutF  = flag.Duration("peer-timeout", resultstore.DefaultPeerTimeout, "with -peer-lookup: budget for one whole peer lookup across all backends")
 		maxRetriesF   = flag.Int("max-retries", 3, "with -backends: re-dispatches per run after a failure (0 or -1 disables)")
 		fleetMetricsF = flag.Bool("fleet-metrics", false, "with -backends: print fleet client metrics to stderr on exit")

@@ -278,7 +278,7 @@ func TestCLIAdtsSweepMaxRetriesZero(t *testing.T) {
 		switch r.URL.Path {
 		case "/healthz":
 			w.Write([]byte(`{"status":"ok"}`))
-		case "/v1/runcfg":
+		case "/v1/batch":
 			posts.Add(1)
 			http.Error(w, "boom", http.StatusInternalServerError)
 		default:
@@ -294,6 +294,6 @@ func TestCLIAdtsSweepMaxRetriesZero(t *testing.T) {
 		t.Fatalf("sweep against a failing backend exited 0 with -max-retries 0:\n%s", out)
 	}
 	if n := posts.Load(); n != 1 {
-		t.Fatalf("POST /v1/runcfg %d times with -max-retries 0, want 1\n%s", n, out)
+		t.Fatalf("POST /v1/batch %d times with -max-retries 0, want 1\n%s", n, out)
 	}
 }

@@ -20,9 +20,9 @@ import (
 )
 
 // corruptDigests is a middleware that bit-flips the first character of
-// every "digest" value in the response body — NDJSON batch lines,
-// /v1/runcfg replies, and /v1/result entries alike. The payload bytes
-// stay intact, so only end-to-end digest verification can catch it.
+// every "digest" value in the response body — NDJSON batch lines and
+// /v1/result entries alike. The payload bytes stay intact, so only
+// end-to-end digest verification can catch it.
 type corruptDigests struct {
 	next http.Handler
 }
@@ -64,8 +64,8 @@ func (w *digestFlipWriter) Flush() {
 // acceptance test: a batch-dispatched sweep over three backends — one
 // killed mid-stream, one serving bit-flipped NDJSON digests — must
 // render byte-identical to the fault-free local run. The kill forces a
-// chunk retry (truncated stream, no trailer); the corruption forces
-// per-line rejection and per-item fallback.
+// resend of the undelivered items (truncated stream, no trailer); the
+// corruption forces per-line rejection and a resend of that item.
 func TestBatchSweepSurvivesKilledAndCorruptBackends(t *testing.T) {
 	want := groundTruth(t)
 
@@ -127,15 +127,13 @@ func TestBatchSweepSurvivesKilledAndCorruptBackends(t *testing.T) {
 	var sb strings.Builder
 	c.WriteMetrics(&sb)
 	m := sb.String()
-	for _, needle := range []string{"fleet_batches_total", "fleet_batch_items_total"} {
-		if !strings.Contains(m, needle) {
-			t.Fatalf("metrics missing %s:\n%s", needle, m)
-		}
+	if !strings.Contains(m, "fleet_batch_items_total") {
+		t.Fatalf("metrics missing fleet_batch_items_total:\n%s", m)
 	}
 	if strings.Contains(m, "fleet_digest_mismatch_total 0\n") {
 		t.Fatalf("corrupt backend's digests were never rejected — the test exercised nothing:\n%s", m)
 	}
 	if strings.Contains(m, "fleet_batch_item_fallback_total 0\n") {
-		t.Fatalf("no batch item fell back to per-item dispatch — corruption path unexercised:\n%s", m)
+		t.Fatalf("no batch item was resent — corruption path unexercised:\n%s", m)
 	}
 }

@@ -1,12 +1,14 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -28,11 +30,6 @@ func NewPeerLookup(backends []string, timeout time.Duration) (*resultstore.PeerC
 	return resultstore.NewPeerClient(resultstore.PeerConfig{Peers: urls, Timeout: timeout}), nil
 }
 
-// batchPayload is the POST /v1/batch request body.
-type batchPayload struct {
-	Configs []core.Config `json:"configs"`
-}
-
 // batchWireLine is the union of the item and trailer NDJSON line
 // shapes streamed by /v1/batch.
 type batchWireLine struct {
@@ -46,100 +43,174 @@ type batchWireLine struct {
 }
 
 // RunBatch dispatches many configs with chunk sharding: the slice is
-// cut into BatchSize chunks, each chunk goes to one backend as a
-// single POST /v1/batch, and its NDJSON stream is verified line by
-// line. A failed chunk (transport error, truncated stream, bad
-// trailer) is retried on another backend; items that still fail —
-// or whose lines failed digest verification — fall back to the
-// per-item Run path, so one corrupt backend degrades a sweep to
-// per-item dispatch instead of poisoning it. Results and errors are
-// index-aligned with cfgs.
+// cut into BatchSize chunks and each chunk is one dispatch, so a
+// corrupt or dying backend costs a resend of the items it failed, not
+// the sweep. Results and errors are index-aligned with cfgs.
 func (c *Client) RunBatch(ctx context.Context, cfgs []core.Config) ([]core.Result, []error) {
 	out := make([]core.Result, len(cfgs))
 	errs := make([]error, len(cfgs))
 	for start := 0; start < len(cfgs); start += c.cfg.BatchSize {
-		end := start + c.cfg.BatchSize
-		if end > len(cfgs) {
-			end = len(cfgs)
-		}
-		c.runChunk(ctx, cfgs[start:end], out[start:end], errs[start:end])
+		end := min(start+c.cfg.BatchSize, len(cfgs))
+		c.dispatch(ctx, cfgs[start:end], out[start:end], errs[start:end])
 	}
 	return out, errs
 }
 
-// runChunk resolves one chunk: batch dispatch with retries, then
-// per-item fallback for whatever the stream did not deliver (a failed
-// chunk, a corrupt line, or an empty or broken pool). Delivered items
-// are sampled for audit exactly as Run's are.
-func (c *Client) runChunk(ctx context.Context, cfgs []core.Config, out []core.Result, errs []error) {
-	var lines []*batchWireLine
-	var served *backend
-	body, err := json.Marshal(batchPayload{Configs: cfgs})
-	if err == nil {
-		served, err = c.withRetries(ctx, func(b *backend) (err error) {
-			c.metrics.batches.Add(1)
-			lines, err = c.sendBatch(ctx, b, body, len(cfgs))
-			return err
-		})
-	}
-	if err != nil && ctx.Err() != nil {
-		for i := range errs {
-			errs[i] = ctx.Err()
-		}
-		return
-	}
-	for i := range cfgs {
-		if i < len(lines) && lines[i] != nil {
-			if l := lines[i]; l.Error != "" {
-				errs[i] = fmt.Errorf("fleet: %s: batch item %d: %s", served.url, i, l.Error)
-			} else {
-				out[i] = c.maybeAudit(ctx, served, cfgs[i], *l.Result)
-			}
+// dispatch is the one path by which configs reach a backend. Each
+// attempt, under withRetries, sends the items not yet delivered as one
+// POST /v1/batch to the backend pick chose and delivers every line
+// post accepted. A failed request, a broken stream, a corrupt or
+// misbound line and an item error line all leave their items for the
+// next attempt, on another backend; one MaxRetries budget covers the
+// chunk. Delivered items are sampled for audit in index order. Items
+// still undelivered when the budget runs out get withRetries' error,
+// which wraps ErrNoBackends when no backend could take them.
+func (c *Client) dispatch(ctx context.Context, cfgs []core.Config, out []core.Result, errs []error) {
+	keys := make([]string, len(cfgs))
+	raws := make([][]byte, len(cfgs))
+	var pending []int
+	for i, cfg := range cfgs {
+		raw, err := json.Marshal(cfg)
+		if err != nil {
+			errs[i] = fmt.Errorf("fleet: encoding config: %w", err)
 			continue
 		}
-		// Not delivered by any batch stream (failed chunk, corrupt line,
-		// empty pool): the per-item path retries and reports
-		// ErrNoBackends so callers can run locally.
-		c.metrics.batchFallback.Add(1)
-		out[i], errs[i] = c.Run(ctx, cfgs[i])
+		keys[i], raws[i] = resultstore.ConfigKey(cfg), raw
+		pending = append(pending, i)
+	}
+	if len(pending) == 0 {
+		return
+	}
+	served := make([]*backend, len(cfgs))
+	attempted := false
+	err := c.withRetries(ctx, func(b *backend) error {
+		if attempted {
+			c.metrics.batchFallback.Add(int64(len(pending)))
+		}
+		attempted = true
+		c.metrics.dispatched.Add(1)
+		sendRaws := make([][]byte, len(pending))
+		sendKeys := make([]string, len(pending))
+		for k, i := range pending {
+			sendRaws[k], sendKeys[k] = raws[i], keys[i]
+		}
+		lines, err := c.post(ctx, b, sendRaws, sendKeys)
+		var left []int
+		for k, i := range pending {
+			switch l := lines[k]; {
+			case l == nil:
+				left = append(left, i)
+			case l.Error != "":
+				left = append(left, i)
+				if err == nil {
+					err = fmt.Errorf("fleet: %s: item %d: %s", b.url, i, l.Error)
+				}
+			default:
+				c.metrics.batchItems.Add(1)
+				out[i], served[i] = *l.Result, b
+			}
+		}
+		pending = left
+		if err == nil && len(pending) > 0 {
+			err = fmt.Errorf("fleet: %s: %d item(s) came back without a verified line", b.url, len(pending))
+		}
+		return err
+	})
+	for _, i := range pending {
+		errs[i] = err
+	}
+	for i, b := range served {
+		if b != nil {
+			out[i] = c.maybeAudit(ctx, b, raws[i], keys[i], out[i])
+		}
 	}
 }
 
-// sendBatch performs one POST /v1/batch of n configs against backend b
-// and returns its verified lines, index-aligned with the configs. Lines
-// whose digest does not verify are counted against b and left nil for
-// the caller to re-fetch; a stream without a matching trailer fails the
-// whole chunk.
-func (c *Client) sendBatch(ctx context.Context, b *backend, body []byte, n int) ([]*batchWireLine, error) {
-	var lines []*batchWireLine
-	err := c.post(ctx, b, "/v1/batch", body, func(resp *http.Response) error {
-		l, corrupt, err := decodeBatch(resp.Body, n)
-		for ; corrupt > 0; corrupt-- {
-			c.noteDigestMismatch(b)
-		}
-		for _, line := range l {
-			if line != nil && line.Error == "" {
-				c.metrics.batchItems.Add(1)
-			}
-		}
-		lines = l
-		return err
-	})
+// sendOne is one POST /v1/batch of a single encoded config to b, with
+// no retry: an audit's second or third opinion.
+func (c *Client) sendOne(ctx context.Context, b *backend, raw []byte, key string) (core.Result, error) {
+	lines, err := c.post(ctx, b, [][]byte{raw}, []string{key})
 	if err != nil {
-		return nil, err
+		return core.Result{}, err
 	}
+	if l := lines[0]; l != nil && l.Error == "" {
+		return *l.Result, nil
+	}
+	return core.Result{}, fmt.Errorf("fleet: %s: no verified result", b.url)
+}
+
+// post is the one request path to a backend: it POSTs the encoded
+// configs to b's /v1/batch and returns the stream's accepted lines,
+// index-aligned with keys and nil where nothing was delivered (see
+// decodeBatch). It releases the in-flight slot pick reserved on b and
+// maintains b's breaker and latency stats. A 429 is returned as a
+// rateLimitedError without charging the breaker (the backend is
+// healthy, just saturated); transport failures, other statuses and
+// broken streams are charged, and each corrupt or misbound line counts
+// toward b's quarantine. A caller that gave up is not the backend's
+// fault either: its context error returns uncharged.
+func (c *Client) post(ctx context.Context, b *backend, raws [][]byte, keys []string) ([]*batchWireLine, error) {
+	defer b.inflight.Add(-1)
+	b.requests.Add(1)
+	lines := make([]*batchWireLine, len(keys))
+
+	body := append([]byte(`{"configs":[`), bytes.Join(raws, []byte(","))...)
+	body = append(body, "]}"...)
+
+	rctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(rctx, http.MethodPost, b.url+"/v1/batch", bytes.NewReader(body))
+	if err != nil {
+		return lines, fmt.Errorf("fleet: %s: %w", b.url, err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+
+	start := c.cfg.now()
+	resp, err := c.http.Do(req)
+	if err == nil {
+		defer resp.Body.Close()
+		switch resp.StatusCode {
+		case http.StatusOK:
+			var corrupt int
+			lines, corrupt, err = decodeBatch(resp.Body, keys)
+			for ; corrupt > 0; corrupt-- {
+				c.noteDigestMismatch(b)
+			}
+		case http.StatusTooManyRequests:
+			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
+			b.ratelim.Add(1)
+			c.metrics.rateLimited.Add(1)
+			after := parseRetryAfter(resp.Header.Get("Retry-After"), c.cfg.now(), c.cfg.RetryAfterMax)
+			return lines, &rateLimitedError{backend: b.url, after: after}
+		default:
+			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
+			err = fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
+		}
+	}
+	if err != nil {
+		if ctx.Err() != nil {
+			return lines, ctx.Err()
+		}
+		b.errors.Add(1)
+		b.breaker.failure()
+		return lines, fmt.Errorf("fleet: %s: %w", b.url, err)
+	}
+	b.breaker.success()
+	b.observe(c.cfg.now().Sub(start).Microseconds())
 	return lines, nil
 }
 
-// decodeBatch reads the NDJSON stream of a batch of n configs. It
-// returns the lines it accepted, index-aligned: each is an item error
-// (Error set) or a result whose digest verifies. Lines failing digest
-// verification are dropped and counted in corrupt — a bad line costs
-// one per-item re-fetch, not the chunk. It returns an error unless a
-// trailer accounting for exactly n items arrives; io.EOF before the
-// trailer is a truncated stream (killed backend, dropped connection),
-// anything else framing corruption.
-func decodeBatch(r io.Reader, n int) (lines []*batchWireLine, corrupt int, err error) {
+// decodeBatch reads the NDJSON stream of a batch whose configs have the
+// given keys. It returns the lines it accepted, index-aligned with
+// keys: each is bound to its config (its key is its index's key) and
+// is an item error (Error set) or a result whose digest verifies. A
+// line that is misbound or fails digest verification is dropped and
+// counted in corrupt: it costs a resend of that item, not the chunk.
+// It returns an error unless a trailer accounting for every item
+// arrives; io.EOF before the trailer is a truncated stream (killed
+// backend, dropped connection), anything else framing corruption.
+func decodeBatch(r io.Reader, keys []string) (lines []*batchWireLine, corrupt int, err error) {
+	n := len(keys)
 	lines = make([]*batchWireLine, n)
 	dec := json.NewDecoder(r)
 	for {
@@ -155,6 +226,8 @@ func decodeBatch(r io.Reader, n int) (lines []*batchWireLine, corrupt int, err e
 			return lines, corrupt, nil
 		case line.Index < 0 || line.Index >= n:
 			return lines, corrupt, fmt.Errorf("batch line index %d out of range", line.Index)
+		case line.Key != keys[line.Index]:
+			corrupt++
 		case line.Error != "":
 			lines[line.Index] = line
 		case line.Result == nil:

@@ -32,54 +32,41 @@ func fakeResult(cfg core.Config) core.Result {
 	return core.Result{Mix: fmt.Sprintf("seed-%d", cfg.Seed)}
 }
 
-// serveBatch writes a well-formed NDJSON batch stream for the decoded
-// payload, with corrupt optionally flipping the digest of line 0.
-func serveBatch(w http.ResponseWriter, r *http.Request, truncateAfter int, corruptFirst bool) {
+// serveBatch writes a well-formed NDJSON batch stream of fakeResults
+// for the decoded payload and returns its configs. truncateAfter >= 0
+// drops the stream after that many lines; corruptFirst flips the
+// digest of line 0.
+func serveBatch(w http.ResponseWriter, r *http.Request, truncateAfter int, corruptFirst bool) []core.Config {
 	var p batchPayload
 	if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return nil
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	for i, cfg := range p.Configs {
 		if truncateAfter >= 0 && i >= truncateAfter {
-			return // stream dies mid-flight, no trailer
+			return p.Configs // stream dies mid-flight, no trailer
 		}
 		res := fakeResult(cfg)
 		digest := simrun.ResultDigest(res)
 		if corruptFirst && i == 0 {
 			digest = strings.Repeat("0", len(digest))
 		}
-		enc.Encode(batchWireLine{Index: i, Key: "cfg:" + simrun.Key(cfg), Result: &res, Digest: digest})
+		enc.Encode(batchWireLine{Index: i, Key: resultstore.ConfigKey(cfg), Result: &res, Digest: digest})
 	}
 	enc.Encode(map[string]any{"trailer": true, "total": len(p.Configs)})
-}
-
-// batchBackend scripts /v1/batch (and /v1/runcfg for fallback tests).
-func batchBackend(t *testing.T, batch http.HandlerFunc, runcfg http.HandlerFunc) *httptest.Server {
-	t.Helper()
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, `{"status":"ok","version":"test"}`)
-	})
-	mux.HandleFunc("POST /v1/batch", batch)
-	if runcfg != nil {
-		mux.HandleFunc("POST /v1/runcfg", runcfg)
-	}
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
-	return ts
+	return p.Configs
 }
 
 // TestRunBatchShardsChunks: a sweep larger than BatchSize is cut into
 // several POSTs, and every result comes back index-aligned.
 func TestRunBatchShardsChunks(t *testing.T) {
 	var posts atomic.Int64
-	srv := batchBackend(t, func(w http.ResponseWriter, r *http.Request) {
+	srv := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
 		posts.Add(1)
 		serveBatch(w, r, -1, false)
-	}, nil)
+	})
 
 	c := newTestClient(t, Config{Backends: []string{srv.URL}, BatchSize: 2})
 	cfgs := batchCfgs(5)
@@ -104,13 +91,13 @@ func TestRunBatchShardsChunks(t *testing.T) {
 // (no trailer) does not lose the chunk — it is retried elsewhere.
 func TestRunBatchTruncatedStreamRetries(t *testing.T) {
 	var badHits atomic.Int64
-	bad := batchBackend(t, func(w http.ResponseWriter, r *http.Request) {
+	bad := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
 		badHits.Add(1)
 		serveBatch(w, r, 1, false) // one line, then the connection drops
-	}, nil)
-	good := batchBackend(t, func(w http.ResponseWriter, r *http.Request) {
+	})
+	good := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
 		serveBatch(w, r, -1, false)
-	}, nil)
+	})
 
 	c := newTestClient(t, Config{Backends: []string{bad.URL, good.URL}})
 	cfgs := batchCfgs(4)
@@ -129,17 +116,16 @@ func TestRunBatchTruncatedStreamRetries(t *testing.T) {
 }
 
 // TestRunBatchCorruptLineFallsBackPerItem: a line whose digest fails
-// verification costs one per-item re-fetch, not the chunk.
+// verification costs a resend of that one item, not the chunk.
 func TestRunBatchCorruptLineFallsBackPerItem(t *testing.T) {
-	var runcfgHits atomic.Int64
-	srv := batchBackend(t, func(w http.ResponseWriter, r *http.Request) {
-		serveBatch(w, r, -1, true) // line 0's digest is flipped
-	}, func(w http.ResponseWriter, r *http.Request) {
-		runcfgHits.Add(1)
-		var cfg core.Config
-		json.NewDecoder(r.Body).Decode(&cfg)
-		res := fakeResult(cfg)
-		json.NewEncoder(w).Encode(runCfgReply{Key: "k", Result: res, Digest: simrun.ResultDigest(res)})
+	var posts atomic.Int64
+	var resent []core.Config
+	srv := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
+		if posts.Add(1) == 1 {
+			serveBatch(w, r, -1, true) // line 0's digest is flipped
+			return
+		}
+		resent = serveBatch(w, r, -1, false)
 	})
 
 	c := newTestClient(t, Config{Backends: []string{srv.URL}})
@@ -153,46 +139,132 @@ func TestRunBatchCorruptLineFallsBackPerItem(t *testing.T) {
 			t.Fatalf("item %d got %q, want %q", i, res[i].Mix, want)
 		}
 	}
-	if runcfgHits.Load() != 1 {
-		t.Fatalf("per-item fallback hit /v1/runcfg %d times, want 1", runcfgHits.Load())
+	if posts.Load() != 2 {
+		t.Fatalf("%d POSTs, want the chunk plus one resend", posts.Load())
 	}
-	if c.metrics.digestMismatch.Load() == 0 {
-		t.Fatal("corrupt line was served but digestMismatch is zero")
+	if len(resent) != 1 || resent[0].Seed != cfgs[0].Seed {
+		t.Fatalf("resend carried %d config(s), want only the corrupt item 0", len(resent))
+	}
+	if c.metrics.digestMismatch.Load() != 1 {
+		t.Fatalf("digestMismatch = %d, want 1", c.metrics.digestMismatch.Load())
 	}
 	if c.metrics.batchFallback.Load() != 1 {
 		t.Fatalf("batchFallback = %d, want 1", c.metrics.batchFallback.Load())
 	}
 }
 
-// TestRunBatchAuditsItems: -audit-rate covers batch-delivered items,
-// not only per-item fallbacks. A self-consistent liar serving the whole
-// chunk is outvoted item by item by two honest backends: RunBatch
-// returns the majority results and quarantines the liar.
+// TestRunBatchIndexFlippedLineResent: a verified line whose index was
+// flipped (one bit of in-flight corruption, "index":0 → "index":1)
+// names another item's slot. The line is misbound — its key is not
+// that index's key — so it must not be delivered into the slot; it
+// counts as corrupt, and the item it carried is resent alone and comes
+// back correct.
+func TestRunBatchIndexFlippedLineResent(t *testing.T) {
+	var posts atomic.Int64
+	var resent []core.Config
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, `{"status":"ok","version":"test"}`)
+	})
+	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
+		var p batchPayload
+		json.NewDecoder(r.Body).Decode(&p)
+		first := posts.Add(1) == 1
+		if !first {
+			resent = p.Configs
+		}
+		// Lines stream in completion order, here last item first, so the
+		// flipped line for item 0 arrives after item 1's own line.
+		enc := json.NewEncoder(w)
+		for i := len(p.Configs) - 1; i >= 0; i-- {
+			res := fakeResult(p.Configs[i])
+			idx := i
+			if first && i == 0 {
+				idx = 1
+			}
+			enc.Encode(batchWireLine{Index: idx, Key: resultstore.ConfigKey(p.Configs[i]), Result: &res, Digest: simrun.ResultDigest(res)})
+		}
+		enc.Encode(batchWireLine{Trailer: true, Total: len(p.Configs)})
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+
+	c := newTestClient(t, Config{Backends: []string{ts.URL}})
+	cfgs := batchCfgs(2)
+	res, errs := c.RunBatch(context.Background(), cfgs)
+	for i := range cfgs {
+		if want := fakeResult(cfgs[i]).Mix; errs[i] == nil && res[i].Mix != want {
+			t.Fatalf("item %d holds %q, another item's result (want %q)", i, res[i].Mix, want)
+		}
+	}
+	for i := range cfgs {
+		if errs[i] != nil {
+			t.Fatalf("item %d: %v", i, errs[i])
+		}
+	}
+	if len(resent) != 1 || resent[0].Seed != cfgs[0].Seed {
+		t.Fatalf("resend carried %d config(s), want only item 0", len(resent))
+	}
+	if got := c.metrics.digestMismatch.Load(); got != 1 {
+		t.Fatalf("digestMismatch = %d, want the misbound line counted once", got)
+	}
+}
+
+// TestItemErrorLineServedByAnotherBackend: an item error line (a
+// draining backend, a run timeout) is not final. The item is resent to
+// another backend, which serves it.
+func TestItemErrorLineServedByAnotherBackend(t *testing.T) {
+	var drainingPosts atomic.Int64
+	draining := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
+		drainingPosts.Add(1)
+		var p batchPayload
+		json.NewDecoder(r.Body).Decode(&p)
+		enc := json.NewEncoder(w)
+		for i, cfg := range p.Configs {
+			enc.Encode(batchWireLine{Index: i, Key: resultstore.ConfigKey(cfg), Error: "simserver: shutting down"})
+		}
+		enc.Encode(batchWireLine{Trailer: true, Total: len(p.Configs)})
+	})
+	healthy := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) { serveBatch(w, r, -1, false) })
+
+	c := newTestClient(t, Config{Backends: []string{draining.URL, healthy.URL}})
+	// Make the draining backend the least-loaded so it gets the first
+	// attempt.
+	for _, b := range c.backends {
+		if b.url != strings.TrimRight(draining.URL, "/") {
+			b.inflight.Add(1)
+		}
+	}
+	cfg := testCfg()
+	res, err := c.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fakeResult(cfg).Mix; res.Mix != want {
+		t.Fatalf("got %q, want %q from the healthy backend", res.Mix, want)
+	}
+	if drainingPosts.Load() != 1 || c.metrics.retried.Load() != 1 {
+		t.Fatalf("draining backend saw %d POSTs with %d retries, want 1 and 1", drainingPosts.Load(), c.metrics.retried.Load())
+	}
+}
+
+// TestRunBatchAuditsItems: -audit-rate covers every item of a
+// multi-item chunk, not only single runs. A self-consistent liar
+// serving the whole chunk is outvoted item by item by two honest
+// backends: RunBatch returns the majority results and quarantines the
+// liar.
 func TestRunBatchAuditsItems(t *testing.T) {
 	lie := func(cfg core.Config) core.Result {
 		res := fakeResult(cfg)
 		res.AggregateIPC = 0.0001 // plausible but wrong
 		return res
 	}
-	liar := batchBackend(t, func(w http.ResponseWriter, r *http.Request) {
-		var p batchPayload
-		json.NewDecoder(r.Body).Decode(&p)
-		enc := json.NewEncoder(w)
-		for i, cfg := range p.Configs {
-			res := lie(cfg) // digest matches the lie: verification passes
-			enc.Encode(batchWireLine{Index: i, Key: "k", Result: &res, Digest: simrun.ResultDigest(res)})
-		}
-		enc.Encode(map[string]any{"trailer": true, "total": len(p.Configs)})
-	}, nil)
-	honestRunCfg := func(w http.ResponseWriter, r *http.Request) {
-		var cfg core.Config
-		json.NewDecoder(r.Body).Decode(&cfg)
-		res := fakeResult(cfg)
-		json.NewEncoder(w).Encode(runCfgReply{Key: "k", Result: res, Digest: simrun.ResultDigest(res)})
-	}
+	// The liar's lines carry the real keys and digests that match its
+	// lies, so verification passes: only the audit vote can catch it.
+	liar := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) { answerBatch(w, r, lie, "") })
 	serve := func(w http.ResponseWriter, r *http.Request) { serveBatch(w, r, -1, false) }
-	h1 := batchBackend(t, serve, honestRunCfg)
-	h2 := batchBackend(t, serve, honestRunCfg)
+	h1 := fakeBackend(t, serve)
+	h2 := fakeBackend(t, serve)
 
 	c := newTestClient(t, Config{Backends: []string{liar.URL, h1.URL, h2.URL}, AuditRate: 1})
 	// Make the liar the least-loaded so it serves the chunk.
@@ -220,11 +292,11 @@ func TestRunBatchAuditsItems(t *testing.T) {
 // Run without any dispatch.
 func TestPeerLookupShortCircuitsRun(t *testing.T) {
 	cfg := testCfg()
-	key := "cfg:" + simrun.Key(cfg)
+	key := resultstore.ConfigKey(cfg)
 	stored := core.Result{Mix: "from-peer-store"}
 	entry := resultstore.Entry{Key: key, Result: stored, Digest: simrun.ResultDigest(stored)}
 
-	var runcfgHits atomic.Int64
+	var posts atomic.Int64
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `{"status":"ok","version":"test"}`)
@@ -236,8 +308,8 @@ func TestPeerLookupShortCircuitsRun(t *testing.T) {
 		}
 		json.NewEncoder(w).Encode(entry)
 	})
-	mux.HandleFunc("POST /v1/runcfg", func(w http.ResponseWriter, r *http.Request) {
-		runcfgHits.Add(1)
+	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
 		okReply("simulated-fresh")(w, r)
 	})
 	ts := httptest.NewServer(mux)
@@ -255,8 +327,8 @@ func TestPeerLookupShortCircuitsRun(t *testing.T) {
 	if res.Mix != "from-peer-store" {
 		t.Fatalf("got %q, want the peer-stored result", res.Mix)
 	}
-	if runcfgHits.Load() != 0 {
-		t.Fatalf("peer hit should have short-circuited dispatch, but /v1/runcfg saw %d requests", runcfgHits.Load())
+	if posts.Load() != 0 {
+		t.Fatalf("peer hit should have short-circuited dispatch, but /v1/batch saw %d requests", posts.Load())
 	}
 	if c.metrics.peerHits.Load() != 1 {
 		t.Fatalf("peerHits = %d, want 1", c.metrics.peerHits.Load())
@@ -269,8 +341,8 @@ func TestPeerLookupShortCircuitsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mix != "simulated-fresh" || runcfgHits.Load() != 1 {
-		t.Fatalf("peer miss did not dispatch (mix %q, hits %d)", res.Mix, runcfgHits.Load())
+	if res.Mix != "simulated-fresh" || posts.Load() != 1 {
+		t.Fatalf("peer miss did not dispatch (mix %q, posts %d)", res.Mix, posts.Load())
 	}
 	if c.metrics.peerMisses.Load() == 0 {
 		t.Fatal("peer miss not counted")

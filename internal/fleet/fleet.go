@@ -1,23 +1,22 @@
 // Package fleet is the client-side distributed execution fabric that
 // lets one sweep fan out across many smtsimd backends: a backend
 // registry with periodic /healthz probing, least-loaded dispatch of
-// simulation configs to POST /v1/runcfg, a per-backend circuit breaker,
-// retries with exponential backoff + jitter that re-route to a healthy
-// backend, and a local-execution fallback when the pool is empty or
-// fully broken.
+// simulation configs as POST /v1/batch streams (a single run is a batch
+// of one), a per-backend circuit breaker, retries with exponential
+// backoff + jitter that re-route to a healthy backend, and a
+// local-execution fallback when the pool is empty or fully broken.
 //
 // Simulations are deterministic functions of their config and the wire
 // format is the config itself (not a lossy re-encoding), so results are
 // byte-identical to a local run no matter which backend served each
-// job. The Executor adapter plugs the client into internal/runner, so
-// checkpoint/resume, SIGINT drain, and progress/ETA work identically
-// for remote sweeps.
+// job. Every result line is checked against its config's key and its
+// digest before it is delivered. The Executor adapter plugs the client
+// into internal/runner, so checkpoint/resume, SIGINT drain, and
+// progress/ETA work identically for remote sweeps.
 package fleet
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -42,9 +41,10 @@ type Config struct {
 	// Backends are smtsimd base addresses ("host:port" or full URLs).
 	// An empty pool makes every job fall back to local execution.
 	Backends []string
-	// MaxRetries bounds re-dispatches per job after the first attempt;
-	// < 0 disables retries, 0 selects 3. Retries prefer a different
-	// backend than the one that just failed.
+	// MaxRetries bounds re-dispatches per chunk (a single run is a
+	// chunk of one) after the first attempt; < 0 disables retries, 0
+	// selects 3. Retries prefer a different backend than the one that
+	// just failed.
 	MaxRetries int
 	// ProbeInterval is the /healthz probing period; 0 selects 5s,
 	// negative disables probing (backends are assumed up until
@@ -86,10 +86,11 @@ type Config struct {
 	// backend by RunBatch; <= 0 selects 64. Larger batches amortize
 	// round trips, smaller ones spread a sweep across more backends.
 	BatchSize int
-	// PeerLookup, when non-nil, is consulted once before dispatching a
-	// config: a digest-verified result already stored anywhere in the
-	// fleet short-circuits the dispatch entirely. Build one with
-	// NewPeerLookup over the pool addresses.
+	// PeerLookup, when non-nil, is consulted once before Run dispatches
+	// a config: a digest-verified result already stored anywhere in the
+	// fleet short-circuits the dispatch entirely. RunBatch does not
+	// consult it; the backend that receives a chunk serves what its own
+	// store holds. Build one with NewPeerLookup over the pool addresses.
 	PeerLookup resultstore.PeerLookup
 	// HTTPClient overrides the transport; nil selects a dedicated
 	// client (timeouts come from request contexts).
@@ -281,13 +282,12 @@ func (c *Client) noteDigestMismatch(b *backend) {
 	}
 }
 
-// Run dispatches one simulation config to the pool and returns its
-// result, retrying as withRetries describes. When no backend can
-// accept the job it returns ErrNoBackends (callers fall back to local
-// execution); when retries are exhausted it returns the last dispatch
-// error.
+// Run dispatches one simulation config to the pool as a batch of one
+// (RunBatch) and returns its result, retrying as dispatch describes. When no
+// backend can accept the job it returns ErrNoBackends (callers fall
+// back to local execution); when retries are exhausted it returns the
+// last dispatch error.
 func (c *Client) Run(ctx context.Context, simCfg core.Config) (core.Result, error) {
-	var zero core.Result
 	// Pre-dispatch lookup: a result already stored anywhere in the fleet
 	// (verified end to end by the peer client) costs one GET instead of
 	// a simulation slot.
@@ -298,56 +298,43 @@ func (c *Client) Run(ctx context.Context, simCfg core.Config) (core.Result, erro
 		}
 		c.metrics.peerMisses.Add(1)
 	}
-	body, err := json.Marshal(simCfg)
-	if err != nil {
-		return zero, fmt.Errorf("fleet: encoding config: %w", err)
-	}
-	var res core.Result
-	b, err := c.withRetries(ctx, func(b *backend) (err error) {
-		c.metrics.dispatched.Add(1)
-		res, err = c.send(ctx, b, body)
-		return err
-	})
-	if err != nil {
-		return zero, err
-	}
-	return c.maybeAudit(ctx, b, simCfg, res), nil
+	res, errs := c.RunBatch(ctx, []core.Config{simCfg})
+	return res[0], errs[0]
 }
 
 // withRetries runs try on the least-loaded routable backend and, after
 // a failure, again on a different one, with exponential backoff +
 // jitter between attempts (or the backend's Retry-After on a 429). It
-// returns the backend whose try succeeded. It returns ErrNoBackends
-// when no backend can take the work, the context's error once the
-// caller gives up, and the last error once MaxRetries re-dispatches
-// are exhausted.
-func (c *Client) withRetries(ctx context.Context, try func(*backend) error) (*backend, error) {
+// returns nil once a try succeeds, ErrNoBackends when no backend can
+// take the work, the context's error once the caller gives up, and the
+// last error once MaxRetries re-dispatches are exhausted.
+func (c *Client) withRetries(ctx context.Context, try func(*backend) error) error {
 	var lastErr error
 	var exclude *backend
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		b := c.pick(exclude)
 		if b == nil {
 			if lastErr != nil {
-				return nil, fmt.Errorf("%w (last dispatch error: %v)", ErrNoBackends, lastErr)
+				return fmt.Errorf("%w (last dispatch error: %v)", ErrNoBackends, lastErr)
 			}
-			return nil, ErrNoBackends
+			return ErrNoBackends
 		}
 		if attempt > 0 {
 			c.metrics.retried.Add(1)
 		}
 		err := try(b)
 		if err == nil {
-			return b, nil
+			return nil
 		}
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 		lastErr = err
 		if attempt >= c.cfg.MaxRetries {
-			return nil, fmt.Errorf("fleet: %d dispatch attempt(s) exhausted: %w", attempt+1, lastErr)
+			return fmt.Errorf("fleet: %d dispatch attempt(s) exhausted: %w", attempt+1, lastErr)
 		}
 		exclude = b
 		delay := c.backoff(attempt)
@@ -356,7 +343,7 @@ func (c *Client) withRetries(ctx context.Context, try func(*backend) error) (*ba
 			delay = rl.after
 		}
 		if err := c.cfg.sleep(ctx, delay); err != nil {
-			return nil, err
+			return err
 		}
 	}
 }
@@ -449,13 +436,6 @@ func (e *rateLimitedError) Error() string {
 	return fmt.Sprintf("fleet: %s rate-limited (retry after %s)", e.backend, e.after)
 }
 
-// runCfgReply mirrors simserver's POST /v1/runcfg response.
-type runCfgReply struct {
-	Key    string      `json:"key"`
-	Result core.Result `json:"result"`
-	Digest string      `json:"digest"`
-}
-
 // parseRetryAfter hardens Retry-After handling: integer seconds and
 // HTTP-date forms are accepted, everything else — negative values,
 // past dates, garbage — collapses to 0 (normal backoff), and all
@@ -488,88 +468,6 @@ func parseRetryAfter(s string, now time.Time, max time.Duration) time.Duration {
 	return 0
 }
 
-// send performs one POST /v1/runcfg against backend b and verifies
-// the result digest.
-func (c *Client) send(ctx context.Context, b *backend, body []byte) (core.Result, error) {
-	var reply runCfgReply
-	err := c.post(ctx, b, "/v1/runcfg", body, func(resp *http.Response) error {
-		if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-			return fmt.Errorf("decoding response: %w", err)
-		}
-		// End-to-end integrity: the digest the backend claims must match
-		// the digest recomputed over the bytes we actually decoded. A
-		// mismatch is corruption (in flight or at the backend) and is
-		// retryable on another backend; the body field wins over the
-		// header, and a backend too old to send either is accepted.
-		claimed := reply.Digest
-		if claimed == "" {
-			claimed = resp.Header.Get("X-Result-Digest")
-		}
-		if claimed != "" {
-			if got := simrun.ResultDigest(reply.Result); got != claimed {
-				c.noteDigestMismatch(b)
-				return fmt.Errorf("result digest mismatch (claimed %.12s, recomputed %.12s): corrupted response", claimed, got)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return core.Result{}, err
-	}
-	return reply.Result, nil
-}
-
-// post is the one request path to a backend, shared by /v1/runcfg and
-// /v1/batch: it POSTs body to path and hands a 200 response to decode,
-// releasing the in-flight slot pick reserved on b and maintaining b's
-// breaker and latency stats. A 429 is returned as a rateLimitedError
-// without charging the breaker (the backend is healthy, just
-// saturated); transport failures, other statuses and decode errors are
-// charged. A caller that gave up is not
-// the backend's fault either: its context error returns uncharged.
-func (c *Client) post(ctx context.Context, b *backend, path string, body []byte, decode func(*http.Response) error) error {
-	defer b.inflight.Add(-1)
-	b.requests.Add(1)
-
-	rctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, b.url+path, bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("fleet: %s: %w", b.url, err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-
-	start := c.cfg.now()
-	resp, err := c.http.Do(req)
-	if err == nil {
-		defer resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-			err = decode(resp)
-		case http.StatusTooManyRequests:
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
-			b.ratelim.Add(1)
-			c.metrics.rateLimited.Add(1)
-			after := parseRetryAfter(resp.Header.Get("Retry-After"), c.cfg.now(), c.cfg.RetryAfterMax)
-			return &rateLimitedError{backend: b.url, after: after}
-		default:
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
-			err = fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
-		}
-	}
-	if err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		b.errors.Add(1)
-		b.breaker.failure()
-		return fmt.Errorf("fleet: %s: %w", b.url, err)
-	}
-	b.breaker.success()
-	b.observe(c.cfg.now().Sub(start).Microseconds())
-	return nil
-}
-
 // maybeAudit implements the sampled audit mode: a deterministic
 // fraction of successful runs (AuditRate, sampled by run index from
 // AuditSeed) is re-dispatched to a second backend and the two result
@@ -579,10 +477,11 @@ func (c *Client) post(ctx context.Context, b *backend, path string, body []byte,
 // internally-consistent but wrong bytes, which digest verification
 // alone can never catch — and the majority result is returned, so the
 // sweep's output stays correct even though a poisoned backend served
-// the original request. Audit dispatches never recurse (they bypass
-// Run) and audit failures never fail the run; auditing is a detector,
-// not a gate.
-func (c *Client) maybeAudit(ctx context.Context, served *backend, cfg core.Config, res core.Result) core.Result {
+// the original request. Each opinion is one batch of one config (raw,
+// already encoded, bound to key) sent to one backend with no retry.
+// Audit dispatches never recurse (they bypass dispatch) and audit
+// failures never fail the run; auditing is a detector, not a gate.
+func (c *Client) maybeAudit(ctx context.Context, served *backend, raw []byte, key string, res core.Result) core.Result {
 	if c.cfg.AuditRate <= 0 {
 		return res
 	}
@@ -590,16 +489,12 @@ func (c *Client) maybeAudit(ctx context.Context, served *backend, cfg core.Confi
 	if rand.New(rand.NewPCG(c.cfg.AuditSeed, n)).Float64() >= c.cfg.AuditRate {
 		return res
 	}
-	body, err := json.Marshal(cfg)
-	if err != nil {
-		return res
-	}
 	second := c.pick(served)
 	if second == nil {
 		return res // nobody to cross-check against
 	}
 	c.metrics.audits.Add(1)
-	res2, err := c.send(ctx, second, body)
+	res2, err := c.sendOne(ctx, second, raw, key)
 	if err != nil {
 		return res // best-effort: an unavailable auditor is not evidence
 	}
@@ -615,7 +510,7 @@ func (c *Client) maybeAudit(ctx context.Context, served *backend, cfg core.Confi
 			served.url, second.url)
 		return res
 	}
-	res3, err := c.send(ctx, third, body)
+	res3, err := c.sendOne(ctx, third, raw, key)
 	if err != nil {
 		c.metrics.auditInconclusive.Add(1)
 		fmt.Fprintf(c.cfg.Log, "fleet: audit disagreement between %s and %s; tiebreaker %s failed (%v); keeping the primary result\n",

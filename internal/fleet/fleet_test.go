@@ -13,7 +13,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/resultstore"
 	"repro/internal/runner"
+	"repro/internal/simrun"
 )
 
 // testCfg is a minimal valid simulation config for wire tests; the fake
@@ -26,7 +28,7 @@ func testCfg() core.Config {
 	return cfg
 }
 
-// fakeBackend scripts a /v1/runcfg handler and answers /healthz ok.
+// fakeBackend scripts a /v1/batch handler and answers /healthz ok.
 func fakeBackend(t *testing.T, handler http.HandlerFunc) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
@@ -34,17 +36,44 @@ func fakeBackend(t *testing.T, handler http.HandlerFunc) *httptest.Server {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"status":"ok","version":"test"}`)
 	})
-	mux.HandleFunc("POST /v1/runcfg", handler)
+	mux.HandleFunc("POST /v1/batch", handler)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts
 }
 
-// okReply answers a /v1/runcfg request with a recognizable result.
+// batchPayload is the POST /v1/batch request body.
+type batchPayload struct {
+	Configs []core.Config `json:"configs"`
+}
+
+// answerBatch answers a /v1/batch request the way smtsimd does: one
+// line per config, bound to it by index and key, carrying result(cfg)
+// and its digest (or lie verbatim, when lie is not ""), then the
+// trailer.
+func answerBatch(w http.ResponseWriter, r *http.Request, result func(core.Config) core.Result, lie string) {
+	var p batchPayload
+	if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	enc := json.NewEncoder(w)
+	for i, cfg := range p.Configs {
+		res := result(cfg)
+		digest := lie
+		if digest == "" {
+			digest = simrun.ResultDigest(res)
+		}
+		enc.Encode(batchWireLine{Index: i, Key: resultstore.ConfigKey(cfg), Result: &res, Digest: digest})
+	}
+	enc.Encode(batchWireLine{Trailer: true, Total: len(p.Configs)})
+}
+
+// okReply answers a /v1/batch request with a recognizable result.
 func okReply(mix string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(runCfgReply{Key: "k", Result: core.Result{Mix: mix}})
+		answerBatch(w, r, func(core.Config) core.Result { return core.Result{Mix: mix} }, "")
 	}
 }
 

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/simrun"
 )
 
 // TestParseRetryAfter: hostile and malformed Retry-After values must
@@ -47,17 +45,11 @@ func TestParseRetryAfter(t *testing.T) {
 	}
 }
 
-// digestReply answers /v1/runcfg with the given result and a digest —
+// digestReply answers /v1/batch with the given result and a digest —
 // correct when lie is "", otherwise the lie verbatim.
 func digestReply(res core.Result, lie string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		d := lie
-		if d == "" {
-			d = simrun.ResultDigest(res)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Result-Digest", d)
-		json.NewEncoder(w).Encode(runCfgReply{Key: "k", Result: res, Digest: d})
+		answerBatch(w, r, func(core.Config) core.Result { return res }, lie)
 	}
 }
 

@@ -10,14 +10,13 @@ import (
 // clientMetrics are the fleet client's dispatch counters, rendered by
 // internal/promtext like smtsimd's /metrics.
 type clientMetrics struct {
-	dispatched    atomic.Int64 // requests sent to backends (incl. retries)
+	dispatched    atomic.Int64 // POST /v1/batch requests sent to backends (incl. retries)
 	retried       atomic.Int64 // re-dispatches after a failure
 	rateLimited   atomic.Int64 // 429 responses received
 	localFallback atomic.Int64 // jobs run locally (pool empty / fully broken)
 
-	batches       atomic.Int64 // POST /v1/batch chunks dispatched
 	batchItems    atomic.Int64 // items delivered by verified batch stream lines
-	batchFallback atomic.Int64 // batch items demoted to the per-item Run path
+	batchFallback atomic.Int64 // items resent by a retry attempt
 	peerHits      atomic.Int64 // dispatches short-circuited by a peer store hit
 	peerMisses    atomic.Int64 // peer lookups that found nothing
 
@@ -38,9 +37,8 @@ func (c *Client) WriteMetrics(w io.Writer) {
 	counter("fleet_retried_total", "Dispatches that were retries after a failed attempt.", c.metrics.retried.Load())
 	counter("fleet_rate_limited_total", "429 responses received from backends.", c.metrics.rateLimited.Load())
 	counter("fleet_local_fallback_total", "Jobs executed locally because no backend could take them.", c.metrics.localFallback.Load())
-	counter("fleet_batches_total", "Batch chunks dispatched via POST /v1/batch.", c.metrics.batches.Load())
 	counter("fleet_batch_items_total", "Items delivered by verified batch stream lines.", c.metrics.batchItems.Load())
-	counter("fleet_batch_item_fallback_total", "Batch items demoted to the per-item dispatch path.", c.metrics.batchFallback.Load())
+	counter("fleet_batch_item_fallback_total", "Items resent by a retry attempt.", c.metrics.batchFallback.Load())
 	counter("fleet_peer_hits_total", "Dispatches short-circuited by a peer result-store hit.", c.metrics.peerHits.Load())
 	counter("fleet_peer_misses_total", "Peer result-store lookups that found nothing.", c.metrics.peerMisses.Load())
 	counter("fleet_digest_mismatch_total", "Responses rejected because the result digest failed verification.", c.metrics.digestMismatch.Load())

@@ -65,17 +65,16 @@ func maskTimings(text string) string {
 func TestWriteMetricsGolden(t *testing.T) {
 	var aRuns atomic.Int64
 	a := http.NewServeMux()
-	a.HandleFunc("POST /v1/runcfg", func(w http.ResponseWriter, r *http.Request) {
+	a.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
 		if aRuns.Add(1) == 2 {
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, "busy", http.StatusTooManyRequests)
 			return
 		}
-		okReply("a")(w, r)
+		serveBatch(w, r, -1, false)
 	})
-	a.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) { serveBatch(w, r, -1, false) })
 	b := http.NewServeMux()
-	b.HandleFunc("POST /v1/runcfg", func(w http.ResponseWriter, r *http.Request) {
+	b.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	})
 
@@ -84,7 +83,7 @@ func TestWriteMetricsGolden(t *testing.T) {
 	cfg := Config{
 		Backends:   []string{"http://a.test", "http://b.test"},
 		HTTPClient: &http.Client{Transport: handlerTransport{"a.test": a, "b.test": b}},
-		PeerLookup: seedLookup{key: "cfg:" + simrun.Key(stored)},
+		PeerLookup: seedLookup{key: resultstore.ConfigKey(stored)},
 	}
 	cfg.sleep = func(context.Context, time.Duration) error { return nil }
 	c := newTestClient(t, cfg)

@@ -2,6 +2,7 @@ package simserver
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -33,16 +34,20 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, e)
 }
 
-// batchRequest is the POST /v1/batch body: raw configs, the same
-// transport as /v1/runcfg but many at once.
+// batchRequest is the POST /v1/batch body: raw core.Configs, the exact
+// configs a local run would execute, so each result is byte-for-byte
+// the same function of the same input no matter which backend served
+// it.
 type batchRequest struct {
 	Configs []core.Config `json:"configs"`
 }
 
 // batchLine is one NDJSON line of the batch response stream, emitted in
 // completion order. Index ties the line back to its config in the
-// request; Digest is the canonical result digest the client re-verifies
-// per line before trusting the bytes.
+// request and Key names that config's store key, so a client can check
+// that the line is bound to the config it sent; Digest is the canonical
+// result digest (simrun.ResultDigest) the client re-verifies per line
+// before trusting the bytes.
 type batchLine struct {
 	Index     int          `json:"index"`
 	Key       string       `json:"key,omitempty"`
@@ -71,9 +76,11 @@ type batchTrailer struct {
 // of per-item results out, in completion order, with a trailer line
 // carrying counts. Every config is validated before the first byte of
 // the response, so a bad batch is one 400, never a half-stream. Items
-// share the store, singleflight, and worker pool with the per-request
-// endpoints; item flights block on admission instead of 429-ing, since
-// the batch itself was already accepted.
+// share the store, singleflight, and worker pool with /v1/run; item
+// flights block on admission instead of 429-ing, since the batch
+// itself was already accepted. Item keys carry a "cfg:" prefix
+// (resultstore.ConfigKey), so a raw-config entry, whose request echo
+// is empty, is never served to a /v1/run caller.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requests.Add(1)
 	s.metrics.batchRequests.Add(1)
@@ -93,12 +100,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	keys := make([]string, len(breq.Configs))
-	for i := range breq.Configs {
-		if err := validateRawConfig(&breq.Configs[i]); err != nil {
+	for i, cfg := range breq.Configs {
+		err := errors.New("config.Programs is not transportable; name a mix instead")
+		if cfg.Programs == nil {
+			err = cfg.Validate()
+		}
+		if err != nil {
 			s.badRequest(w, fmt.Sprintf("item %d: %v", i, err))
 			return
 		}
-		keys[i] = resultstore.ConfigKey(breq.Configs[i])
+		keys[i] = resultstore.ConfigKey(cfg)
 	}
 
 	start := time.Now()

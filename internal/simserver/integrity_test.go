@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dtvm"
 	"repro/internal/simrun"
 )
 
@@ -107,18 +106,13 @@ func TestSimrunPanicBecomes500AndDaemonSurvives(t *testing.T) {
 
 	// The kernel halts on the dry run (zero IPC) and loops past
 	// dtvm.MaxSteps once a quantum commits anything.
-	kernel, err := dtvm.Assemble("loadc r1, ipc\nloadi r2, 0\nblt r2, r1, spin\nkeep\nhalt\nspin:\njmp spin\n")
+	const kernel = "loadc r1, ipc\nloadi r2, 0\nblt r2, r1, spin\nkeep\nhalt\nspin:\njmp spin\n"
+	req := simrun.Request{Mix: "int-compute", Mode: "adts", Kernel: kernel, Threads: 2, Quanta: 2, FastForward: 1024}
+	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.DefaultConfig("int-compute")
-	cfg.Threads, cfg.Quanta, cfg.FastForward = 2, 2, 1024
-	cfg.Mode, cfg.Kernel = core.ModeADTS, kernel
-	body, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, raw := postRunCfg(t, ts.URL, body)
+	resp, raw := postRun(t, ts.URL, string(body))
 	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(raw), "panic") {
 		t.Fatalf("panicking run: status %d body %s, want a 500 naming the panic", resp.StatusCode, raw)
 	}
@@ -126,58 +120,35 @@ func TestSimrunPanicBecomes500AndDaemonSurvives(t *testing.T) {
 		t.Fatalf("smtsimd_panics_total = %q, want 1", got)
 	}
 
-	cfg.Kernel = nil
-	body, err = json.Marshal(cfg)
+	req.Kernel = ""
+	body, err = json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp, raw := postRunCfg(t, ts.URL, body); resp.StatusCode != http.StatusOK {
+	if resp, raw := postRun(t, ts.URL, string(body)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-panic run status = %d, want 200 (body %s)", resp.StatusCode, raw)
 	}
 }
 
-// TestDigestHeaderAndBody: both endpoints carry the canonical result
-// digest in the X-Result-Digest header and the digest body field, on
-// fresh and cached responses alike, and the digest verifies against the
-// decoded result.
+// TestDigestHeaderAndBody: a /v1/run reply carries the canonical
+// result digest in the X-Result-Digest header and the digest body field,
+// a /v1/batch line in its digest field, on fresh and cached results
+// alike, and each digest verifies against the decoded result.
 func TestDigestHeaderAndBody(t *testing.T) {
 	srv := New(Config{Workers: 1, Run: stubResult})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Shutdown(context.Background())
 
-	checkRuncfg := func(wantCached bool) {
-		t.Helper()
-		cfg := testCoreConfig(t)
-		raw, err := json.Marshal(cfg)
-		if err != nil {
-			t.Fatal(err)
+	for _, wantCached := range []bool{false, true} { // the store hit path digests too
+		items, _ := postBatch(t, ts.URL, []core.Config{testCoreConfig(t)})
+		if items[0].Cached != wantCached {
+			t.Fatalf("cached = %v, want %v", items[0].Cached, wantCached)
 		}
-		resp, body := postRunCfg(t, ts.URL, raw)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, body)
-		}
-		var reply struct {
-			Result core.Result `json:"result"`
-			Digest string      `json:"digest"`
-			Cached bool        `json:"cached"`
-		}
-		if err := json.Unmarshal(body, &reply); err != nil {
-			t.Fatal(err)
-		}
-		if reply.Cached != wantCached {
-			t.Fatalf("cached = %v, want %v", reply.Cached, wantCached)
-		}
-		header := resp.Header.Get("X-Result-Digest")
-		if header == "" || header != reply.Digest {
-			t.Fatalf("header digest %q != body digest %q", header, reply.Digest)
-		}
-		if got := simrun.ResultDigest(reply.Result); got != reply.Digest {
-			t.Fatalf("digest %q does not verify against decoded result (recomputed %q)", reply.Digest, got)
+		if got := simrun.ResultDigest(*items[0].Result); items[0].Digest == "" || got != items[0].Digest {
+			t.Fatalf("digest %q does not verify against decoded result (recomputed %q)", items[0].Digest, got)
 		}
 	}
-	checkRuncfg(false)
-	checkRuncfg(true) // cache hit path sets the header too
 
 	resp, body := postRun(t, ts.URL, testRequest)
 	if resp.StatusCode != http.StatusOK {
@@ -232,11 +203,7 @@ func TestBoundaryRejectsGarbageNamingField(t *testing.T) {
 	// Raw-config boundary: a zero-quanta config names the field too.
 	cfg := testCoreConfig(t)
 	cfg.Quanta = 0
-	raw, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, body := postRunCfg(t, ts.URL, raw)
+	resp, body := postBatchBody(t, ts.URL, batchBody(t, cfg))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("zero-quanta config status = %d, want 400 (body %s)", resp.StatusCode, body)
 	}

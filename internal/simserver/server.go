@@ -14,10 +14,11 @@
 //     admitted work gets a per-run timeout; Shutdown drains in-flight
 //     simulations before tearing the server down.
 //
-// Endpoints: POST /v1/run, POST /v1/runcfg, POST /v1/batch (NDJSON
-// streaming), GET /v1/result/{key} (peer lookup), GET /v1/mixes,
-// GET /healthz, GET /metrics (Prometheus text format, no external
-// dependencies).
+// Endpoints: POST /v1/run (one request in user vocabulary), POST
+// /v1/batch (raw configs in, an NDJSON stream out; the transport behind
+// internal/fleet), GET /v1/result/{key} (peer lookup), GET
+// /v1/store/manifest, GET /v1/mixes, GET /healthz, GET /metrics
+// (Prometheus text format, no external dependencies).
 package simserver
 
 import (
@@ -143,7 +144,6 @@ func New(cfg Config) *Server {
 		stop:    cancel,
 	}
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
-	s.mux.HandleFunc("POST /v1/runcfg", s.handleRunCfg)
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	s.mux.HandleFunc("GET /v1/result/{key}", s.handleResult)
 	s.mux.HandleFunc("GET /v1/store/manifest", s.handleManifest)
@@ -207,7 +207,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 type runResponse = resultstore.Entry
 
 // delivery is how one result reached its caller, appended to the
-// /v1/run and /v1/runcfg replies.
+// /v1/run reply and flagged on each /v1/batch line.
 type delivery struct {
 	// Cached reports a result served from the store without simulating.
 	Cached bool `json:"cached"`
@@ -237,59 +237,24 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, err.Error())
 		return
 	}
-	if e, d, ok := s.serveOne(w, r, simrun.Key(cfg), req.Normalize(), cfg); ok {
-		writeJSON(w, http.StatusOK, runReply{runResponse: e, delivery: d})
+	e, f, d := s.lookup(simrun.Key(cfg), req.Normalize(), cfg, false)
+	if f != nil {
+		select {
+		case <-f.done:
+		case <-r.Context().Done():
+			// The client is gone; the flight continues for its other
+			// waiters and the store.
+			s.metrics.canceled.Add(1)
+			return
+		}
+		if f.err != nil {
+			s.replyError(w, f.err)
+			return
+		}
+		e = f.val
 	}
-}
-
-// runCfgReply is the POST /v1/runcfg response: the structured result
-// for a raw core.Config. This is the transport behind internal/fleet —
-// the client ships the exact config a local run would execute, so the
-// returned Result is byte-for-byte the same function of the same input
-// no matter which backend served it.
-type runCfgReply struct {
-	// Key is the cache identity the result is stored under.
-	Key string `json:"key"`
-	// Result is the full structured simulation result.
-	Result core.Result `json:"result"`
-	// Digest is the canonical SHA-256 of Result (simrun.ResultDigest),
-	// echoed in the X-Result-Digest header; internal/fleet verifies it
-	// on every response and treats a mismatch as retryable corruption.
-	Digest string `json:"digest"`
-	delivery
-}
-
-// handleRunCfg is POST /v1/runcfg: like /v1/run but the body is a raw
-// core.Config instead of a user-vocabulary request. It shares the
-// admission, singleflight, and cache machinery; cache keys carry a
-// "cfg:" prefix so a raw-config entry (whose request echo is empty) is
-// never served to a /v1/run caller.
-func (s *Server) handleRunCfg(w http.ResponseWriter, r *http.Request) {
-	s.metrics.requests.Add(1)
-
-	var cfg core.Config
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&cfg); err != nil {
-		s.badRequest(w, fmt.Sprintf("decoding config: %v", err))
-		return
-	}
-	if err := validateRawConfig(&cfg); err != nil {
-		s.badRequest(w, err.Error())
-		return
-	}
-	key := resultstore.ConfigKey(cfg)
-	if e, d, ok := s.serveOne(w, r, key, simrun.Request{}, cfg); ok {
-		writeJSON(w, http.StatusOK, runCfgReply{Key: key, Result: e.Result, Digest: e.Digest, delivery: d})
-	}
-}
-
-// validateRawConfig is the boundary check on a transported
-// core.Config (/v1/runcfg and every /v1/batch item).
-func validateRawConfig(cfg *core.Config) error {
-	if cfg.Programs != nil {
-		return errors.New("config.Programs is not transportable; name a mix instead")
-	}
-	return cfg.Validate()
+	w.Header().Set("X-Result-Digest", e.Digest)
+	writeJSON(w, http.StatusOK, runReply{runResponse: e, delivery: d})
 }
 
 // badRequest counts and answers one malformed or invalid request.
@@ -298,11 +263,11 @@ func (s *Server) badRequest(w http.ResponseWriter, msg string) {
 	httpError(w, http.StatusBadRequest, msg)
 }
 
-// lookup is the single-result path behind /v1/run, /v1/runcfg and
-// every /v1/batch item: a store hit returns the entry; otherwise the
-// caller joins the key's flight, either leading it (execute runs it
-// detached from this request) or coalescing onto another caller's. It
-// returns exactly one of the entry and the flight to wait on.
+// lookup is the single-result path behind /v1/run and every /v1/batch
+// item: a store hit returns the entry; otherwise the caller joins the
+// key's flight, either leading it (execute runs it detached from this
+// request) or coalescing onto another caller's. It returns exactly one
+// of the entry and the flight to wait on.
 func (s *Server) lookup(key string, req simrun.Request, cfg core.Config, blockAdmission bool) (*runResponse, *flight, delivery) {
 	if e, _, ok := s.store.Get(key); ok {
 		s.metrics.cacheHits.Add(1)
@@ -317,28 +282,6 @@ func (s *Server) lookup(key string, req simrun.Request, cfg core.Config, blockAd
 	s.wg.Add(1)
 	go s.execute(key, f, req, cfg, blockAdmission)
 	return nil, f, delivery{}
-}
-
-// serveOne resolves one result for /v1/run or /v1/runcfg and sets its
-// digest header. ok=false means an error reply was written, or the
-// client is gone (the flight continues for its other waiters).
-func (s *Server) serveOne(w http.ResponseWriter, r *http.Request, key string, req simrun.Request, cfg core.Config) (*runResponse, delivery, bool) {
-	e, f, d := s.lookup(key, req, cfg, false)
-	if f != nil {
-		select {
-		case <-f.done:
-		case <-r.Context().Done():
-			s.metrics.canceled.Add(1)
-			return nil, d, false
-		}
-		if f.err != nil {
-			s.replyError(w, f.err)
-			return nil, d, false
-		}
-		e = f.val
-	}
-	w.Header().Set("X-Result-Digest", e.Digest)
-	return e, d, true
 }
 
 // execute is the singleflight leader's path: admission, worker slot,

@@ -210,6 +210,60 @@ func TestQueueOverflow429(t *testing.T) {
 	}
 }
 
+// TestBatchQueuesPastFullAdmission: with admission full, a /v1/run
+// gets a 429, but a /v1/batch item — the fleet's path for every run —
+// waits for a worker slot and is served once one frees.
+func TestBatchQueuesPastFullAdmission(t *testing.T) {
+	started := make(chan string, 2)
+	release := make(chan struct{})
+	srv := New(Config{
+		Workers:    1,
+		QueueDepth: -1, // no queue: one admitted flight total
+		Run:        blockingRunner(started, release),
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+
+	post := func(path, body string, status chan<- int, out chan<- string) {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			status <- 0
+			return
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		status <- resp.StatusCode
+		if out != nil {
+			out <- string(raw)
+		}
+	}
+	first := make(chan int, 1)
+	go post("/v1/run", `{"mix":"int-compute","quanta":1}`, first, nil)
+	<-started // the only admission slot is now occupied
+
+	if resp, raw := postRun(t, ts.URL, `{"mix":"fp-stream","quanta":1}`); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("/v1/run past full admission: status %d, want 429; body %s", resp.StatusCode, raw)
+	}
+	batchStatus, batchReply := make(chan int, 1), make(chan string, 1)
+	go post("/v1/batch", string(batchBody(t, testCoreConfig(t))), batchStatus, batchReply)
+	// Wait until the batch item has missed the store: its flight now
+	// waits on admission, which the blocked run holds.
+	for scrapeMetric(t, ts.URL, "smtsimd_cache_misses_total") != "3" {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if got := <-first; got != http.StatusOK {
+		t.Fatalf("blocked run finished with %d, want 200", got)
+	}
+	if got := <-batchStatus; got != http.StatusOK {
+		t.Fatalf("batch past full admission: status %d, want 200", got)
+	}
+	if body := <-batchReply; !strings.Contains(body, `"ok":1`) || strings.Contains(body, `"error"`) {
+		t.Fatalf("queued batch item was not served: %s", body)
+	}
+}
+
 // TestShutdownDrainsInFlight verifies graceful shutdown: with a
 // simulation in flight, http.Server.Shutdown + Server.Shutdown wait for
 // it, and the client still receives its complete 200 response.

@@ -48,11 +48,7 @@ type batchStreamLine struct {
 // into item lines and the trailer.
 func postBatch(t *testing.T, url string, cfgs []core.Config) ([]batchStreamLine, batchStreamLine) {
 	t.Helper()
-	body, err := json.Marshal(map[string]any{"configs": cfgs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url+"/v1/batch", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/batch", "application/json", bytes.NewReader(batchBody(t, cfgs...)))
 	if err != nil {
 		t.Fatalf("POST /v1/batch: %v", err)
 	}
@@ -221,18 +217,8 @@ func TestResultEndpoint(t *testing.T) {
 	defer ts.Close()
 	defer srv.Shutdown(context.Background())
 
-	body, _ := json.Marshal(testCoreConfig(t))
-	resp, raw := postRunCfg(t, ts.URL, body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("runcfg status %d: %s", resp.StatusCode, raw)
-	}
-	var reply struct {
-		Key    string `json:"key"`
-		Digest string `json:"digest"`
-	}
-	if err := json.Unmarshal(raw, &reply); err != nil {
-		t.Fatal(err)
-	}
+	items, _ := postBatch(t, ts.URL, []core.Config{testCoreConfig(t)})
+	reply := items[0]
 
 	rresp, err := http.Get(ts.URL + "/v1/result/" + reply.Key)
 	if err != nil {

@@ -2,7 +2,9 @@
 # store_golden.sh — the warm-store acceptance check (docs/resultstore.md).
 #
 # Starts one smtsimd with a temp -store-dir, runs the same quick sweep
-# against it twice (batch-dispatched, peer lookup on), and asserts:
+# against it twice (batch-dispatched, so the daemon serves its own
+# store; -peer-lookup is passed but only per-run dispatch consults it),
+# and asserts:
 #
 #   1. the two sweep outputs are byte-identical,
 #   2. the second pass performed ZERO simulations — every result came
