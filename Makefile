@@ -10,11 +10,15 @@ all: build vet test
 # runner, the simulation service, the tiered result store, the fleet
 # client, the multi-core system (parallel per-quantum core loop), the
 # machine shell pool (its pristine shells are shared across goroutines)
-# and their callers, plus the chaos fault-injection e2e suite.
+# and their callers, plus the chaos fault-injection e2e suite. An
+# adts-sweep pass shares one checkpoint and one Record path across every
+# experiment's concurrent runs, so the experiments' resume, checkpoint
+# and plan tests run under -race too (the whole package is too slow).
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./internal/runner ./internal/stats ./internal/simrun ./internal/resultstore ./internal/simserver ./internal/fleet ./internal/multicore ./internal/pipeline ./internal/core
+	$(GO) test -race -run 'Resume|Checkpoint|Plan' ./internal/experiments
 	$(MAKE) chaos
 
 # Chaos suite: deterministic fault injection end to end (docs/chaos.md).

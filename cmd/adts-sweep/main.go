@@ -8,12 +8,17 @@
 // (-adaptive, comparing the bandit/ucb/learned heuristics against
 // Type 3/3'/4; see docs/adaptive.md).
 //
-// Runs go through the resilient runner (internal/runner): progress ticks
-// on stderr, Ctrl-C drains in-flight simulations and records them in the
+// One invocation is one pass: the selected experiments' configs are
+// collected first, a config that several of them read (the fixed-ICOUNT
+// baselines, above all) runs once, and stderr names the experiments
+// with "N runs requested, M distinct" before the first run starts. Runs
+// go through the resilient runner (internal/runner): progress ticks on
+// stderr, Ctrl-C drains in-flight simulations and records them in the
 // checkpoint directory, and -resume continues an interrupted sweep
 // without recomputing finished runs. A checkpoint is a result-store
-// directory (internal/resultstore) keyed by config, so it resumes
-// locally or through a fleet, and smtsimd can serve it as -store-dir.
+// directory (internal/resultstore) keyed by config, holding each
+// distinct run once, so it resumes locally or through a fleet, and
+// smtsimd can serve it as -store-dir.
 //
 // Usage:
 //
@@ -34,9 +39,9 @@
 // unchanged. -batch ships runs in chunks of many configs (one request
 // per chunk instead of per run). -peer-lookup consults every backend's
 // result store before dispatching a run, so a fleet that has seen a
-// config anywhere never re-simulates it (see docs/resultstore.md); it
-// applies to per-run dispatch only, since with -batch the backend that
-// receives a chunk serves what its own store holds.
+// config anywhere never re-simulates it (see docs/resultstore.md). It
+// applies to per-run dispatch only, so it is rejected with -batch: the
+// backend that receives a chunk serves what its own store holds.
 package main
 
 import (
@@ -91,7 +96,7 @@ func main() {
 		backendsF     = flag.String("backends", "", "comma-separated smtsimd backends (host:port or URL) to shard runs across")
 		batchF        = flag.Bool("batch", false, "with -backends: ship runs in chunks of many configs per POST /v1/batch instead of one request per run")
 		batchSizeF    = flag.Int("batch-size", 0, "with -batch: configs per batch chunk (0 = default 64)")
-		peerLookupF   = flag.Bool("peer-lookup", false, "with -backends: ask every backend's result store before dispatching a run (per-run dispatch only; with -batch the receiving backend's own store serves hits)")
+		peerLookupF   = flag.Bool("peer-lookup", false, "with -backends: ask every backend's result store before dispatching a run (per-run dispatch only, so not with -batch, where the receiving backend's own store serves hits)")
 		peerTimeoutF  = flag.Duration("peer-timeout", resultstore.DefaultPeerTimeout, "with -peer-lookup: budget for one whole peer lookup across all backends")
 		maxRetriesF   = flag.Int("max-retries", 3, "with -backends: re-dispatches per run after a failure (0 or -1 disables)")
 		fleetMetricsF = flag.Bool("fleet-metrics", false, "with -backends: print fleet client metrics to stderr on exit")
@@ -130,6 +135,10 @@ func main() {
 				fatalf("unknown mix %q", m)
 			}
 		}
+	}
+
+	if err := checkFleetFlags(*backendsF, *batchF, *peerLookupF, *fleetMetricsF, *auditRateF, *batchSizeF); err != nil {
+		fatalf("%v", err)
 	}
 
 	// -resume implies checkpointing to the same directory.
@@ -198,8 +207,6 @@ func main() {
 		if *fleetMetricsF {
 			defer fc.WriteMetrics(os.Stderr)
 		}
-	} else if *fleetMetricsF || *auditRateF != 0 || *batchF || *peerLookupF {
-		fatalf("-batch, -peer-lookup, -fleet-metrics, and -audit-rate require -backends")
 	}
 
 	// Ctrl-C / SIGTERM cancels the sweep context: in-flight runs drain
@@ -234,28 +241,56 @@ func main() {
 		}
 	}
 
-	var sweep *experiments.Sweep
-	needSweep := *fig7 || *fig8 || *headline || *similarity
-	if needSweep {
-		fmt.Fprintf(os.Stderr, "running threshold x heuristic sweep (%d mixes x %d intervals x 25 configs + baseline)...\n",
-			len(o.MixNames()), o.Intervals)
-		var err error
-		sweep, err = experiments.RunSweep(ctx, o, nil, nil)
+	// Every selected runner-driven experiment shares one pass, so a
+	// config two of them read (the fixed-ICOUNT baselines, above all)
+	// runs once. Flag errors surface before any run starts.
+	var exps []experiments.Experiment
+	add := func(name string, reduce func(experiments.Get)) {
+		exps = append(exps, experiments.Experiment{Name: name, Reduce: reduce})
+	}
+	if *fig7 || *fig8 || *headline || *similarity {
+		add("sweep", func(get experiments.Get) { out.Sweep = o.Sweep(nil, nil, get) })
+	}
+	if *table1 {
+		add("table1", func(get experiments.Get) { out.Table1 = o.Table1(get) })
+	}
+	if *oracleF {
+		add("oracle", func(get experiments.Get) { out.Oracle = o.Oracle(get) })
+		add("envelope", func(get experiments.Get) { out.Envelope = o.Envelope(nil, get) })
+	}
+	if *saturation {
+		add("saturation", func(get experiments.Get) { out.Saturation = o.Saturation(nil, get) })
+	}
+	if *calibrate {
+		add("calibrate", func(get experiments.Get) { out.Calibrate = o.Calibration(get) })
+	}
+	if *multicoreF {
+		cores, err := parseCores(*coresF, o.Threads)
 		if err != nil {
-			sweepFatal("sweep", err, ckPath)
+			fatalf("%v", err)
 		}
-		out.Sweep = sweep
+		add("multicore", func(get experiments.Get) { out.Multicore = o.MultiCore(cores, get) })
+	}
+	if *adaptiveF {
+		ths, cores, err := parseAdaptiveGrid(*adaptiveThreadsF, *adaptiveCoresF)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		add("adaptive", func(get experiments.Get) { out.Adaptive = o.Adaptive(ths, cores, get) })
+	}
+	err = o.Run(ctx, exps...)
+	if err == nil && *jobschedF {
+		out.Jobsched, err = experiments.RunJobsched(ctx, o, 12)
+	}
+	if err != nil {
+		sweepFatal(err, ckPath)
 	}
 
 	if *table1 {
-		res, err := experiments.RunTable1(ctx, o)
-		if err != nil {
-			sweepFatal("table1", err, ckPath)
-		}
-		out.Table1 = res
-		emit(res.Table())
-		emit(res.PerMixTable())
+		emit(out.Table1.Table())
+		emit(out.Table1.PerMixTable())
 	}
+	sweep := out.Sweep
 	if *fig7 {
 		emit(sweep.Figure7Switches())
 		emit(sweep.Figure7Benign())
@@ -282,68 +317,25 @@ func main() {
 			100*hg, 100*dg)
 	}
 	if *oracleF {
-		res, err := experiments.RunOracle(ctx, o)
-		if err != nil {
-			sweepFatal("oracle", err, ckPath)
-		}
-		out.Oracle = res
-		emit(res.Table())
-		env, err := experiments.RunEnvelope(ctx, o, nil)
-		if err != nil {
-			sweepFatal("envelope", err, ckPath)
-		}
-		out.Envelope = env
-		emit(env.Table())
+		emit(out.Oracle.Table())
+		emit(out.Envelope.Table())
 	}
 	if *saturation {
-		res, err := experiments.RunSaturation(ctx, o, nil)
-		if err != nil {
-			sweepFatal("saturation", err, ckPath)
-		}
-		out.Saturation = res
-		emit(res.Table())
+		emit(out.Saturation.Table())
 	}
 	if *calibrate {
-		res, err := experiments.RunCalibration(ctx, o)
-		if err != nil {
-			sweepFatal("calibrate", err, ckPath)
-		}
-		out.Calibrate = res
-		emit(res.Table())
+		emit(out.Calibrate.Table())
 	}
 	if *jobschedF {
-		res, err := experiments.RunJobsched(ctx, o, 12)
-		if err != nil {
-			sweepFatal("jobsched", err, ckPath)
-		}
-		out.Jobsched = res
-		emit(res.Table())
+		emit(out.Jobsched.Table())
 	}
 	if *multicoreF {
-		cores, err := parseCores(*coresF, o.Threads)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		res, err := experiments.RunMultiCore(ctx, o, cores)
-		if err != nil {
-			sweepFatal("multicore", err, ckPath)
-		}
-		out.Multicore = res
-		for _, tb := range res.Tables() {
+		for _, tb := range out.Multicore.Tables() {
 			emit(tb)
 		}
 	}
 	if *adaptiveF {
-		ths, cores, err := parseAdaptiveGrid(*adaptiveThreadsF, *adaptiveCoresF)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		res, err := experiments.RunAdaptive(ctx, o, ths, cores)
-		if err != nil {
-			sweepFatal("adaptive", err, ckPath)
-		}
-		out.Adaptive = res
-		for _, tb := range res.Tables() {
+		for _, tb := range out.Adaptive.Tables() {
 			emit(tb)
 		}
 	}
@@ -355,6 +347,20 @@ func main() {
 			fatalf("json: %v", err)
 		}
 	}
+}
+
+// checkFleetFlags rejects fleet flags that would be accepted but have
+// no effect, so such a command fails before any run starts.
+func checkFleetFlags(backends string, batch, peerLookup, fleetMetrics bool, auditRate float64, batchSize int) error {
+	switch {
+	case backends == "" && (batch || peerLookup || fleetMetrics || auditRate != 0):
+		return errors.New("-batch, -peer-lookup, -fleet-metrics, and -audit-rate require -backends")
+	case batch && peerLookup:
+		return errors.New("-peer-lookup has no effect with -batch: the backend that receives a chunk serves what its own store holds")
+	case batchSize != 0 && !batch:
+		return errors.New("-batch-size requires -batch")
+	}
+	return nil
 }
 
 // parseCores parses the -cores list and checks each count divides the
@@ -421,20 +427,20 @@ func splitMixes(s string) []string {
 	return mixes
 }
 
-// sweepFatal reports an experiment failure; an interrupt with an active
+// sweepFatal reports a failed pass; an interrupt with an active
 // checkpoint exits with the conventional SIGINT status and a resume
 // hint instead of a bare error.
-func sweepFatal(what string, err error, ckPath string) {
+func sweepFatal(err error, ckPath string) {
 	if errors.Is(err, context.Canceled) {
 		if ckPath != "" {
-			fmt.Fprintf(os.Stderr, "adts-sweep: %s interrupted; completed runs are in %s — re-run with -resume %s to continue\n",
-				what, ckPath, ckPath)
+			fmt.Fprintf(os.Stderr, "adts-sweep: interrupted; completed runs are in %s — re-run with -resume %s to continue\n",
+				ckPath, ckPath)
 		} else {
-			fmt.Fprintf(os.Stderr, "adts-sweep: %s interrupted (no -checkpoint; completed runs were discarded)\n", what)
+			fmt.Fprintln(os.Stderr, "adts-sweep: interrupted (no -checkpoint; completed runs were discarded)")
 		}
 		os.Exit(130)
 	}
-	fatalf("%s: %v", what, err)
+	fatalf("%v", err)
 }
 
 func fatalf(format string, args ...any) {

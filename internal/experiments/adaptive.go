@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/detector"
-	"repro/internal/pipeline"
 	"repro/internal/stats"
 )
 
@@ -56,6 +56,12 @@ type AdaptiveResult struct {
 // per-(threads, cores) Summary reports learned-vs-best-static deltas
 // honestly, whichever way they fall.
 func RunAdaptive(ctx context.Context, o Options, threads, cores []int) (*AdaptiveResult, error) {
+	return reduce(ctx, o, "adaptive", func(get Get) *AdaptiveResult { return o.Adaptive(threads, cores, get) })
+}
+
+// Adaptive reduces every (threads, cores) grid point (nil threads
+// selects {4, 8}, nil cores {1, 2}) under each AdaptiveHeuristics entry.
+func (o Options) Adaptive(threads, cores []int, get Get) *AdaptiveResult {
 	if threads == nil {
 		threads = []int{4, 8}
 	}
@@ -64,65 +70,34 @@ func RunAdaptive(ctx context.Context, o Options, threads, cores []int) (*Adaptiv
 	}
 	heuristics := AdaptiveHeuristics()
 	mixes := o.mixes()
-	per := len(mixes) * o.Intervals
-
-	var jobs []stats.Job
-	for _, th := range threads {
-		for _, c := range cores {
-			for _, h := range heuristics {
-				for _, mix := range mixes {
-					for it := 0; it < o.Intervals; it++ {
-						on := o
-						on.Threads = th
-						cfg := on.ADTSConfig(mix, h, adaptiveThreshold, it)
-						if c > 1 {
-							cfg.Cores = c
-							cfg.Allocation = "random"
-						}
-						jobs = append(jobs, stats.Job{
-							Name:   jobName("adapt", mix, fmt.Sprintf("%v/t%d/c%d", h, th, c), it),
-							Config: cfg,
-						})
-					}
-				}
-			}
-		}
-	}
-
-	results, err := o.runAll(ctx, jobs)
-	if err != nil {
-		return nil, err
-	}
-	// The grid churns through four machine geometries (threads × cores
-	// splits); drop the pooled shells afterwards, as the multi-core
-	// study does.
-	defer pipeline.DrainPools()
-
 	res := &AdaptiveResult{Opts: o, Threads: threads, Cores: cores, Heuristics: heuristics}
-	base := 0
-	for range threads {
+	for _, th := range threads {
+		on := o
+		on.Threads = th
 		meanT := make([][]float64, len(cores))
 		geoT := make([][]float64, len(cores))
 		swT := make([][]float64, len(cores))
 		perMixT := make([][]map[string]float64, len(cores))
-		for ci := range cores {
+		for ci, c := range cores {
 			meanT[ci] = make([]float64, len(heuristics))
 			geoT[ci] = make([]float64, len(heuristics))
 			swT[ci] = make([]float64, len(heuristics))
 			perMixT[ci] = make([]map[string]float64, len(heuristics))
-			for hi := range heuristics {
-				block := results[base : base+per]
-				base += per
-				perMix, mean := meanByMix(mixes, o.Intervals, func(mi, it int) float64 {
-					return block[mi*o.Intervals+it].AggregateIPC
-				})
+			for hi, h := range heuristics {
+				rs := o.byMix(func(mix string, it int) core.Config {
+					cfg := on.ADTSConfig(mix, h, adaptiveThreshold, it)
+					if c > 1 {
+						cfg.Cores = c
+						cfg.Allocation = "random"
+					}
+					return cfg
+				}, get)
+				perMix, mean := o.meanByMix(func(mix string, it int) float64 { return rs[mix][it].AggregateIPC })
 				var mixMeans []float64
 				for _, mix := range mixes {
 					mixMeans = append(mixMeans, perMix[mix])
 				}
-				_, sw := meanByMix(mixes, o.Intervals, func(mi, it int) float64 {
-					return float64(block[mi*o.Intervals+it].Detector.Switches)
-				})
+				_, sw := o.meanByMix(func(mix string, it int) float64 { return float64(rs[mix][it].Detector.Switches) })
 				meanT[ci][hi] = mean
 				geoT[ci][hi] = stats.GeoMean(mixMeans)
 				swT[ci][hi] = sw
@@ -134,7 +109,7 @@ func RunAdaptive(ctx context.Context, o Options, threads, cores []int) (*Adaptiv
 		res.Switches = append(res.Switches, swT)
 		res.PerMixIPC = append(res.PerMixIPC, perMixT)
 	}
-	return res, nil
+	return res
 }
 
 // bestStatic returns the index and mean IPC of the best static

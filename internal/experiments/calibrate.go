@@ -26,26 +26,19 @@ type Calibration struct {
 // metrics. The detector's DefaultConfig ships the paper's published
 // values; this shows where this simulator's own averages land.
 func RunCalibration(ctx context.Context, o Options) (*Calibration, error) {
+	return reduce(ctx, o, "calibrate", o.Calibration)
+}
+
+// Calibration reduces the fixed-ICOUNT runs to the four condition
+// metrics' averages.
+func (o Options) Calibration(get Get) *Calibration {
 	mixes := o.mixes()
-	var jobs []stats.Job
-	for _, mix := range mixes {
-		for it := 0; it < o.Intervals; it++ {
-			jobs = append(jobs, stats.Job{
-				Name:   jobName("calibrate", mix, "ICOUNT", it),
-				Config: o.FixedConfig(mix, policy.ICOUNT, it),
-			})
-		}
-	}
-	results, err := o.runAll(ctx, jobs)
-	if err != nil {
-		return nil, err
-	}
 	cal := &Calibration{PerMix: make(map[string][4]float64, len(mixes))}
 	var l1, lsq, misp, cbr []float64
-	for mi, mix := range mixes {
+	for _, mix := range mixes {
 		var a, b, c, d []float64
 		for it := 0; it < o.Intervals; it++ {
-			r := results[mi*o.Intervals+it]
+			r := get(o.FixedConfig(mix, policy.ICOUNT, it))
 			a = append(a, r.L1MissRate)
 			b = append(b, r.LSQFullRate)
 			c = append(c, r.MispredRate)
@@ -62,7 +55,7 @@ func RunCalibration(ctx context.Context, o Options) (*Calibration, error) {
 	cal.LSQFullRate = stats.Mean(lsq)
 	cal.MispredRate = stats.Mean(misp)
 	cal.CondBrRate = stats.Mean(cbr)
-	return cal, nil
+	return cal
 }
 
 // Table renders the calibration next to the paper's published

@@ -11,9 +11,17 @@
 //   - the thread-count saturation experiment of §7;
 //   - the §4.3.2 condition-threshold calibration methodology;
 //   - the multi-core thread-to-core allocation comparison
-//     (internal/multicore, docs/multicore.md).
+//     (internal/multicore, docs/multicore.md);
+//   - the learned-selector comparison (docs/adaptive.md).
 //
-// The same drivers back cmd/adts-sweep, the benchmark suite, and the
+// Each runner-driven experiment is a reducer, an Options method such as
+// Table1(get) that reads every result it needs by config and builds no
+// jobs. Options.Run makes one pass over any set of them: it records the
+// configs they read, runs each distinct config once (resultstore.ConfigKey),
+// and lets each reduce from the one result set, so a checkpoint holds
+// each distinct config once. One cmd/adts-sweep invocation is one pass;
+// the Run* functions are passes of one experiment. RunJobsched drives
+// its own machine. The same drivers back the benchmark suite and the
 // numbers recorded in EXPERIMENTS.md.
 package experiments
 
@@ -21,6 +29,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/detector"
@@ -143,15 +152,48 @@ func (o Options) OracleConfig(mix string, interval int) core.Config {
 	return cfg
 }
 
-// runAll executes the jobs through the resilient runner with the
-// options' worker bound, checkpoint, progress writer, hook, and
-// executor (nil = local simulation).
-func (o Options) runAll(ctx context.Context, jobs []stats.Job) ([]core.Result, error) {
+// Get returns the result of the run with the given config.
+type Get func(core.Config) core.Result
+
+// An Experiment is one runner-driven experiment of a pass. Reduce reads
+// every result it needs through get, by config, and keeps its own
+// table. Run calls it twice: once to record the plan, when get returns
+// zero Results, and once to reduce. So Reduce must ask for the same
+// configs both times and never choose one from a result it read.
+type Experiment struct {
+	Name   string
+	Reduce func(get Get)
+}
+
+// Run runs the experiments as one pass. It records every config they
+// read, drops repeats by resultstore.ConfigKey (keeping first-use
+// order), runs each distinct config once through the runner with the
+// options' worker bound, checkpoint, progress writer, hook and executor
+// (nil = local simulation), and then lets each experiment reduce. A
+// failed or cancelled pass reduces nothing and returns the runner's
+// error.
+func (o Options) Run(ctx context.Context, exps ...Experiment) error {
+	if len(exps) == 0 {
+		return nil
+	}
+	cfgs, keys, requested := plan(exps)
+	if o.Progress != nil {
+		names := make([]string, len(exps))
+		for i, e := range exps {
+			names[i] = e.Name
+		}
+		fmt.Fprintf(o.Progress, "running %s: %d runs requested, %d distinct\n",
+			strings.Join(names, ", "), requested, len(cfgs))
+	}
+	// A run is named by its key, which also names its checkpoint entry.
+	jobs := make([]stats.Job, len(cfgs))
+	for i, cfg := range cfgs {
+		jobs[i] = stats.Job{Name: keys[i], Config: cfg}
+	}
 	rjobs := stats.RunnerJobs(jobs)
 	if ck := o.Checkpoint; ck != nil {
 		for i := range rjobs {
-			cfg := jobs[i].Config
-			key := resultstore.ConfigKey(cfg)
+			cfg, key := cfgs[i], keys[i]
 			rjobs[i].Stored = func() (core.Result, bool) {
 				e, ok := ck.Get(key)
 				if !ok {
@@ -164,22 +206,75 @@ func (o Options) runAll(ctx context.Context, jobs []stats.Job) ([]core.Result, e
 			}
 		}
 	}
-	return runner.RunWith(ctx, rjobs, runner.Options{
+	results, err := runner.RunWith(ctx, rjobs, runner.Options{
 		Workers:  o.Workers,
 		Progress: o.Progress,
 		Hook:     o.RunHook,
 	}, o.Executor)
+	if err != nil {
+		return err
+	}
+	byKey := make(map[string]core.Result, len(keys))
+	for i, key := range keys {
+		byKey[key] = results[i]
+	}
+	for _, e := range exps {
+		e.Reduce(func(cfg core.Config) core.Result {
+			res, ok := byKey[resultstore.ConfigKey(cfg)]
+			if !ok {
+				panic(fmt.Sprintf("experiments: %s read a config it did not plan", e.Name))
+			}
+			return res
+		})
+	}
+	// One pass can churn through many machine geometries (multi-core
+	// splits, single-thread profiling shells, thread-count grids); drop
+	// the pooled shells so later work does not inherit them.
+	pipeline.DrainPools()
+	return nil
 }
 
-// meanByMix averages per-interval results grouped by mix name and
-// returns both the per-mix means and the cross-mix mean.
-func meanByMix(mixes []string, intervals int, pick func(mixIdx, interval int) float64) (perMix map[string]float64, mean float64) {
+// plan calls every experiment with a recording get and returns the
+// distinct configs it read, in first-use order, with their keys and the
+// number of reads.
+func plan(exps []Experiment) (cfgs []core.Config, keys []string, requested int) {
+	seen := make(map[string]bool)
+	record := func(cfg core.Config) core.Result {
+		requested++
+		if key := resultstore.ConfigKey(cfg); !seen[key] {
+			seen[key] = true
+			cfgs = append(cfgs, cfg)
+			keys = append(keys, key)
+		}
+		return core.Result{}
+	}
+	for _, e := range exps {
+		e.Reduce(record)
+	}
+	return cfgs, keys, requested
+}
+
+// reduce runs one experiment in a pass of its own; it backs the Run*
+// wrappers.
+func reduce[T any](ctx context.Context, o Options, name string, f func(Get) T) (T, error) {
+	var res T
+	if err := o.Run(ctx, Experiment{name, func(get Get) { res = f(get) }}); err != nil {
+		var zero T
+		return zero, err
+	}
+	return res, nil
+}
+
+// meanByMix averages pick over each mix's intervals and returns both
+// the per-mix means and the cross-mix mean.
+func (o Options) meanByMix(pick func(mix string, interval int) float64) (perMix map[string]float64, mean float64) {
+	mixes := o.mixes()
 	perMix = make(map[string]float64, len(mixes))
 	var all []float64
-	for mi, mix := range mixes {
+	for _, mix := range mixes {
 		var vals []float64
-		for it := 0; it < intervals; it++ {
-			vals = append(vals, pick(mi, it))
+		for it := 0; it < o.Intervals; it++ {
+			vals = append(vals, pick(mix, it))
 		}
 		m := stats.Mean(vals)
 		perMix[mix] = m
@@ -188,7 +283,14 @@ func meanByMix(mixes []string, intervals int, pick func(mixIdx, interval int) fl
 	return perMix, stats.Mean(all)
 }
 
-// jobName labels a run for error reporting.
-func jobName(kind, mix string, detail string, interval int) string {
-	return fmt.Sprintf("%s/%s/%s/i%d", kind, mix, detail, interval)
+// byMix reads the result of config(mix, interval) for every mix and
+// interval, once each.
+func (o Options) byMix(config func(mix string, interval int) core.Config, get Get) map[string][]core.Result {
+	rs := make(map[string][]core.Result)
+	for _, mix := range o.mixes() {
+		for it := 0; it < o.Intervals; it++ {
+			rs[mix] = append(rs[mix], get(config(mix, it)))
+		}
+	}
+	return rs
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/stats"
 )
@@ -41,72 +40,37 @@ type MultiCoreResult struct {
 // counts that do not divide a requested core count are rejected by
 // config validation, so callers keep the default 8 threads.
 func RunMultiCore(ctx context.Context, o Options, cores []int) (*MultiCoreResult, error) {
+	return reduce(ctx, o, "multicore", func(get Get) *MultiCoreResult { return o.MultiCore(cores, get) })
+}
+
+// MultiCore reduces each (core count, allocation policy) pair (nil
+// cores selects {2, 4}) and the single-core baseline.
+func (o Options) MultiCore(cores []int, get Get) *MultiCoreResult {
 	if cores == nil {
 		cores = []int{2, 4}
 	}
 	policies := core.AllocationPolicies
 	mixes := o.mixes()
-	per := len(mixes) * o.Intervals
-
-	var jobs []stats.Job
-	for _, mix := range mixes {
-		for it := 0; it < o.Intervals; it++ {
-			jobs = append(jobs, stats.Job{
-				Name:   jobName("mc-base", mix, "ICOUNT/c1", it),
-				Config: o.FixedConfig(mix, policy.ICOUNT, it),
-			})
-		}
-	}
-	for _, c := range cores {
-		for _, p := range policies {
-			for _, mix := range mixes {
-				for it := 0; it < o.Intervals; it++ {
-					cfg := o.FixedConfig(mix, policy.ICOUNT, it)
-					cfg.Cores = c
-					cfg.Allocation = p
-					jobs = append(jobs, stats.Job{
-						Name:   jobName("mc", mix, fmt.Sprintf("%s/c%d", p, c), it),
-						Config: cfg,
-					})
-				}
-			}
-		}
-	}
-
-	results, err := o.runAll(ctx, jobs)
-	if err != nil {
-		return nil, err
-	}
-	// A multi-core study churns through more machine geometries than
-	// any other experiment (per-core shells at every threads/cores
-	// split, plus single-thread profiling shells); drop them so the
-	// next phase of a sweep does not inherit a pool full of shapes it
-	// will never acquire.
-	defer pipeline.DrainPools()
-
 	res := &MultiCoreResult{Opts: o, Cores: cores, Policies: policies}
-	_, res.SingleIPC = meanByMix(mixes, o.Intervals, func(mi, it int) float64 {
-		return results[mi*o.Intervals+it].AggregateIPC
-	})
-	base := per
-	for range cores {
+	_, res.SingleIPC = o.fixedIPC(policy.ICOUNT, get)
+	for _, c := range cores {
 		meanRow := make([]float64, len(policies))
 		geoRow := make([]float64, len(policies))
 		fairRow := make([]float64, len(policies))
 		perMixRow := make([]map[string]float64, len(policies))
-		for pi := range policies {
-			block := results[base : base+per]
-			base += per
-			perMix, mean := meanByMix(mixes, o.Intervals, func(mi, it int) float64 {
-				return block[mi*o.Intervals+it].AggregateIPC
-			})
+		for pi, p := range policies {
+			rs := o.byMix(func(mix string, it int) core.Config {
+				cfg := o.FixedConfig(mix, policy.ICOUNT, it)
+				cfg.Cores = c
+				cfg.Allocation = p
+				return cfg
+			}, get)
+			perMix, mean := o.meanByMix(func(mix string, it int) float64 { return rs[mix][it].AggregateIPC })
 			var mixMeans []float64
 			for _, mix := range mixes {
 				mixMeans = append(mixMeans, perMix[mix])
 			}
-			_, fair := meanByMix(mixes, o.Intervals, func(mi, it int) float64 {
-				return block[mi*o.Intervals+it].FairnessJain
-			})
+			_, fair := o.meanByMix(func(mix string, it int) float64 { return rs[mix][it].FairnessJain })
 			meanRow[pi] = mean
 			geoRow[pi] = stats.GeoMean(mixMeans)
 			fairRow[pi] = fair
@@ -117,7 +81,7 @@ func RunMultiCore(ctx context.Context, o Options, cores []int) (*MultiCoreResult
 		res.Fairness = append(res.Fairness, fairRow)
 		res.PerMixIPC = append(res.PerMixIPC, perMixRow)
 	}
-	return res, nil
+	return res
 }
 
 // Tables renders one per-mix table per core count plus the summary.

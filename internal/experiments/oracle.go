@@ -20,46 +20,25 @@ type OracleResult struct {
 
 // RunOracle measures the oracle headroom over fixed ICOUNT.
 func RunOracle(ctx context.Context, o Options) (*OracleResult, error) {
-	mixes := o.mixes()
-	var jobs []stats.Job
-	for _, mix := range mixes {
-		for it := 0; it < o.Intervals; it++ {
-			jobs = append(jobs, stats.Job{
-				Name:   jobName("fixed", mix, "ICOUNT", it),
-				Config: o.FixedConfig(mix, policy.ICOUNT, it),
-			})
-		}
-	}
-	for _, mix := range mixes {
-		for it := 0; it < o.Intervals; it++ {
-			jobs = append(jobs, stats.Job{
-				Name:   jobName("oracle", mix, "greedy", it),
-				Config: o.OracleConfig(mix, it),
-			})
-		}
-	}
-	results, err := o.runAll(ctx, jobs)
-	if err != nil {
-		return nil, err
-	}
-	per := len(mixes) * o.Intervals
-	base, orc := results[:per], results[per:]
-	basePerMix, baseMean := meanByMix(mixes, o.Intervals, func(mi, it int) float64 {
-		return base[mi*o.Intervals+it].AggregateIPC
-	})
-	orcPerMix, orcMean := meanByMix(mixes, o.Intervals, func(mi, it int) float64 {
-		return orc[mi*o.Intervals+it].AggregateIPC
+	return reduce(ctx, o, "oracle", o.Oracle)
+}
+
+// Oracle reduces the oracle-scheduled runs against fixed ICOUNT.
+func (o Options) Oracle(get Get) *OracleResult {
+	basePerMix, baseMean := o.fixedIPC(policy.ICOUNT, get)
+	orcPerMix, orcMean := o.meanByMix(func(mix string, it int) float64 {
+		return get(o.OracleConfig(mix, it)).AggregateIPC
 	})
 	res := &OracleResult{
 		Opts:        o,
-		PerMix:      make(map[string][2]float64, len(mixes)),
+		PerMix:      make(map[string][2]float64, len(basePerMix)),
 		BaselineIPC: baseMean,
 		OracleIPC:   orcMean,
 	}
-	for _, mix := range mixes {
-		res.PerMix[mix] = [2]float64{basePerMix[mix], orcPerMix[mix]}
+	for mix, base := range basePerMix {
+		res.PerMix[mix] = [2]float64{base, orcPerMix[mix]}
 	}
-	return res, nil
+	return res
 }
 
 // EnvelopeResult is the post-hoc "envelope oracle": for each quantum,
@@ -82,54 +61,39 @@ type EnvelopeResult struct {
 // RunEnvelope measures the post-hoc envelope over the given policies
 // (DefaultCandidates' three when pols is nil).
 func RunEnvelope(ctx context.Context, o Options, pols []policy.Policy) (*EnvelopeResult, error) {
+	return reduce(ctx, o, "envelope", func(get Get) *EnvelopeResult { return o.Envelope(pols, get) })
+}
+
+// Envelope reduces the per-quantum envelope over pols' fixed-policy
+// runs (DefaultCandidates' three when pols is nil).
+func (o Options) Envelope(pols []policy.Policy, get Get) *EnvelopeResult {
 	if pols == nil {
 		pols = []policy.Policy{policy.ICOUNT, policy.BRCOUNT, policy.L1MISSCOUNT}
 	}
 	mixes := o.mixes()
-	var jobs []stats.Job
-	for _, p := range pols {
-		for _, mix := range mixes {
-			for it := 0; it < o.Intervals; it++ {
-				jobs = append(jobs, stats.Job{
-					Name:   jobName("env", mix, p.String(), it),
-					Config: o.FixedConfig(mix, p, it),
-				})
-			}
-		}
-	}
-	results, err := o.runAll(ctx, jobs)
-	if err != nil {
-		return nil, err
-	}
-	per := len(mixes) * o.Intervals
 	res := &EnvelopeResult{
 		Opts:     o,
 		Policies: pols,
 		PerMix:   make(map[string][2]float64, len(mixes)),
 	}
 	var baseAll, envAll []float64
-	for mi, mix := range mixes {
+	for _, mix := range mixes {
 		var base, env []float64
 		for it := 0; it < o.Intervals; it++ {
-			// ICOUNT is pols[0] by construction of the default set;
-			// find it explicitly to be safe.
+			series := make([][]float64, len(pols))
 			var icount []float64
-			envSum := 0.0
-			var n int
 			for pi, p := range pols {
-				series := results[pi*per+mi*o.Intervals+it].QuantumIPC
+				series[pi] = get(o.FixedConfig(mix, p, it)).QuantumIPC
 				if p == policy.ICOUNT {
-					icount = series
-				}
-				if n == 0 {
-					n = len(series)
+					icount = series[pi]
 				}
 			}
+			n := len(series[0])
+			envSum := 0.0
 			for q := 0; q < n; q++ {
 				best := 0.0
-				for pi := range pols {
-					v := results[pi*per+mi*o.Intervals+it].QuantumIPC[q]
-					if v > best {
+				for _, s := range series {
+					if v := s[q]; v > best {
 						best = v
 					}
 				}
@@ -144,7 +108,7 @@ func RunEnvelope(ctx context.Context, o Options, pols []policy.Policy) (*Envelop
 	}
 	res.BaselineIPC = stats.Mean(baseAll)
 	res.EnvelopeIPC = stats.Mean(envAll)
-	return res, nil
+	return res
 }
 
 // Headroom returns the mean envelope gain over fixed ICOUNT.

@@ -23,57 +23,27 @@ type SaturationResult struct {
 // RunSaturation sweeps the thread count under fixed ICOUNT and under
 // ADTS (Type 3, m = 2, the paper's best configuration).
 func RunSaturation(ctx context.Context, o Options, threads []int) (*SaturationResult, error) {
+	return reduce(ctx, o, "saturation", func(get Get) *SaturationResult { return o.Saturation(threads, get) })
+}
+
+// Saturation reduces IPC per thread count (nil selects 1, 2, 4, 6, 8)
+// under both schedulers.
+func (o Options) Saturation(threads []int, get Get) *SaturationResult {
 	if threads == nil {
 		threads = []int{1, 2, 4, 6, 8}
 	}
-	mixes := o.mixes()
-	var jobs []stats.Job
-	for _, n := range threads {
-		on := o
-		on.Threads = n
-		for _, mix := range mixes {
-			for it := 0; it < o.Intervals; it++ {
-				jobs = append(jobs, stats.Job{
-					Name:   jobName("fixed", mix, fmt.Sprintf("ICOUNT/t%d", n), it),
-					Config: on.FixedConfig(mix, policy.ICOUNT, it),
-				})
-			}
-		}
-	}
-	for _, n := range threads {
-		on := o
-		on.Threads = n
-		for _, mix := range mixes {
-			for it := 0; it < o.Intervals; it++ {
-				jobs = append(jobs, stats.Job{
-					Name:   jobName("adts", mix, fmt.Sprintf("T3m2/t%d", n), it),
-					Config: on.ADTSConfig(mix, detector.Type3, 2, it),
-				})
-			}
-		}
-	}
-	results, err := o.runAll(ctx, jobs)
-	if err != nil {
-		return nil, err
-	}
 	res := &SaturationResult{Opts: o, Threads: threads}
-	per := len(mixes) * o.Intervals
-	for ti := range threads {
-		block := results[ti*per : (ti+1)*per]
-		_, mean := meanByMix(mixes, o.Intervals, func(mi, it int) float64 {
-			return block[mi*o.Intervals+it].AggregateIPC
+	for _, n := range threads {
+		on := o
+		on.Threads = n
+		_, fixed := on.fixedIPC(policy.ICOUNT, get)
+		_, adaptive := on.meanByMix(func(mix string, it int) float64 {
+			return get(on.ADTSConfig(mix, detector.Type3, 2, it)).AggregateIPC
 		})
-		res.FixedIPC = append(res.FixedIPC, mean)
+		res.FixedIPC = append(res.FixedIPC, fixed)
+		res.AdaptiveIPC = append(res.AdaptiveIPC, adaptive)
 	}
-	offset := len(threads) * per
-	for ti := range threads {
-		block := results[offset+ti*per : offset+(ti+1)*per]
-		_, mean := meanByMix(mixes, o.Intervals, func(mi, it int) float64 {
-			return block[mi*o.Intervals+it].AggregateIPC
-		})
-		res.AdaptiveIPC = append(res.AdaptiveIPC, mean)
-	}
-	return res, nil
+	return res
 }
 
 // Table renders IPC versus thread count for both schedulers.

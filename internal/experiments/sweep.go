@@ -43,6 +43,12 @@ type Sweep struct {
 // ctx drains in-flight runs, records them in the options' checkpoint
 // (if any), and returns the context error.
 func RunSweep(ctx context.Context, o Options, thresholds []float64, heuristics []detector.Heuristic) (*Sweep, error) {
+	return reduce(ctx, o, "sweep", func(get Get) *Sweep { return o.Sweep(thresholds, heuristics, get) })
+}
+
+// Sweep reduces the grid (nil thresholds or heuristics select the
+// paper's full set) and its fixed-ICOUNT baseline.
+func (o Options) Sweep(thresholds []float64, heuristics []detector.Heuristic, get Get) *Sweep {
 	if thresholds == nil {
 		thresholds = DefaultThresholds()
 	}
@@ -50,58 +56,22 @@ func RunSweep(ctx context.Context, o Options, thresholds []float64, heuristics [
 		heuristics = detector.AllHeuristics()
 	}
 	mixes := o.mixes()
-
-	var jobs []stats.Job
-	// Baseline jobs first.
-	for _, mix := range mixes {
-		for it := 0; it < o.Intervals; it++ {
-			jobs = append(jobs, stats.Job{
-				Name:   jobName("fixed", mix, "ICOUNT", it),
-				Config: o.FixedConfig(mix, policy.ICOUNT, it),
-			})
-		}
-	}
-	// Grid jobs.
-	for _, m := range thresholds {
-		for _, h := range heuristics {
-			for _, mix := range mixes {
-				for it := 0; it < o.Intervals; it++ {
-					jobs = append(jobs, stats.Job{
-						Name:   jobName("adts", mix, fmt.Sprintf("%v/m%g", h, m), it),
-						Config: o.ADTSConfig(mix, h, m, it),
-					})
-				}
-			}
-		}
-	}
-
-	results, err := o.runAll(ctx, jobs)
-	if err != nil {
-		return nil, err
-	}
-
 	s := &Sweep{Opts: o, Thresholds: thresholds, Heuristics: heuristics}
-	nBase := len(mixes) * o.Intervals
-	base := results[:nBase]
-	s.BaselinePerMix, s.BaselineIPC = meanByMix(mixes, o.Intervals, func(mi, it int) float64 {
-		return base[mi*o.Intervals+it].AggregateIPC
-	})
+	s.BaselinePerMix, s.BaselineIPC = o.fixedIPC(policy.ICOUNT, get)
 
-	grid := results[nBase:]
-	per := len(mixes) * o.Intervals
+	runs := float64(len(mixes) * o.Intervals)
 	s.Cells = make([][]Cell, len(thresholds))
-	for ti := range thresholds {
+	for ti, m := range thresholds {
 		s.Cells[ti] = make([]Cell, len(heuristics))
-		for hi := range heuristics {
-			block := grid[(ti*len(heuristics)+hi)*per : (ti*len(heuristics)+hi+1)*per]
+		for hi, h := range heuristics {
 			cell := &s.Cells[ti][hi]
 			cell.PerMixIPC = make(map[string]float64, len(mixes))
 			var ipcs, switches, lows []float64
 			var ben, mal uint64
-			for mi, mix := range mixes {
+			for _, mix := range mixes {
 				var mixIPCs []float64
 				for it := 0; it < o.Intervals; it++ {
-					r := block[mi*o.Intervals+it]
+					r := get(o.ADTSConfig(mix, h, m, it))
 					mixIPCs = append(mixIPCs, r.AggregateIPC)
 					switches = append(switches, float64(r.Detector.Switches))
 					lows = append(lows, float64(r.Detector.LowQuanta))
@@ -115,7 +85,6 @@ func RunSweep(ctx context.Context, o Options, thresholds []float64, heuristics [
 			cell.IPC = stats.Mean(ipcs)
 			cell.Switches = stats.Mean(switches)
 			cell.LowQuanta = stats.Mean(lows)
-			runs := float64(len(block))
 			cell.Benign = float64(ben) / runs
 			cell.Malignant = float64(mal) / runs
 			if ben+mal > 0 {
@@ -123,7 +92,7 @@ func RunSweep(ctx context.Context, o Options, thresholds []float64, heuristics [
 			}
 		}
 	}
-	return s, nil
+	return s
 }
 
 // Best returns the best (threshold, heuristic) cell by IPC.

@@ -21,62 +21,35 @@ type Table1Result struct {
 // RunTable1 evaluates all ten fetch policies of Table 1 as fixed
 // policies over the mixes.
 func RunTable1(ctx context.Context, o Options) (*Table1Result, error) {
+	return reduce(ctx, o, "table1", o.Table1)
+}
+
+// Table1 reduces the ten fixed-policy rows of Table 1.
+func (o Options) Table1(get Get) *Table1Result {
 	pols := policy.All()
-	mixes := o.mixes()
-	var jobs []stats.Job
-	for _, p := range pols {
-		for _, mix := range mixes {
-			for it := 0; it < o.Intervals; it++ {
-				jobs = append(jobs, stats.Job{
-					Name:   jobName("fixed", mix, p.String(), it),
-					Config: o.FixedConfig(mix, p, it),
-				})
-			}
-		}
-	}
-	results, err := o.runAll(ctx, jobs)
-	if err != nil {
-		return nil, err
-	}
 	res := &Table1Result{
 		Opts:      o,
 		Policies:  pols,
 		MeanIPC:   make(map[policy.Policy]float64, len(pols)),
 		PerMixIPC: make(map[policy.Policy]map[string]float64, len(pols)),
 	}
-	per := len(mixes) * o.Intervals
-	for pi, p := range pols {
-		block := results[pi*per : (pi+1)*per]
-		perMix, mean := meanByMix(mixes, o.Intervals, func(mi, it int) float64 {
-			return block[mi*o.Intervals+it].AggregateIPC
-		})
-		res.PerMixIPC[p] = perMix
-		res.MeanIPC[p] = mean
+	for _, p := range pols {
+		res.PerMixIPC[p], res.MeanIPC[p] = o.fixedIPC(p, get)
 	}
-	return res, nil
+	return res
+}
+
+// fixedIPC reads fixed policy p's per-mix and cross-mix mean IPC.
+func (o Options) fixedIPC(p policy.Policy, get Get) (perMix map[string]float64, mean float64) {
+	return o.meanByMix(func(mix string, it int) float64 {
+		return get(o.FixedConfig(mix, p, it)).AggregateIPC
+	})
 }
 
 // RunTable1Policy evaluates a single fixed policy over the options'
 // mixes and returns its cross-mix mean IPC (one Table 1 row).
 func RunTable1Policy(ctx context.Context, o Options, p policy.Policy) (float64, error) {
-	mixes := o.mixes()
-	var jobs []stats.Job
-	for _, mix := range mixes {
-		for it := 0; it < o.Intervals; it++ {
-			jobs = append(jobs, stats.Job{
-				Name:   jobName("fixed", mix, p.String(), it),
-				Config: o.FixedConfig(mix, p, it),
-			})
-		}
-	}
-	results, err := o.runAll(ctx, jobs)
-	if err != nil {
-		return 0, err
-	}
-	_, mean := meanByMix(mixes, o.Intervals, func(mi, it int) float64 {
-		return results[mi*o.Intervals+it].AggregateIPC
-	})
-	return mean, nil
+	return reduce(ctx, o, "table1", func(get Get) float64 { _, mean := o.fixedIPC(p, get); return mean })
 }
 
 // Table renders the policy catalogue with measured mean IPC, Table 1

@@ -19,7 +19,7 @@ var latencyBuckets = []float64{
 // metrics is the server's instrumentation: lock-free counters plus
 // cumulative latency histograms, rendered by internal/promtext.
 type metrics struct {
-	requests    atomic.Int64 // POST /v1/run requests received
+	requests    atomic.Int64 // POST /v1/run and POST /v1/batch requests received
 	badRequests atomic.Int64 // malformed / invalid config
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
@@ -97,7 +97,7 @@ func (m *metrics) observeSimThroughput(cycles int64, elapsedNs int64) {
 func (m *metrics) writePrometheus(w io.Writer) {
 	p := promtext.Writer{W: w}
 	counter, gauge := p.Counter, p.Gauge
-	counter("smtsimd_requests_total", "POST /v1/run requests received.", m.requests.Load())
+	counter("smtsimd_requests_total", "POST /v1/run and POST /v1/batch requests received (a batch counts once).", m.requests.Load())
 	counter("smtsimd_bad_requests_total", "Requests rejected as malformed or invalid.", m.badRequests.Load())
 	counter("smtsimd_cache_hits_total", "Run requests served from the result cache.", m.cacheHits.Load())
 	counter("smtsimd_cache_misses_total", "Run requests not found in the result cache.", m.cacheMisses.Load())
