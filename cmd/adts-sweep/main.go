@@ -33,8 +33,10 @@
 //	adts-sweep -all -backends sim1:8080,sim2:8080 -batch
 //
 // With -backends, each simulation is dispatched to a pool of smtsimd
-// servers as a POST /v1/batch of one (least-loaded, with health
-// probing, retries, and circuit breakers — see docs/fleet.md); results
+// servers as a POST /v1/batch of one (least-loaded among backends that
+// are up, with retries; a failed health probe or three failed
+// dispatches in a row mark a backend down until its next good probe —
+// see docs/fleet.md); results
 // are byte-identical to a local run, and -checkpoint/-resume work
 // unchanged. -batch ships runs in chunks of many configs (one request
 // per chunk instead of per run). -peer-lookup consults every backend's

@@ -271,7 +271,7 @@ func TestCLIAdtsSweepCheckpointRefusesNonEmptyDir(t *testing.T) {
 // TestCLIAdtsSweepMaxRetriesZero: -max-retries 0 means one dispatch per
 // run and no re-dispatch. Against a backend that fails every run, the
 // sweep must POST exactly once and then fail, not retry until the
-// breaker opens and the run falls back to local execution.
+// backend is marked down and the run falls back to local execution.
 func TestCLIAdtsSweepMaxRetriesZero(t *testing.T) {
 	var posts atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -89,13 +89,11 @@ func startBackends(t *testing.T, n int, cfg simserver.Config) []string {
 func chaosClient(t *testing.T, urls []string, tr *chaos.Transport, mutate func(*fleet.Config)) *fleet.Client {
 	t.Helper()
 	cfg := fleet.Config{
-		Backends:         urls,
-		MaxRetries:       10,
-		ProbeInterval:    100 * time.Millisecond,
-		BreakerThreshold: 4,
-		BreakerCooldown:  50 * time.Millisecond,
-		BackoffBase:      time.Millisecond,
-		BackoffMax:       20 * time.Millisecond,
+		Backends:      urls,
+		MaxRetries:    10,
+		ProbeInterval: 100 * time.Millisecond,
+		BackoffBase:   time.Millisecond,
+		BackoffMax:    20 * time.Millisecond,
 		// Transport-level corruption blames innocent backends; keep the
 		// quarantine out of reach so these tests exercise retry, not
 		// pool shrinkage. The byzantine test lowers it again.

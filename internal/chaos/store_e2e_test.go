@@ -103,14 +103,9 @@ func TestBatchSweepSurvivesKilledAndCorruptBackends(t *testing.T) {
 	t.Cleanup(liar.Close)
 
 	urls := []string{honest[0], killer.URL, liar.URL}
-	peers, err := fleet.NewPeerLookup(urls, 50*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := chaosClient(t, urls, nil, func(cfg *fleet.Config) {
 		cfg.HTTPClient = nil // real transport; the faults are the backends
 		cfg.BatchSize = 8
-		cfg.PeerLookup = peers
 	})
 
 	o := chaosOptions()

@@ -7,13 +7,17 @@ import (
 	"sync/atomic"
 )
 
+// downAfter is how many charged dispatch failures in a row mark a
+// backend down. A charged failure is a transport error, a non-200
+// status other than 429, or a broken stream (see post).
+const downAfter = 3
+
 // backend is one smtsimd instance in the pool: its base URL plus the
 // client-side state the dispatcher needs — in-flight load for
-// least-loaded selection, a circuit breaker, health-probe status, and
-// per-backend counters for the metrics exposition.
+// least-loaded selection, one up/down health state, and per-backend
+// counters for the metrics exposition.
 type backend struct {
-	url     string // normalized base URL, no trailing slash
-	breaker *breaker
+	url string // normalized base URL, no trailing slash
 
 	inflight atomic.Int64 // requests being served now (load metric)
 	requests atomic.Int64 // dispatches, including retries
@@ -27,8 +31,9 @@ type backend struct {
 	latSumUs int64 // microseconds of successful requests
 	latCount int64
 
-	probeMu sync.Mutex
-	down    bool   // last health probe failed (distinct from the breaker)
+	mu      sync.Mutex
+	down    bool   // a probe failed, or downAfter dispatches failed in a row; the next good probe clears it
+	streak  int    // charged dispatch failures in a row while up
 	version string // backend-reported version from /healthz
 	store   string // backend-reported store_state ("" = not reported)
 }
@@ -69,35 +74,60 @@ func (b *backend) latency() (sum float64, count int64) {
 	return float64(b.latSumUs) / 1e6, b.latCount
 }
 
-// setProbe records a health-probe outcome.
-func (b *backend) setProbe(up bool, version string) {
-	b.probeMu.Lock()
+// setProbe records a health-probe outcome: up or down, the reported
+// version (kept when the probe reports none) and store state. It
+// returns the state it replaced, so a transition is seen even when a
+// dispatch streak marked the backend down while the probe was out.
+func (b *backend) setProbe(up bool, version, store string) (wasUp bool, wasStore string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	wasUp, wasStore = !b.down, b.store
 	b.down = !up
+	if !up {
+		b.streak = 0
+	}
 	if version != "" {
 		b.version = version
 	}
-	b.probeMu.Unlock()
+	b.store = store
+	return wasUp, wasStore
 }
 
-// probed returns the last probe outcome and reported version.
-func (b *backend) probed() (up bool, version string) {
-	b.probeMu.Lock()
-	defer b.probeMu.Unlock()
-	return !b.down, b.version
+// health returns whether the backend is up, its reported version and
+// its store serving state.
+func (b *backend) health() (up bool, version, store string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return !b.down, b.version, b.store
 }
 
-// setStoreState records the store serving state the last probe saw.
-func (b *backend) setStoreState(state string) {
-	b.probeMu.Lock()
-	b.store = state
-	b.probeMu.Unlock()
+// routable reports whether pick may choose b: up and not quarantined.
+func (b *backend) routable() bool {
+	up, _, _ := b.health()
+	return up && !b.quarantined.Load()
 }
 
-// storeState returns the backend's last-reported store serving state.
-func (b *backend) storeState() string {
-	b.probeMu.Lock()
-	defer b.probeMu.Unlock()
-	return b.store
+// fail charges one dispatch failure and reports whether it was the
+// downAfter-th in a row, which marks the backend down.
+func (b *backend) fail() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.down {
+		return false
+	}
+	b.streak++
+	if b.streak < downAfter {
+		return false
+	}
+	b.down, b.streak = true, 0
+	return true
+}
+
+// succeed ends a failure streak.
+func (b *backend) succeed() {
+	b.mu.Lock()
+	b.streak = 0
+	b.mu.Unlock()
 }
 
 // storePenalty converts a degraded store into extra apparent load for
@@ -107,7 +137,7 @@ func (b *backend) storeState() string {
 // still serve — the penalty biases dispatch, it never excludes — so a
 // fleet that is entirely degraded keeps working.
 func (b *backend) storePenalty() int64 {
-	switch b.storeState() {
+	switch _, _, store := b.health(); store {
 	case "readonly":
 		return 1
 	case "memory-only":

@@ -143,12 +143,13 @@ func (c *Client) sendOne(ctx context.Context, b *backend, raw []byte, key string
 // configs to b's /v1/batch and returns the stream's accepted lines,
 // index-aligned with keys and nil where nothing was delivered (see
 // decodeBatch). It releases the in-flight slot pick reserved on b and
-// maintains b's breaker and latency stats. A 429 is returned as a
-// rateLimitedError without charging the breaker (the backend is
-// healthy, just saturated); transport failures, other statuses and
-// broken streams are charged, and each corrupt or misbound line counts
-// toward b's quarantine. A caller that gave up is not the backend's
-// fault either: its context error returns uncharged.
+// maintains b's health and latency stats. A 429 is returned as a
+// rateLimitedError without charging b (the backend is healthy, just
+// saturated); transport failures, other statuses and broken streams
+// are charged, downAfter of them in a row mark b down, and each
+// corrupt or misbound line counts toward b's quarantine. A caller that
+// gave up is not the backend's fault either: its context error returns
+// uncharged.
 func (c *Client) post(ctx context.Context, b *backend, raws [][]byte, keys []string) ([]*batchWireLine, error) {
 	defer b.inflight.Add(-1)
 	b.requests.Add(1)
@@ -192,10 +193,12 @@ func (c *Client) post(ctx context.Context, b *backend, raws [][]byte, keys []str
 			return lines, ctx.Err()
 		}
 		b.errors.Add(1)
-		b.breaker.failure()
+		if b.fail() {
+			fmt.Fprintf(c.cfg.Log, "fleet: backend %s is down after %d failed dispatches in a row (last: %v)\n", b.url, downAfter, err)
+		}
 		return lines, fmt.Errorf("fleet: %s: %w", b.url, err)
 	}
-	b.breaker.success()
+	b.succeed()
 	b.observe(c.cfg.now().Sub(start).Microseconds())
 	return lines, nil
 }

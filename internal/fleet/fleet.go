@@ -2,9 +2,10 @@
 // lets one sweep fan out across many smtsimd backends: a backend
 // registry with periodic /healthz probing, least-loaded dispatch of
 // simulation configs as POST /v1/batch streams (a single run is a batch
-// of one), a per-backend circuit breaker, retries with exponential
-// backoff + jitter that re-route to a healthy backend, and a
-// local-execution fallback when the pool is empty or fully broken.
+// of one), one up/down health state per backend (set by the probe and
+// by a streak of failed dispatches), retries with exponential backoff +
+// jitter that re-route to another backend, and a local-execution
+// fallback when the pool is empty or fully down.
 //
 // Simulations are deterministic functions of their config and the wire
 // format is the config itself (not a lossy re-encoding), so results are
@@ -22,7 +23,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -43,19 +44,15 @@ type Config struct {
 	Backends []string
 	// MaxRetries bounds re-dispatches per chunk (a single run is a
 	// chunk of one) after the first attempt; < 0 disables retries, 0
-	// selects 3. Retries prefer a different backend than the one that
-	// just failed.
+	// selects 3. Retries go to a different backend than the one that
+	// just failed while another is up.
 	MaxRetries int
-	// ProbeInterval is the /healthz probing period; 0 selects 5s,
-	// negative disables probing (backends are assumed up until
-	// requests fail).
+	// ProbeInterval is the /healthz probing period; 0 selects 5s. A
+	// good probe marks a backend up again after a failed probe or
+	// three failed dispatches in a row marked it down. Negative
+	// disables probing (for tests): backends start up, and one marked
+	// down stays down until ProbeNow.
 	ProbeInterval time.Duration
-	// BreakerThreshold is the consecutive-failure count that opens a
-	// backend's circuit; <= 0 selects 3.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit waits before
-	// half-opening for a trial request; <= 0 selects 5s.
-	BreakerCooldown time.Duration
 	// BackoffBase / BackoffMax bound the full-jitter retry backoff;
 	// <= 0 select 50ms / 2s.
 	BackoffBase time.Duration
@@ -97,6 +94,7 @@ type Config struct {
 	HTTPClient *http.Client
 	// Log receives operational warnings (backends going down or
 	// recovering, version skew across the pool); nil discards them.
+	// The client serializes its writes, so any writer will do.
 	Log io.Writer
 
 	// sleep and now are injectable for tests (in-package only).
@@ -104,8 +102,21 @@ type Config struct {
 	now   func() time.Time
 }
 
+// syncWriter serializes writes to w: the prober's per-backend
+// goroutines and concurrent dispatches log at the same time.
+type syncWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (s *syncWriter) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w.Write(p)
+}
+
 // ErrNoBackends reports that no backend could accept the job: the pool
-// is empty, every backend is down, or every circuit is open. Callers
+// is empty, or every backend is down or quarantined. Callers
 // (the Executor adapter, cmd/adts-sweep) fall back to local execution.
 var ErrNoBackends = errors.New("fleet: no healthy backend available")
 
@@ -139,12 +150,6 @@ func New(cfg Config) (*Client, error) {
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 5 * time.Second
 	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 5 * time.Second
-	}
 	if cfg.BackoffBase <= 0 {
 		cfg.BackoffBase = 50 * time.Millisecond
 	}
@@ -175,6 +180,7 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Log == nil {
 		cfg.Log = io.Discard
 	}
+	cfg.Log = &syncWriter{w: cfg.Log}
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
@@ -203,10 +209,7 @@ func New(cfg Config) (*Client, error) {
 		return nil, err
 	}
 	for _, u := range urls {
-		c.backends = append(c.backends, &backend{
-			url:     u,
-			breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.now),
-		})
+		c.backends = append(c.backends, &backend{url: u})
 	}
 
 	if len(c.backends) > 0 && cfg.ProbeInterval > 0 {
@@ -232,15 +235,12 @@ func (c *Client) Close() {
 // Backends reports the pool size.
 func (c *Client) Backends() int { return len(c.backends) }
 
-// Healthy reports how many backends are currently routable (probe up,
-// circuit not open, not quarantined).
+// Healthy reports how many backends are currently routable (up and not
+// quarantined).
 func (c *Client) Healthy() int {
 	n := 0
 	for _, b := range c.backends {
-		if b.quarantined.Load() {
-			continue
-		}
-		if up, _ := b.probed(); up && b.breaker.state() != BreakerOpen {
+		if b.routable() {
 			n++
 		}
 	}
@@ -249,8 +249,8 @@ func (c *Client) Healthy() int {
 
 // Quarantined reports how many backends have been quarantined for
 // returning results that failed digest verification or lost an audit
-// vote. Quarantine is permanent for the life of the client: a backend
-// that returns wrong bytes cannot be trusted after a cooldown.
+// vote. Quarantine is permanent for the life of the client: unlike a
+// down backend, a quarantined one does not come back on a good probe.
 func (c *Client) Quarantined() int {
 	n := 0
 	for _, b := range c.backends {
@@ -303,8 +303,9 @@ func (c *Client) Run(ctx context.Context, simCfg core.Config) (core.Result, erro
 }
 
 // withRetries runs try on the least-loaded routable backend and, after
-// a failure, again on a different one, with exponential backoff +
-// jitter between attempts (or the backend's Retry-After on a 429). It
+// a failure, again on a different one — or on the same one when no
+// other is routable — with exponential backoff + jitter between
+// attempts (or the backend's Retry-After on a 429). It
 // returns nil once a try succeeds, ErrNoBackends when no backend can
 // take the work, the context's error once the caller gives up, and the
 // last error once MaxRetries re-dispatches are exhausted.
@@ -316,6 +317,9 @@ func (c *Client) withRetries(ctx context.Context, try func(*backend) error) erro
 			return err
 		}
 		b := c.pick(exclude)
+		if b == nil && exclude != nil {
+			b = c.pick()
+		}
 		if b == nil {
 			if lastErr != nil {
 				return fmt.Errorf("%w (last dispatch error: %v)", ErrNoBackends, lastErr)
@@ -358,14 +362,11 @@ func (c *Client) backoff(attempt int) time.Duration {
 	return time.Duration(rand.Int64N(int64(ceil))) + 1
 }
 
-// pick selects the least-loaded routable backend, preferring any
-// backend not in exclude (the ones that just failed, or already served
-// the run being audited). A degraded result store adds phantom load
-// (storePenalty) so dispatch drifts toward backends that can still
-// cache. Quarantined backends are never picked. Ties break by URL so
-// selection is deterministic under equal load. The
-// half-open trial slot is only consumed for the backend actually
-// returned.
+// pick selects the least-loaded routable backend (up and not
+// quarantined) that is not in exclude, or nil when there is none. A
+// degraded result store adds phantom load (storePenalty) so dispatch
+// drifts toward backends that can still cache. Ties break by URL so
+// selection is deterministic under equal load.
 //
 // pick reserves an in-flight slot on the backend it returns, under
 // one lock with the choice, so a wave of concurrent dispatchers
@@ -375,55 +376,21 @@ func (c *Client) backoff(attempt int) time.Duration {
 func (c *Client) pick(exclude ...*backend) *backend {
 	c.pickMu.Lock()
 	defer c.pickMu.Unlock()
-	excluded := func(b *backend) bool {
-		for _, e := range exclude {
-			if b == e {
-				return true
-			}
-		}
-		return false
-	}
-	type cand struct {
-		b    *backend
-		load int64
-	}
-	var cands []cand
+	var best *backend
+	var bestLoad int64
 	for _, b := range c.backends {
-		if excluded(b) || b.quarantined.Load() {
+		if slices.Contains(exclude, b) || !b.routable() {
 			continue
 		}
-		if up, _ := b.probed(); !up {
-			continue
-		}
-		if b.breaker.state() == BreakerOpen {
-			continue
-		}
-		cands = append(cands, cand{b, b.inflight.Load() + b.storePenalty()})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].load != cands[j].load {
-			return cands[i].load < cands[j].load
-		}
-		return cands[i].b.url < cands[j].b.url
-	})
-	for _, cd := range cands {
-		if cd.b.breaker.allow() {
-			cd.b.inflight.Add(1)
-			return cd.b
+		load := b.inflight.Load() + b.storePenalty()
+		if best == nil || load < bestLoad || (load == bestLoad && b.url < best.url) {
+			best, bestLoad = b, load
 		}
 	}
-	// Last resort: a pool of one (or all alternatives broken) may retry
-	// a backend that just failed — but never a quarantined one.
-	for _, e := range exclude {
-		if e == nil || e.quarantined.Load() {
-			continue
-		}
-		if up, _ := e.probed(); up && e.breaker.allow() {
-			e.inflight.Add(1)
-			return e
-		}
+	if best != nil {
+		best.inflight.Add(1)
 	}
-	return nil
+	return best
 }
 
 // rateLimitedError is a 429 response with its Retry-After hint.
@@ -477,8 +444,12 @@ func parseRetryAfter(s string, now time.Time, max time.Duration) time.Duration {
 // internally-consistent but wrong bytes, which digest verification
 // alone can never catch — and the majority result is returned, so the
 // sweep's output stays correct even though a poisoned backend served
-// the original request. Each opinion is one batch of one config (raw,
-// already encoded, bound to key) sent to one backend with no retry.
+// the original request. The second and third opinions come from other
+// backends than the ones already asked, so an audit needs a pool of
+// three to settle anything: on a pool of one nothing is audited, and on
+// a pool of two a disagreement is inconclusive and keeps the primary
+// result. Each opinion is one batch of one config (raw, already
+// encoded, bound to key) sent to one backend with no retry.
 // Audit dispatches never recurse (they bypass dispatch) and audit
 // failures never fail the run; auditing is a detector, not a gate.
 func (c *Client) maybeAudit(ctx context.Context, served *backend, raw []byte, key string, res core.Result) core.Result {

@@ -164,16 +164,41 @@ func TestRetryAfterHonored(t *testing.T) {
 	if c.metrics.rateLimited.Load() != 1 {
 		t.Fatalf("rateLimited = %d, want 1", c.metrics.rateLimited.Load())
 	}
-	// A 429 must not charge the circuit breaker.
-	if st := c.backends[0].breaker.state(); st != BreakerClosed {
-		t.Fatalf("breaker %v after 429, want closed", st)
+	// A 429 must not charge the backend's health.
+	if b := c.backends[0]; b.streak != 0 || b.down {
+		t.Fatalf("after a 429: failure streak %d, down %v; want 0, false", b.streak, b.down)
 	}
 }
 
-// TestCircuitOpensAndHalfOpens: N consecutive failures open the
-// circuit; the cooldown half-opens it for a single trial whose success
-// closes it again.
-func TestCircuitOpensAndHalfOpens(t *testing.T) {
+// TestRateLimitNeverMarksDown: a saturated backend answering 429 is
+// healthy, so any number of 429s in a row leaves it up and the retry
+// that follows them is served.
+func TestRateLimitNeverMarksDown(t *testing.T) {
+	var hits atomic.Int64
+	srv := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
+		if hits.Add(1) <= downAfter {
+			http.Error(w, "busy", http.StatusTooManyRequests)
+			return
+		}
+		okReply("after-429s")(w, r)
+	})
+	cfg := Config{Backends: []string{srv.URL}, MaxRetries: downAfter}
+	cfg.sleep = func(context.Context, time.Duration) error { return nil }
+	c := newTestClient(t, cfg)
+	res, err := c.Run(context.Background(), testCfg())
+	if err != nil || res.Mix != "after-429s" {
+		t.Fatalf("Run after %d 429s = (%q, %v), want the retry served", downAfter, res.Mix, err)
+	}
+	if up, _, _ := c.backends[0].health(); !up {
+		t.Fatal("429s marked the backend down")
+	}
+}
+
+// TestDispatchFailuresMarkDownUntilProbe: downAfter charged failures
+// in a row mark a backend down, with one log line naming it and the
+// last error; dispatch then refuses it until a good probe marks it up.
+// A success in between ends the streak.
+func TestDispatchFailuresMarkDownUntilProbe(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
 	srv := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
@@ -183,79 +208,55 @@ func TestCircuitOpensAndHalfOpens(t *testing.T) {
 		}
 		okReply("recovered")(w, r)
 	})
-
-	now := time.Now()
-	clock := &now
-	cfg := Config{
-		Backends:         []string{srv.URL},
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Minute,
-		MaxRetries:       -1, // each Run = one attempt, so failures are countable
-	}
-	cfg.now = func() time.Time { return *clock }
-	cfg.sleep = func(context.Context, time.Duration) error { return nil }
-	c := newTestClient(t, cfg)
+	var log strings.Builder
+	c := newTestClient(t, Config{
+		Backends:   []string{srv.URL},
+		MaxRetries: -1, // each Run = one attempt, so failures are countable
+		Log:        &log,
+	})
 	b := c.backends[0]
-
-	for i := 0; i < 3; i++ {
-		if _, err := c.Run(context.Background(), testCfg()); err == nil {
-			t.Fatalf("attempt %d unexpectedly succeeded", i)
+	ctx := context.Background()
+	run := func(wantErr bool) {
+		t.Helper()
+		if _, err := c.Run(ctx, testCfg()); (err != nil) != wantErr || errors.Is(err, ErrNoBackends) {
+			t.Fatalf("Run err = %v, want failure %v from the backend", err, wantErr)
 		}
 	}
-	if st := b.breaker.state(); st != BreakerOpen {
-		t.Fatalf("after 3 consecutive failures breaker is %v, want open", st)
-	}
-	if b.breaker.openCount() != 1 {
-		t.Fatalf("openCount = %d, want 1", b.breaker.openCount())
-	}
-	// While open, the pool is fully broken: dispatch refuses.
-	if _, err := c.Run(context.Background(), testCfg()); !errors.Is(err, ErrNoBackends) {
-		t.Fatalf("open circuit: err = %v, want ErrNoBackends", err)
-	}
+	up := func() bool { up, _, _ := b.health(); return up }
 
-	// Cooldown elapses: half-open admits one trial, which succeeds and
-	// closes the circuit.
-	*clock = now.Add(2 * time.Minute)
-	if st := b.breaker.state(); st != BreakerHalfOpen {
-		t.Fatalf("after cooldown breaker is %v, want half-open", st)
-	}
+	// Two failures, a success, two failures: the streak never reaches 3.
+	run(true)
+	run(true)
 	failing.Store(false)
-	res, err := c.Run(context.Background(), testCfg())
-	if err != nil {
-		t.Fatalf("half-open trial failed: %v", err)
+	run(false)
+	failing.Store(true)
+	run(true)
+	run(true)
+	if !up() {
+		t.Fatal("a success did not end the failure streak")
 	}
-	if res.Mix != "recovered" {
-		t.Fatalf("trial served %q", res.Mix)
+	run(true)
+	if up() {
+		t.Fatalf("after %d failures in a row the backend is up, want down", downAfter)
 	}
-	if st := b.breaker.state(); st != BreakerClosed {
-		t.Fatalf("after successful trial breaker is %v, want closed", st)
+	want := fmt.Sprintf("fleet: backend %s is down after 3 failed dispatches in a row", b.url)
+	if strings.Count(log.String(), want) != 1 || !strings.Contains(log.String(), "boom") {
+		t.Fatalf("log does not say once that %s went down, with its last error:\n%s", b.url, log.String())
 	}
-}
 
-// TestHalfOpenTrialFailureReopens: a failed trial restarts the cooldown.
-func TestHalfOpenTrialFailureReopens(t *testing.T) {
-	now := time.Now()
-	clock := &now
-	br := newBreaker(2, time.Minute, func() time.Time { return *clock })
-	br.failure()
-	br.failure()
-	if br.state() != BreakerOpen {
-		t.Fatalf("state %v, want open", br.state())
+	// Down is down until a probe says otherwise, even once the backend
+	// would answer again.
+	failing.Store(false)
+	if _, err := c.Run(ctx, testCfg()); !errors.Is(err, ErrNoBackends) {
+		t.Fatalf("down backend: err = %v, want ErrNoBackends", err)
 	}
-	*clock = now.Add(61 * time.Second)
-	if !br.allow() {
-		t.Fatal("half-open refused the trial")
+	c.ProbeNow(ctx)
+	if !up() || !strings.Contains(log.String(), "is up") {
+		t.Fatalf("a good probe did not mark the backend up:\n%s", log.String())
 	}
-	if br.allow() {
-		t.Fatal("half-open admitted a second concurrent trial")
-	}
-	br.failure()
-	if br.state() != BreakerOpen {
-		t.Fatalf("failed trial left state %v, want open", br.state())
-	}
-	*clock = now.Add(125 * time.Second)
-	if br.state() != BreakerHalfOpen {
-		t.Fatalf("second cooldown: state %v, want half-open", br.state())
+	res, err := c.Run(ctx, testCfg())
+	if err != nil || res.Mix != "recovered" {
+		t.Fatalf("after recovery Run = (%q, %v)", res.Mix, err)
 	}
 }
 
@@ -284,16 +285,14 @@ func TestLocalFallbackWhenPoolEmpty(t *testing.T) {
 	}
 }
 
-// TestLocalFallbackWhenPoolFullyBroken: all circuits open → local run.
+// TestLocalFallbackWhenPoolFullyBroken: every backend down → local run.
 func TestLocalFallbackWhenPoolFullyBroken(t *testing.T) {
 	srv := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	})
 	cfg := Config{
-		Backends:         []string{srv.URL},
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Hour,
-		MaxRetries:       -1,
+		Backends:   []string{srv.URL},
+		MaxRetries: downAfter - 1,
 	}
 	c := newTestClient(t, cfg)
 	if _, err := c.Run(context.Background(), testCfg()); err == nil {
@@ -336,6 +335,28 @@ func TestProbeMarksDeadBackendDown(t *testing.T) {
 	}
 }
 
+// TestProbeLogsConcurrentTransitions: backends probed in parallel may
+// go down at the same time; their log lines reach a plain writer
+// whole and without a data race.
+func TestProbeLogsConcurrentTransitions(t *testing.T) {
+	var urls []string
+	var servers []*httptest.Server
+	for i := 0; i < 4; i++ {
+		srv := fakeBackend(t, okReply("x"))
+		servers = append(servers, srv)
+		urls = append(urls, srv.URL)
+	}
+	var log strings.Builder
+	c := newTestClient(t, Config{Backends: urls, Log: &log})
+	for _, srv := range servers {
+		srv.Close()
+	}
+	c.ProbeNow(context.Background())
+	if got := strings.Count(log.String(), " is down\n"); got != len(urls) {
+		t.Fatalf("%d of %d transitions logged:\n%s", got, len(urls), log.String())
+	}
+}
+
 // TestProbeLogsVersionSkew: two healthy backends on different versions
 // produce exactly one skew warning until the set changes.
 func TestProbeLogsVersionSkew(t *testing.T) {
@@ -363,7 +384,7 @@ func TestProbeLogsVersionSkew(t *testing.T) {
 }
 
 // TestWriteMetricsExposition: the Prometheus text output carries the
-// dispatch/retry/circuit counters and per-backend series.
+// dispatch/retry counters and per-backend series.
 func TestWriteMetricsExposition(t *testing.T) {
 	srv := fakeBackend(t, okReply("m"))
 	c := newTestClient(t, Config{Backends: []string{srv.URL}})
@@ -379,12 +400,11 @@ func TestWriteMetricsExposition(t *testing.T) {
 		"fleet_retried_total 0",
 		"fleet_rate_limited_total 0",
 		"fleet_local_fallback_total 0",
-		"fleet_circuit_open_total 0",
 		"fleet_backends 1",
 		"fleet_backends_healthy 1",
 		fmt.Sprintf("fleet_backend_requests_total{backend=%q} 1", srv.URL),
 		fmt.Sprintf("fleet_backend_errors_total{backend=%q} 0", srv.URL),
-		fmt.Sprintf("fleet_backend_circuit_state{backend=%q} 0", srv.URL),
+		fmt.Sprintf("fleet_backend_up{backend=%q} 1", srv.URL),
 		fmt.Sprintf("fleet_backend_latency_seconds_count{backend=%q} 1", srv.URL),
 		"# TYPE fleet_dispatched_total counter",
 		"# TYPE fleet_backends_healthy gauge",
@@ -403,9 +423,8 @@ func TestRetriesExhaustedReturnsError(t *testing.T) {
 		http.Error(w, "persistent", http.StatusInternalServerError)
 	})
 	cfg := Config{
-		Backends:         []string{srv.URL},
-		MaxRetries:       2,
-		BreakerThreshold: 100, // keep the circuit closed so retries happen
+		Backends:   []string{srv.URL},
+		MaxRetries: 2,
 	}
 	cfg.sleep = func(context.Context, time.Duration) error { return nil }
 	c := newTestClient(t, cfg)

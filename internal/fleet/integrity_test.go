@@ -11,34 +11,42 @@ import (
 	"repro/internal/core"
 )
 
+// retryAfterNow and retryAfterMax are the clock and cap of the
+// Retry-After cases; FuzzParseRetryAfter starts from the same table.
+var (
+	retryAfterNow = time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
+	retryAfterMax = 30 * time.Second
+)
+
+// retryAfterCases are hostile and malformed Retry-After values with
+// the delay each must give.
+var retryAfterCases = []struct {
+	name string
+	in   string
+	want time.Duration
+}{
+	{"empty", "", 0},
+	{"seconds", "2", 2 * time.Second},
+	{"seconds with spaces", "  5  ", 5 * time.Second},
+	{"zero", "0", 0},
+	{"negative", "-30", 0},
+	{"huge", "86400", retryAfterMax},
+	{"overflowing", "999999999999999999", retryAfterMax},
+	{"overflowing past int64 seconds", "99999999999999999999999999", 0}, // Atoi fails, not a date either
+	{"http date future", retryAfterNow.Add(4 * time.Second).Format(http.TimeFormat), 4 * time.Second},
+	{"http date past", retryAfterNow.Add(-time.Hour).Format(http.TimeFormat), 0},
+	{"http date far future", retryAfterNow.Add(48 * time.Hour).Format(http.TimeFormat), retryAfterMax},
+	{"garbage", "soon", 0},
+	{"float", "1.5", 0},
+}
+
 // TestParseRetryAfter: hostile and malformed Retry-After values must
 // never stall a shard — negatives and garbage collapse to 0, huge
 // values and far-future dates cap at max.
 func TestParseRetryAfter(t *testing.T) {
-	now := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-	const max = 30 * time.Second
-	tests := []struct {
-		name string
-		in   string
-		want time.Duration
-	}{
-		{"empty", "", 0},
-		{"seconds", "2", 2 * time.Second},
-		{"seconds with spaces", "  5  ", 5 * time.Second},
-		{"zero", "0", 0},
-		{"negative", "-30", 0},
-		{"huge", "86400", max},
-		{"overflowing", "999999999999999999", max},
-		{"overflowing past int64 seconds", "99999999999999999999999999", 0}, // Atoi fails, not a date either
-		{"http date future", now.Add(4 * time.Second).Format(http.TimeFormat), 4 * time.Second},
-		{"http date past", now.Add(-time.Hour).Format(http.TimeFormat), 0},
-		{"http date far future", now.Add(48 * time.Hour).Format(http.TimeFormat), max},
-		{"garbage", "soon", 0},
-		{"float", "1.5", 0},
-	}
-	for _, tt := range tests {
+	for _, tt := range retryAfterCases {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := parseRetryAfter(tt.in, now, max); got != tt.want {
+			if got := parseRetryAfter(tt.in, retryAfterNow, retryAfterMax); got != tt.want {
 				t.Errorf("parseRetryAfter(%q) = %v, want %v", tt.in, got, tt.want)
 			}
 		})
@@ -101,7 +109,6 @@ func TestRepeatedDigestMismatchQuarantines(t *testing.T) {
 	c := newTestClient(t, Config{
 		Backends:            []string{corrupt.URL, good.URL},
 		QuarantineThreshold: 2,
-		BreakerThreshold:    100, // keep the breaker out of the way: quarantine must do it
 	})
 	// Make the corrupt backend least-loaded so every first attempt lands
 	// on it until the quarantine threshold trips.
@@ -194,6 +201,61 @@ func TestAuditMajorityQuarantinesByzantine(t *testing.T) {
 	}
 	if byzHits.Load() != before {
 		t.Fatalf("quarantined byzantine backend served %d more requests", byzHits.Load()-before)
+	}
+}
+
+// TestAuditPairWithoutTiebreakerQuarantinesNobody: on a pool of two,
+// a disagreement has no third backend to vote. Neither backend may be
+// the tiebreaker of its own audit, so the audit is inconclusive: nobody
+// is quarantined, the primary result is kept, and the log names both
+// backends.
+func TestAuditPairWithoutTiebreakerQuarantinesNobody(t *testing.T) {
+	lie := core.Result{Mix: "honest", AggregateIPC: 4.2501}
+	byz := fakeBackend(t, digestReply(lie, ""))
+	honest := fakeBackend(t, digestReply(core.Result{Mix: "honest", AggregateIPC: 4.25}, ""))
+	var log strings.Builder
+	c := newTestClient(t, Config{Backends: []string{byz.URL, honest.URL}, AuditRate: 1, Log: &log})
+	// The byzantine backend serves the run; the honest one audits it.
+	for _, b := range c.backends {
+		if b.url != strings.TrimRight(byz.URL, "/") {
+			b.inflight.Add(1)
+		}
+	}
+	res, err := c.Run(context.Background(), testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.AggregateIPC != lie.AggregateIPC {
+		t.Fatalf("Run returned IPC %v, want the primary's %v kept on an inconclusive audit", res.AggregateIPC, lie.AggregateIPC)
+	}
+	if n := c.Quarantined(); n != 0 {
+		t.Fatalf("Quarantined() = %d with no third backend to vote, want 0", n)
+	}
+	if got := c.metrics.auditInconclusive.Load(); got != 1 {
+		t.Fatalf("auditInconclusive = %d, want 1", got)
+	}
+	if !strings.Contains(log.String(), "audit disagreement between "+byz.URL+" and "+honest.URL) {
+		t.Fatalf("inconclusive audit not logged with both backends:\n%s", log.String())
+	}
+}
+
+// TestAuditSkippedOnPoolOfOne: a lone backend cannot audit itself, so
+// the run costs one request and counts no audit.
+func TestAuditSkippedOnPoolOfOne(t *testing.T) {
+	var hits atomic.Int64
+	srv := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		digestReply(core.Result{Mix: "alone"}, "")(w, r)
+	})
+	c := newTestClient(t, Config{Backends: []string{srv.URL}, AuditRate: 1})
+	if _, err := c.Run(context.Background(), testCfg()); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.metrics.audits.Load(); got != 0 {
+		t.Fatalf("audits = %d on a pool of one, want 0", got)
+	}
+	if got := hits.Load(); got != 1 {
+		t.Fatalf("backend saw %d requests, want 1", got)
 	}
 }
 

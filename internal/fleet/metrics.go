@@ -27,7 +27,7 @@ type clientMetrics struct {
 	quarantinedTotal  atomic.Int64 // backends quarantined as byzantine
 }
 
-// WriteMetrics renders the client's counters, circuit state, and
+// WriteMetrics renders the client's counters, backend health, and
 // per-backend request/error/latency series in Prometheus text
 // exposition format.
 func (c *Client) WriteMetrics(w io.Writer) {
@@ -47,14 +47,8 @@ func (c *Client) WriteMetrics(w io.Writer) {
 	counter("fleet_audit_inconclusive_total", "Audit disagreements that could not be settled by majority vote.", c.metrics.auditInconclusive.Load())
 	counter("fleet_quarantined_total", "Backends quarantined for corrupt or byzantine results.", c.metrics.quarantinedTotal.Load())
 
-	var opens int64
-	for _, b := range c.backends {
-		opens += b.breaker.openCount()
-	}
-	counter("fleet_circuit_open_total", "Circuit-breaker transitions to open (broken backend detected).", opens)
-
 	p.Gauge("fleet_backends", "Backends registered in the pool.", int64(len(c.backends)))
-	p.Gauge("fleet_backends_healthy", "Backends currently routable (probe up, circuit not open).", int64(c.Healthy()))
+	p.Gauge("fleet_backends_healthy", "Backends currently routable (up and not quarantined).", int64(c.Healthy()))
 
 	if len(c.backends) == 0 {
 		return
@@ -79,10 +73,8 @@ func (c *Client) WriteMetrics(w io.Writer) {
 		func(b *backend) any { return b.ratelim.Load() })
 	labeled("fleet_backend_inflight", "Requests in flight to this backend now.", "gauge",
 		func(b *backend) any { return b.inflight.Load() })
-	labeled("fleet_backend_up", "1 when the last health probe succeeded.", "gauge",
-		func(b *backend) any { up, _ := b.probed(); return flag(up) })
-	labeled("fleet_backend_circuit_state", "Circuit state: 0 closed, 1 half-open, 2 open.", "gauge",
-		func(b *backend) any { return int(b.breaker.state()) })
+	labeled("fleet_backend_up", "1 when the backend is up: a failed probe or 3 failed dispatches in a row mark it down, a good probe marks it up.", "gauge",
+		func(b *backend) any { up, _, _ := b.health(); return flag(up) })
 	labeled("fleet_backend_digest_mismatch_total", "Responses from this backend rejected by digest verification.", "counter",
 		func(b *backend) any { return b.digestBad.Load() })
 	labeled("fleet_backend_quarantined", "1 when this backend is quarantined (corrupt or byzantine results).", "gauge",

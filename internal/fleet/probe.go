@@ -38,22 +38,21 @@ func (c *Client) probeLoop(ctx context.Context) {
 	}
 }
 
-// ProbeNow probes every backend's /healthz once, in parallel, updating
-// routability and recording backend versions. It logs transitions
-// (backend down / recovered) and version skew across the pool. The
-// prober calls it periodically; tests and CLIs may call it directly for
-// an immediate pool assessment.
+// ProbeNow probes every backend's /healthz once, in parallel, setting
+// each backend's up/down state and recording its version. A good probe
+// is the only way back up for a backend that a failed probe or a
+// dispatch failure streak marked down. It logs transitions (backend
+// down / recovered) and version skew across the pool. The prober calls
+// it periodically; tests and CLIs may call it directly for an
+// immediate pool assessment.
 func (c *Client) ProbeNow(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, b := range c.backends {
 		wg.Add(1)
 		go func(b *backend) {
 			defer wg.Done()
-			wasUp, _ := b.probed()
-			wasStore := b.storeState()
 			up, version, store := c.probeOne(ctx, b)
-			b.setProbe(up, version)
-			b.setStoreState(store)
+			wasUp, wasStore := b.setProbe(up, version, store)
 			if up != wasUp {
 				state := "down"
 				if up {
@@ -111,7 +110,7 @@ func orUnknown(s string) string {
 func (c *Client) logVersionSkew() {
 	versions := make(map[string][]string)
 	for _, b := range c.backends {
-		if up, v := b.probed(); up && v != "" {
+		if up, v, _ := b.health(); up && v != "" {
 			versions[v] = append(versions[v], b.url)
 		}
 	}

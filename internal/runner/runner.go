@@ -77,10 +77,10 @@ type Executor[T any] interface {
 // — recording, hooks, fail-fast — are unchanged.
 //
 // ExecuteBatch must return results and errors index-aligned with its
-// input; the errors slice may be nil when every job succeeded. A
-// panicking or contract-breaking ExecuteBatch demotes the chunk to
-// per-job Execute calls, so a batching bug degrades throughput, never
-// correctness.
+// input; the errors slice may be nil when every job succeeded. A panic
+// fails every job of the chunk with the *PanicError (a chunk is not
+// retried), and so does a reply of the wrong length, with an error
+// naming the lengths.
 type BatchExecutor[T any] interface {
 	Executor[T]
 	ExecuteBatch(ctx context.Context, jobs []Job[T]) ([]T, []error)
@@ -266,37 +266,25 @@ func runBatched[T any](ctx context.Context, jobs []Job[T], pending []int, worker
 				for k, i := range chunk {
 					batch[k] = jobs[i]
 				}
-				vs, berrs := executeBatchSafe(ctx, be, batch)
-				if len(vs) != len(chunk) || (berrs != nil && len(berrs) != len(chunk)) {
-					// Broken batch contract (wrong lengths, or a panic):
-					// demote the chunk to per-job execution.
-					for _, i := range chunk {
-						if ctx.Err() != nil {
-							continue
-						}
-						v, attempts, err := attempt(ctx, jobs[i], be)
-						settle(i, v, attempts, err)
-					}
-					continue
-				}
+				vs, berrs, err := executeBatch(ctx, be, batch)
 				for k, i := range chunk {
-					var err error
-					if berrs != nil {
-						err = berrs[k]
+					var v T
+					jerr := err
+					if err == nil {
+						v = vs[k]
+						if berrs != nil {
+							jerr = berrs[k]
+						}
 					}
-					settle(i, vs[k], 1, err)
+					settle(i, v, 1, jerr)
 				}
 			}
 		}()
 	}
 dispatch:
 	for start := 0; start < len(pending); start += chunkSize {
-		end := start + chunkSize
-		if end > len(pending) {
-			end = len(pending)
-		}
 		select {
-		case chunks <- pending[start:end]:
+		case chunks <- pending[start:min(start+chunkSize, len(pending))]:
 		case <-ctx.Done():
 			break dispatch
 		}
@@ -305,16 +293,20 @@ dispatch:
 	wg.Wait()
 }
 
-// executeBatchSafe calls ExecuteBatch with panic containment; a panic
-// reports as a nil result slice, which the caller treats as a broken
-// batch and demotes to per-job execution.
-func executeBatchSafe[T any](ctx context.Context, be BatchExecutor[T], batch []Job[T]) (vs []T, errs []error) {
+// executeBatch calls ExecuteBatch and holds it to its contract. A
+// panic, or results or errors whose length is not the chunk's, comes
+// back as err, which fails every job of the chunk.
+func executeBatch[T any](ctx context.Context, be BatchExecutor[T], batch []Job[T]) (vs []T, errs []error, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			vs, errs = nil, nil
+			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return be.ExecuteBatch(ctx, batch)
+	vs, errs = be.ExecuteBatch(ctx, batch)
+	if len(vs) != len(batch) || (errs != nil && len(errs) != len(batch)) {
+		return nil, nil, fmt.Errorf("batch executor returned %d results and %d errors for %d jobs", len(vs), len(errs), len(batch))
+	}
+	return vs, errs, nil
 }
 
 // attempt runs a job with panic recovery and one bounded retry: a
