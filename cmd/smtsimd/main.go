@@ -22,9 +22,9 @@
 // lacks, so a fleet whose daemons list each other converges on every
 // result, and an entry the scrubber quarantined is pulled again within
 // one -sync-interval. Classified disk faults (full, read-only,
-// permission, I/O) degrade the store to readonly or memory-only instead
-// of failing requests; /healthz reports store_state so fleet dispatch
-// weights away from degraded daemons.
+// permission, I/O) degrade the store to readonly instead of failing
+// requests; /healthz reports store_state so fleet dispatch weights
+// away from degraded daemons.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the
 // listener stops, active requests and in-flight simulations drain

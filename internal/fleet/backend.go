@@ -133,9 +133,9 @@ func (b *backend) succeed() {
 // storePenalty converts a degraded store into extra apparent load for
 // least-loaded selection: a readonly store (recomputes everything it
 // can't cache) counts as one extra in-flight request, a memory-only
-// store (loses its results on restart too) as two. Degraded backends
-// still serve — the penalty biases dispatch, it never excludes — so a
-// fleet that is entirely degraded keeps working.
+// store (no disk tier: it also loses its results on restart) as two.
+// Degraded backends still serve — the penalty biases dispatch, it never
+// excludes — so a fleet that is entirely degraded keeps working.
 func (b *backend) storePenalty() int64 {
 	switch _, _, store := b.health(); store {
 	case "readonly":

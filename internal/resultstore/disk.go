@@ -1,6 +1,7 @@
 package resultstore
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -27,10 +28,10 @@ const DefaultDiskMaxBytes = 256 << 20
 // this cap.
 const DefaultQuarantineMaxBytes = 64 << 20
 
-// DefaultRecoveryInterval is how long a degraded disk tier waits before
-// lazily re-probing the filesystem on the next Put/Get. Scrub passes
-// probe eagerly regardless (see Scrubber).
-const DefaultRecoveryInterval = 30 * time.Second
+// recoveryInterval is how long a degraded disk tier waits before the
+// next Put lazily re-probes the filesystem. Scrub passes probe eagerly
+// regardless (see Scrubber).
+const recoveryInterval = 30 * time.Second
 
 // indexFile persists the access order across restarts so eviction
 // stays oldest-access (not oldest-mtime) after a clean shutdown. It is
@@ -51,7 +52,7 @@ const quarantineDir = "quarantine"
 const tmpPrefix = ".tmp-"
 
 // DiskState is the disk tier's health state. The tier degrades instead
-// of failing: classified filesystem faults trip it into a reduced mode
+// of failing: a classified filesystem fault trips it into a reduced mode
 // that keeps every request answerable, and a successful recovery probe
 // re-arms it.
 type DiskState int32
@@ -59,14 +60,11 @@ type DiskState int32
 const (
 	// DiskOK: reads and writes both served.
 	DiskOK DiskState = iota
-	// DiskReadOnly: a write fault (ENOSPC, EDQUOT, EROFS, permission)
-	// tripped the tier. Existing entries are still served; new entries
-	// are refused with ErrDegraded and live only in the memory tier.
+	// DiskReadOnly: a classified fault (ENOSPC, EDQUOT, EROFS, EIO,
+	// permission) on any path tripped the tier. Resident entries are
+	// still read; new entries are refused with ErrDegraded and live
+	// only in the memory tier.
 	DiskReadOnly
-	// DiskOffline: a read fault (EIO, permission) tripped the tier.
-	// Nothing is served or written; the store behaves memory-only until
-	// a recovery probe succeeds and the directory is rescanned.
-	DiskOffline
 )
 
 func (s DiskState) String() string {
@@ -75,16 +73,14 @@ func (s DiskState) String() string {
 		return "ok"
 	case DiskReadOnly:
 		return "readonly"
-	case DiskOffline:
-		return "offline"
 	default:
 		return fmt.Sprintf("state(%d)", int32(s))
 	}
 }
 
-// ErrDegraded reports an operation refused because the disk tier is in
-// a degraded state. It is a refusal, not a failure: the tiered store
-// keeps serving from memory while the tier is down.
+// ErrDegraded reports a put refused by a degraded disk tier, or a read
+// that hit a classified fault and tripped it. It is a refusal, not a
+// failure: the tiered store keeps the result in memory.
 var ErrDegraded = errors.New("resultstore: disk tier degraded")
 
 // ErrCorrupt reports a stored entry that failed integrity verification
@@ -93,9 +89,9 @@ var ErrDegraded = errors.New("resultstore: disk tier degraded")
 var ErrCorrupt = errors.New("resultstore: entry failed integrity verification")
 
 // DiskOps is the seam over the os calls the disk tier makes. Tests
-// inject failing implementations to drive the degraded-state machine
-// (ENOSPC, EROFS, permission) without needing a hostile filesystem;
-// nil fields select the real os functions.
+// inject failing implementations to drive the degraded state (ENOSPC,
+// EROFS, EIO, permission) without needing a hostile filesystem; nil
+// fields select the real os functions.
 type DiskOps struct {
 	CreateTemp func(dir, pattern string) (*os.File, error)
 	Rename     func(oldpath, newpath string) error
@@ -127,39 +123,30 @@ func (o DiskOps) withDefaults() DiskOps {
 	return o
 }
 
-// isWriteFault classifies errors that mean "the disk cannot accept new
-// bytes" — full, quota-exhausted, remounted read-only, or permission
-// lost. These trip the tier to DiskReadOnly; anything else is treated
-// as a transient per-entry failure.
-func isWriteFault(err error) bool {
+// isFault classifies errors that mean the filesystem itself is
+// failing rather than one entry: full, quota-exhausted, remounted
+// read-only, dying media, or permission lost. These trip the tier to
+// DiskReadOnly on any path; anything else (a missing file included) is
+// a per-entry failure.
+func isFault(err error) bool {
 	return errors.Is(err, syscall.ENOSPC) ||
 		errors.Is(err, syscall.EDQUOT) ||
 		errors.Is(err, syscall.EROFS) ||
+		errors.Is(err, syscall.EIO) ||
 		errors.Is(err, os.ErrPermission)
-}
-
-// isReadFault classifies errors that mean "the disk cannot serve
-// existing bytes" — I/O errors (dying media) or permission lost. These
-// trip the tier to DiskOffline. A missing file is NOT a read fault:
-// it is an index staleness handled per entry.
-func isReadFault(err error) bool {
-	return errors.Is(err, syscall.EIO) || errors.Is(err, os.ErrPermission)
 }
 
 // DiskOptions tunes a disk store beyond the directory and byte budget.
 type DiskOptions struct {
-	// MaxBytes bounds the sum of entry file sizes; <= 0 selects
+	// MaxBytes bounds the sum of indexed entry file sizes; <= 0 selects
 	// DefaultDiskMaxBytes. Inserting past the bound evicts
-	// oldest-accessed entries first.
+	// oldest-accessed entries first. Files the store could not read
+	// stay on disk unindexed, outside the bound.
 	MaxBytes int64
 	// QuarantineMaxBytes bounds the quarantine/ subdirectory; <= 0
 	// selects DefaultQuarantineMaxBytes. Oldest quarantined files are
 	// removed past the cap, at startup and on every quarantine.
 	QuarantineMaxBytes int64
-	// RecoveryInterval is how long a degraded tier waits before lazily
-	// re-probing the filesystem on the next operation; <= 0 selects
-	// DefaultRecoveryInterval. TryRecover probes immediately regardless.
-	RecoveryInterval time.Duration
 	// Log receives operational warnings (quarantined files, failed
 	// evictions, state transitions); nil discards them.
 	Log io.Writer
@@ -182,40 +169,33 @@ type DiskOptions struct {
 // a half-written entry under a valid name. Reads re-verify the result
 // digest and quarantine any file that fails to parse or verify.
 //
-// The tier is self-protecting: classified filesystem faults trip a
-// state machine (DiskOK → DiskReadOnly/DiskOffline) instead of failing
-// every request, and recovery probes re-arm it when the fault clears.
-// It is safe for concurrent use.
+// The tier is self-protecting: a classified filesystem fault trips it
+// to DiskReadOnly instead of failing every request, and a recovery
+// probe re-arms it when the fault clears. It is safe for concurrent
+// use.
 type Disk struct {
 	dir  string
 	opts DiskOptions
 	ops  DiskOps
 	now  func() time.Time
 
-	mu    sync.Mutex
-	index map[string]*diskEntry
-	bytes int64
-	seq   int64 // monotonic access clock
-	open  bool
-
-	// stateMu serializes state transitions and recovery probes. Lock
-	// ordering: stateMu may take mu (recovery rescan); mu must never
-	// take stateMu — paths that detect faults under mu trip after
-	// releasing it.
-	stateMu     sync.Mutex
+	// mu guards the index and the state transitions; state is also
+	// atomic so State and the Put fast path read it without the lock.
+	mu          sync.Mutex
+	index       map[string]*diskEntry
+	bytes       int64
+	seq         int64 // monotonic access clock
+	open        bool
 	state       atomic.Int32 // DiskState
-	stateReason atomic.Value // string: last trip cause, "" when ok
-	trippedAt   atomic.Int64 // unixnano of the last trip / failed probe
+	stateReason string       // last trip cause, "" when ok
+	trippedAt   time.Time    // last trip or failed probe
 
 	evictions       atomic.Int64
 	quarantines     atomic.Int64
 	quarantineDrops atomic.Int64 // quarantined files aged out by the byte cap
-	putErrors       atomic.Int64
-	writeFaults     atomic.Int64 // classified write faults (tripped or re-tripped readonly)
-	readFaults      atomic.Int64 // classified read faults (tripped or re-tripped offline)
+	writeFaults     atomic.Int64 // classified faults on the put path
+	readFaults      atomic.Int64 // classified faults reading an entry file
 	degradedPuts    atomic.Int64 // puts refused while degraded
-	degradedGets    atomic.Int64 // gets refused while offline
-	transitions     atomic.Int64 // state changes, both trips and recoveries
 	recoveries      atomic.Int64 // successful re-arms back to DiskOK
 }
 
@@ -247,18 +227,15 @@ func recordSum(entryJSON []byte) string {
 // OpenDisk opens (creating if needed) a tier-1 store rooted at dir.
 // Startup rebuilds the index by scanning the directory: stranded temp
 // files are removed, unparsable or truncated entry files are
-// quarantined instead of crashing the daemon, and the persisted access
-// clock (written by Close) is applied where it matches a surviving
-// file.
+// quarantined instead of crashing the daemon, files that cannot be
+// read are left in place unindexed, and the persisted access clock
+// (written by Close) is applied where it matches a surviving file.
 func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 	if opts.MaxBytes <= 0 {
 		opts.MaxBytes = DefaultDiskMaxBytes
 	}
 	if opts.QuarantineMaxBytes <= 0 {
 		opts.QuarantineMaxBytes = DefaultQuarantineMaxBytes
-	}
-	if opts.RecoveryInterval <= 0 {
-		opts.RecoveryInterval = DefaultRecoveryInterval
 	}
 	if opts.Log == nil {
 		opts.Log = io.Discard
@@ -273,7 +250,6 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 	if d.now == nil {
 		d.now = time.Now
 	}
-	d.stateReason.Store("")
 	if err := d.ops.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
@@ -286,9 +262,9 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 	return d, nil
 }
 
-// scan rebuilds the index from the directory contents, applying the
-// persisted access clock when one survives. Callers hold d.mu or have
-// exclusive access (OpenDisk); the index must be empty on entry.
+// scan builds the index from the directory contents, applying the
+// persisted access clock when one survives. OpenDisk calls it once,
+// with exclusive access to a fresh index.
 func (d *Disk) scan() error {
 	access := d.loadIndex()
 	entries, err := d.ops.ReadDir(d.dir)
@@ -322,11 +298,21 @@ func (d *Disk) scan() error {
 		// A cheap structural check: the file must parse as a record
 		// whose entry key matches its name. The checksum and digest are
 		// re-verified on every read, so startup stays O(store size) in
-		// I/O but does not pay a SHA-256 per entry.
+		// I/O but does not pay a SHA-256 per entry. A file that cannot
+		// be read proves nothing about its bytes: it stays where it is,
+		// unindexed, and the next startup tries it again.
+		raw, err := d.ops.ReadFile(path)
+		if err != nil {
+			fmt.Fprintf(d.opts.Log, "resultstore: not indexing unreadable %s: %v\n", name, err)
+			if isFault(err) {
+				d.readFaults.Add(1)
+				d.trip(err)
+			}
+			continue
+		}
 		var rec diskRecord
 		var e Entry
-		raw, err := d.ops.ReadFile(path)
-		if err != nil || json.Unmarshal(raw, &rec) != nil ||
+		if json.Unmarshal(raw, &rec) != nil ||
 			json.Unmarshal(rec.Entry, &e) != nil || e.Key != key {
 			d.quarantine(path, "corrupt or mismatched entry")
 			continue
@@ -380,17 +366,11 @@ func keyFromFile(name string) (string, bool) {
 }
 
 // Get reads an entry, re-verifies its digest, and returns it. A file
-// that fails to read, parse, or verify is quarantined and reported as
-// a miss — a torn or bit-flipped store file costs one re-simulation,
-// never a wrong result and never a crash. While the tier is offline,
-// Get reports misses without touching the disk (lazily re-probing the
-// filesystem once the recovery interval has elapsed).
+// that fails to parse or verify is quarantined and reported as a miss
+// — a torn or bit-flipped store file costs one re-simulation, never a
+// wrong result and never a crash. Reads are served in every state.
 func (d *Disk) Get(key string) (*Entry, bool) {
 	if !ValidKey(key) {
-		return nil, false
-	}
-	if DiskState(d.state.Load()) == DiskOffline && !d.maybeRecover() {
-		d.degradedGets.Add(1)
 		return nil, false
 	}
 	e, err := d.read(key, true)
@@ -401,14 +381,11 @@ func (d *Disk) Get(key string) (*Entry, bool) {
 // access clock — the scrubber's read path, so background integrity
 // sweeps do not perturb LRU eviction order. A corrupt entry is
 // quarantined and reported as ErrCorrupt (its key leaves the manifest,
-// so a replication pull refills it); a missing entry is os.ErrNotExist; a degraded tier
-// is ErrDegraded.
+// so a replication pull refills it); a missing entry is
+// os.ErrNotExist; a classified fault reading the file is ErrDegraded.
 func (d *Disk) Check(key string) error {
 	if !ValidKey(key) {
 		return os.ErrNotExist
-	}
-	if DiskState(d.state.Load()) == DiskOffline {
-		return ErrDegraded
 	}
 	_, err := d.read(key, false)
 	return err
@@ -416,19 +393,13 @@ func (d *Disk) Check(key string) error {
 
 // read is the one disk read path behind Get and Check: read the file,
 // verify the record, quarantine it on failure, and (when promote is
-// set) advance the entry's access clock. A classified read fault keeps
-// the index entry (the file is probably fine; the post-recovery rescan
-// decides its fate), trips the tier offline and reads as ErrDegraded.
-func (d *Disk) read(key string, promote bool) (e *Entry, err error) {
-	// Deferred calls run last-in first-out: d.mu is released before the
-	// trip, which takes stateMu (lock ordering: mu must not take stateMu).
-	defer func() {
-		if isReadFault(err) {
-			d.readFaults.Add(1)
-			d.trip(DiskOffline, err)
-			e, err = nil, ErrDegraded
-		}
-	}()
+// set) advance the entry's access clock. A file that cannot be read,
+// for whatever reason, leaves the index but stays where it is: a
+// failing disk is read at most once per resident key, the manifest
+// stops advertising the key, and a re-put or the next startup scan
+// brings it back. A classified fault also trips the tier and reads as
+// ErrDegraded.
+func (d *Disk) read(key string, promote bool) (*Entry, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if !d.open {
@@ -441,12 +412,14 @@ func (d *Disk) read(key string, promote bool) (e *Entry, err error) {
 	path := filepath.Join(d.dir, fileFromKey(key))
 	raw, err := d.ops.ReadFile(path)
 	if err != nil {
-		if isReadFault(err) {
-			return nil, err
-		}
 		delete(d.index, key)
 		d.bytes -= ent.size
-		return nil, os.ErrNotExist
+		if isFault(err) {
+			d.readFaults.Add(1)
+			d.trip(err)
+			return nil, ErrDegraded
+		}
+		return nil, err
 	}
 	var got Entry
 	if !verifyRecord(raw, key, &got) {
@@ -478,52 +451,45 @@ func verifyRecord(raw []byte, key string, e *Entry) bool {
 // fsync, rename into place. Oldest-accessed entries are evicted until
 // the store fits its byte budget. Entries that fail verification are
 // refused — the disk tier never persists bytes it could not serve.
-// Classified write faults (disk full, read-only remount, permission)
-// trip the tier to DiskReadOnly: existing entries stay served, new
-// ones are refused with ErrDegraded until a recovery probe re-arms the
-// tier.
+// A classified fault trips the tier to DiskReadOnly: resident entries
+// stay served, new ones are refused with ErrDegraded until a recovery
+// probe re-arms the tier. A degraded tier offers that probe lazily,
+// on the first Put a recovery interval after the last trip.
 func (d *Disk) Put(e *Entry) error {
 	if e == nil || !ValidKey(e.Key) {
 		return errors.New("resultstore: invalid entry key")
 	}
 	if !e.Verify() {
-		d.putErrors.Add(1)
 		return fmt.Errorf("resultstore: refusing to persist unverifiable entry %s", e.Key)
 	}
-	if DiskState(d.state.Load()) != DiskOK {
-		if !d.maybeRecover() {
-			d.degradedPuts.Add(1)
-			return fmt.Errorf("%w (%s): not persisting %s", ErrDegraded, DiskState(d.state.Load()), e.Key)
-		}
+	if DiskState(d.state.Load()) != DiskOK && !d.rearm(true) {
+		d.degradedPuts.Add(1)
+		return fmt.Errorf("%w: not persisting %s", ErrDegraded, e.Key)
 	}
 	entryJSON, err := json.Marshal(e)
 	if err != nil {
-		d.putErrors.Add(1)
 		return fmt.Errorf("resultstore: encoding entry: %w", err)
 	}
 	raw, err := json.Marshal(diskRecord{SHA256: recordSum(entryJSON), Entry: entryJSON})
 	if err != nil {
-		d.putErrors.Add(1)
 		return fmt.Errorf("resultstore: encoding record: %w", err)
 	}
 	raw = append(raw, '\n')
 	size := int64(len(raw))
 	if size > d.opts.MaxBytes {
-		d.putErrors.Add(1)
 		return fmt.Errorf("resultstore: entry %s (%d bytes) exceeds the store budget", e.Key, size)
 	}
 
-	if err := d.writeAtomic(fileFromKey(e.Key), raw); err != nil {
-		d.putErrors.Add(1)
-		if isWriteFault(err) {
+	err = d.writeAtomic(fileFromKey(e.Key), raw)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err != nil {
+		if isFault(err) {
 			d.writeFaults.Add(1)
-			d.trip(DiskReadOnly, err)
+			d.trip(err)
 		}
 		return err
 	}
-
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if !d.open {
 		return errors.New("resultstore: store closed")
 	}
@@ -573,96 +539,76 @@ func (d *Disk) writeAtomic(name string, raw []byte) error {
 	return nil
 }
 
-// trip moves the state machine to a more degraded state. Upgrades in
-// severity (readonly → offline) are allowed; downgrades are not — a
-// tier that cannot read must not silently resume writes.
-func (d *Disk) trip(to DiskState, cause error) {
-	d.stateMu.Lock()
-	defer d.stateMu.Unlock()
-	d.trippedAt.Store(d.now().UnixNano())
-	cur := DiskState(d.state.Load())
-	if cur == to || (cur == DiskOffline && to == DiskReadOnly) {
+// trip moves the tier to DiskReadOnly (recording the first cause) and
+// restarts the recovery interval. Caller holds d.mu, or has exclusive
+// access (OpenDisk).
+func (d *Disk) trip(cause error) {
+	d.trippedAt = d.now()
+	if DiskState(d.state.Load()) == DiskReadOnly {
 		return
 	}
-	d.state.Store(int32(to))
-	d.stateReason.Store(cause.Error())
-	d.transitions.Add(1)
-	fmt.Fprintf(d.opts.Log, "resultstore: disk tier %s → %s: %v\n", cur, to, cause)
-}
-
-// maybeRecover probes the filesystem if the recovery interval has
-// elapsed since the last trip or failed probe. It reports whether the
-// tier is (now) DiskOK.
-func (d *Disk) maybeRecover() bool {
-	if DiskState(d.state.Load()) == DiskOK {
-		return true
-	}
-	if d.now().Sub(time.Unix(0, d.trippedAt.Load())) < d.opts.RecoveryInterval {
-		return false
-	}
-	return d.TryRecover()
+	d.state.Store(int32(DiskReadOnly))
+	d.stateReason = cause.Error()
+	fmt.Fprintf(d.opts.Log, "resultstore: disk tier ok → readonly: %v\n", cause)
 }
 
 // TryRecover probes the filesystem immediately and re-arms a degraded
-// tier when the probe succeeds: a recovered DiskReadOnly resumes
-// writes with its index intact, a recovered DiskOffline rescans the
-// directory (its index may be stale) before serving again. It reports
+// tier when the probe succeeds, with its index as it stands. It reports
 // whether the tier is DiskOK afterwards. Safe to call at any time; the
 // scrubber calls it once per pass.
-func (d *Disk) TryRecover() bool {
-	d.stateMu.Lock()
-	defer d.stateMu.Unlock()
-	st := DiskState(d.state.Load())
-	if st == DiskOK {
+func (d *Disk) TryRecover() bool { return d.rearm(false) }
+
+// rearm is the one recovery path: when lazy, it probes only once the
+// recovery interval has passed since the last trip or failed probe.
+// The probe runs under d.mu, so it is serialized with trips and a
+// failed probe restarts the interval for every waiting Put.
+func (d *Disk) rearm(lazy bool) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if DiskState(d.state.Load()) == DiskOK {
 		return true
 	}
-	if err := d.probe(); err != nil {
-		d.trippedAt.Store(d.now().UnixNano())
+	if lazy && d.now().Sub(d.trippedAt) < recoveryInterval {
 		return false
 	}
-	if st == DiskOffline {
-		d.mu.Lock()
-		d.index = make(map[string]*diskEntry)
-		d.bytes = 0
-		err := d.scan()
-		d.mu.Unlock()
-		if err != nil {
-			d.trippedAt.Store(d.now().UnixNano())
-			return false
-		}
+	if err := d.probe(); err != nil {
+		d.trippedAt = d.now()
+		return false
 	}
 	d.state.Store(int32(DiskOK))
-	d.stateReason.Store("")
-	d.transitions.Add(1)
+	d.stateReason = ""
 	d.recoveries.Add(1)
-	fmt.Fprintf(d.opts.Log, "resultstore: disk tier %s → ok (recovery probe succeeded)\n", st)
+	fmt.Fprintf(d.opts.Log, "resultstore: disk tier readonly → ok (recovery probe succeeded)\n")
 	return true
 }
 
-// probe exercises the failure modes that trip the tier: a small
-// write-fsync-rename-remove cycle and a directory read. Caller holds
-// stateMu.
+// probeBytes is what a recovery probe writes and expects to read back.
+var probeBytes = []byte("probe\n")
+
+// probe exercises both directions a fault can trip the tier in: it
+// writes a small file through the same writer seam as Put, reads it
+// back through the same read seam as Get, and removes it.
 func (d *Disk) probe() error {
 	f, err := d.ops.CreateTemp(d.dir, tmpPrefix+"probe-*")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
+	defer d.ops.Remove(tmp)
 	var w io.WriteCloser = f
 	if d.opts.WrapWriter != nil {
 		w = d.opts.WrapWriter(f)
 	}
-	_, werr := w.Write([]byte("probe\n"))
-	cerr := w.Close()
-	d.ops.Remove(tmp)
-	if werr != nil {
-		return werr
-	}
-	if cerr != nil {
-		return cerr
-	}
-	if _, err := d.ops.ReadDir(d.dir); err != nil {
+	_, werr := w.Write(probeBytes)
+	if err := errors.Join(werr, w.Close()); err != nil {
 		return err
+	}
+	got, err := d.ops.ReadFile(tmp)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(got, probeBytes) {
+		return errors.New("resultstore: recovery probe read back different bytes")
 	}
 	return nil
 }
@@ -797,12 +743,9 @@ func (d *Disk) Close() error {
 }
 
 // Manifest lists the resident keys in order — the anti-entropy
-// exchange unit. An offline tier reports
-// nothing: it cannot serve the entries it is advertising.
+// exchange unit. A key whose file could not be read has already left
+// the index, so the manifest advertises only what the tier can serve.
 func (d *Disk) Manifest() []ManifestEntry {
-	if DiskState(d.state.Load()) == DiskOffline {
-		return nil
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := make([]ManifestEntry, 0, len(d.index))
@@ -818,8 +761,9 @@ func (d *Disk) State() DiskState { return DiskState(d.state.Load()) }
 
 // StateReason reports what tripped the tier ("" when ok).
 func (d *Disk) StateReason() string {
-	s, _ := d.stateReason.Load().(string)
-	return s
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.stateReason
 }
 
 // Len reports resident entries.
@@ -848,28 +792,15 @@ func (d *Disk) Quarantines() int64 { return d.quarantines.Load() }
 // QuarantineDrops reports quarantined files aged out by the byte cap.
 func (d *Disk) QuarantineDrops() int64 { return d.quarantineDrops.Load() }
 
-// PutErrors reports failed persist attempts.
-func (d *Disk) PutErrors() int64 { return d.putErrors.Load() }
-
-// WriteFaults reports classified write faults (disk full, read-only,
-// permission) observed on the put path.
+// WriteFaults reports classified faults observed on the put path.
 func (d *Disk) WriteFaults() int64 { return d.writeFaults.Load() }
 
-// ReadFaults reports classified read faults (I/O error, permission)
-// observed on the get path.
+// ReadFaults reports classified faults observed reading an entry file
+// (Get, Check, startup scan).
 func (d *Disk) ReadFaults() int64 { return d.readFaults.Load() }
 
 // DegradedPuts reports puts refused while the tier was degraded.
 func (d *Disk) DegradedPuts() int64 { return d.degradedPuts.Load() }
 
-// DegradedGets reports gets refused while the tier was offline.
-func (d *Disk) DegradedGets() int64 { return d.degradedGets.Load() }
-
-// StateTransitions reports state changes (trips and recoveries).
-func (d *Disk) StateTransitions() int64 { return d.transitions.Load() }
-
 // Recoveries reports successful re-arms back to DiskOK.
 func (d *Disk) Recoveries() int64 { return d.recoveries.Load() }
-
-// Dir reports the store root.
-func (d *Disk) Dir() string { return d.dir }

@@ -66,8 +66,8 @@ func TestDiskRefusesUnverifiableEntry(t *testing.T) {
 	if err := d.Put(e); err == nil {
 		t.Fatal("Put accepted an entry whose digest does not verify")
 	}
-	if d.PutErrors() == 0 {
-		t.Fatal("put error not counted")
+	if d.Len() != 0 {
+		t.Fatalf("refused entry was indexed (Len = %d)", d.Len())
 	}
 }
 

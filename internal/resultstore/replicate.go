@@ -203,9 +203,9 @@ func (r *Replicator) pace(ctx context.Context) bool {
 	}
 }
 
-// manifestReply mirrors simserver's GET /v1/store/manifest body.
+// manifestReply is the part of simserver's GET /v1/store/manifest body
+// a replicator reads: the key list.
 type manifestReply struct {
-	State   string          `json:"state"`
 	Entries []ManifestEntry `json:"entries"`
 }
 

@@ -21,7 +21,7 @@ func tieredPeerServer(t *testing.T, st *Tiered) *httptest.Server {
 		if entries == nil {
 			entries = []ManifestEntry{}
 		}
-		json.NewEncoder(w).Encode(manifestReply{State: st.State(), Entries: entries})
+		json.NewEncoder(w).Encode(manifestReply{Entries: entries})
 	})
 	mux.HandleFunc("GET /v1/result/{key}", func(w http.ResponseWriter, r *http.Request) {
 		e, _, ok := st.Get(r.PathValue("key"))
@@ -100,7 +100,7 @@ func TestReplicatorRejectsUnverifiablePulls(t *testing.T) {
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/store/manifest", func(w http.ResponseWriter, _ *http.Request) {
-		json.NewEncoder(w).Encode(manifestReply{State: StateOK, Entries: []ManifestEntry{{Key: key}}})
+		json.NewEncoder(w).Encode(manifestReply{Entries: []ManifestEntry{{Key: key}}})
 	})
 	mux.HandleFunc("GET /v1/result/{key}", func(w http.ResponseWriter, _ *http.Request) {
 		json.NewEncoder(w).Encode(corrupt)

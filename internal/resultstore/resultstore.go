@@ -48,11 +48,10 @@ const (
 const (
 	// StateOK: all configured tiers serving normally.
 	StateOK = "ok"
-	// StateReadOnly: the disk tier refuses writes (full, read-only
-	// remount, permission) but still serves existing entries.
+	// StateReadOnly: a classified fault tripped the disk tier; it
+	// refuses writes but still serves the entries it can read.
 	StateReadOnly = "readonly"
-	// StateMemoryOnly: no disk tier is serving — either none was
-	// configured or the configured one is offline (read faults).
+	// StateMemoryOnly: no disk tier is configured.
 	StateMemoryOnly = "memory-only"
 )
 
@@ -207,20 +206,16 @@ func (t *Tiered) Put(e *Entry) {
 }
 
 // State reports the store's serving state: StateOK when every
-// configured tier serves, StateReadOnly when the disk tier refuses
-// writes, StateMemoryOnly when there is no serving disk tier.
+// configured tier serves, StateReadOnly when the disk tier is
+// degraded, StateMemoryOnly when no disk tier is configured.
 func (t *Tiered) State() string {
 	if t == nil || t.disk == nil {
 		return StateMemoryOnly
 	}
-	switch t.disk.State() {
-	case DiskOK:
-		return StateOK
-	case DiskReadOnly:
+	if t.disk.State() == DiskReadOnly {
 		return StateReadOnly
-	default:
-		return StateMemoryOnly
 	}
+	return StateOK
 }
 
 // ManifestLocal lists every key the local tiers (memory, disk) can

@@ -108,12 +108,9 @@ func (s *Scrubber) ScrubOnce(ctx context.Context) ScrubReport {
 		return rep
 	}
 	s.passes.Add(1)
-	if disk.State() != DiskOK {
-		before := disk.State()
-		if disk.TryRecover() && before != DiskOK {
-			rep.Recovered = true
-			fmt.Fprintf(s.cfg.Log, "resultstore: scrub re-armed the disk tier (was %s)\n", before)
-		}
+	if disk.State() != DiskOK && disk.TryRecover() {
+		rep.Recovered = true
+		fmt.Fprintf(s.cfg.Log, "resultstore: scrub re-armed the disk tier\n")
 	}
 	for _, me := range disk.Manifest() {
 		if ctx.Err() != nil {
@@ -128,7 +125,8 @@ func (s *Scrubber) ScrubOnce(ctx context.Context) ScrubReport {
 			rep.Corrupt++
 			s.corrupt.Add(1)
 		case errors.Is(err, ErrDegraded):
-			// The tier went down mid-pass; the next pass re-probes.
+			// A classified fault tripped the tier mid-pass: stop reading
+			// a failing disk; the next pass probes before it reads.
 			return rep
 		}
 		if s.cfg.Pace > 0 {

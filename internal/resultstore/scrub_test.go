@@ -141,7 +141,7 @@ func TestScrubQuarantinedKeyServesFromMemory(t *testing.T) {
 func TestScrubReArmsDegradedTier(t *testing.T) {
 	clock := newFakeClock()
 	faults := &faultControls{}
-	d := openTestDisk(t, t.TempDir(), DiskOptions{Ops: faults.ops(), Now: clock.Now, RecoveryInterval: time.Hour})
+	d := openTestDisk(t, t.TempDir(), DiskOptions{Ops: faults.ops(), Now: clock.Now})
 	defer d.Close()
 	st := NewTiered(NewMemory(8), d)
 	st.Put(testEntry("cfg:aaaa000011112222", 1))

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -32,13 +33,15 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// faultOps builds a DiskOps whose CreateTemp (write path) and ReadFile
-// (read path) fail with the errors currently set on the returned
-// controls. A nil error passes through to the real filesystem.
+// faultControls builds a DiskOps whose CreateTemp (write path) and
+// ReadFile (read path) fail with the errors currently set on it: a
+// whole-disk error, or one for a single file name. A nil error passes
+// through to the real filesystem.
 type faultControls struct {
 	mu       sync.Mutex
 	writeErr error
 	readErr  error
+	pathErrs map[string]error // by base name
 }
 
 func (f *faultControls) setWrite(err error) {
@@ -50,6 +53,17 @@ func (f *faultControls) setWrite(err error) {
 func (f *faultControls) setRead(err error) {
 	f.mu.Lock()
 	f.readErr = err
+	f.mu.Unlock()
+}
+
+// setReadPath makes reads of the file named name (a base name) fail
+// with err; nil clears it.
+func (f *faultControls) setReadPath(name string, err error) {
+	f.mu.Lock()
+	if f.pathErrs == nil {
+		f.pathErrs = make(map[string]error)
+	}
+	f.pathErrs[name] = err
 	f.mu.Unlock()
 }
 
@@ -67,6 +81,9 @@ func (f *faultControls) ops() *DiskOps {
 		ReadFile: func(name string) ([]byte, error) {
 			f.mu.Lock()
 			err := f.readErr
+			if pe := f.pathErrs[filepath.Base(name)]; pe != nil {
+				err = pe
+			}
 			f.mu.Unlock()
 			// The index file is exempt so OpenDisk under an injected read
 			// fault still exercises the entry path, not startup.
@@ -98,11 +115,7 @@ func TestWriteFaultClassification(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			clock := newFakeClock()
 			faults := &faultControls{}
-			d := openTestDisk(t, t.TempDir(), DiskOptions{
-				Ops:              faults.ops(),
-				Now:              clock.Now,
-				RecoveryInterval: 10 * time.Second,
-			})
+			d := openTestDisk(t, t.TempDir(), DiskOptions{Ops: faults.ops(), Now: clock.Now})
 			defer d.Close()
 
 			resident := testEntry("cfg:aaaa000011112222", 1)
@@ -157,7 +170,7 @@ func TestWriteFaultClassification(t *testing.T) {
 			}
 
 			// Interval elapsed: the lazy probe re-arms and the put lands.
-			clock.Advance(11 * time.Second)
+			clock.Advance(recoveryInterval + time.Second)
 			if err := d.Put(testEntry("cfg:eeee000011112222", 5)); err != nil {
 				t.Fatalf("Put after recovery = %v", err)
 			}
@@ -174,10 +187,11 @@ func TestWriteFaultClassification(t *testing.T) {
 	}
 }
 
-// TestReadFaultClassification drives the get path through classified
-// read faults (tier goes offline, nothing served) and unclassified ones
-// (per-entry miss, tier stays ok), then exercises the offline recovery
-// rescan.
+// TestReadFaultClassification faults reads of one entry file. Whatever
+// the error, that key misses and leaves the manifest while its file
+// stays in place and other keys keep serving; a classified error also
+// trips the tier to DiskReadOnly, and a probe after the fault clears
+// re-arms it.
 func TestReadFaultClassification(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -190,91 +204,214 @@ func TestReadFaultClassification(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			clock := newFakeClock()
 			faults := &faultControls{}
-			d := openTestDisk(t, t.TempDir(), DiskOptions{
-				Ops:              faults.ops(),
-				Now:              clock.Now,
-				RecoveryInterval: 10 * time.Second,
-			})
+			dir := t.TempDir()
+			d := openTestDisk(t, dir, DiskOptions{Ops: faults.ops(), Now: newFakeClock().Now})
 			defer d.Close()
 
-			e := testEntry("cfg:aaaa000011112222", 1)
-			if err := d.Put(e); err != nil {
-				t.Fatal(err)
+			bad, good := testEntry("cfg:aaaa000011112222", 1), testEntry("cfg:bbbb000011112222", 2)
+			for _, e := range []*Entry{bad, good} {
+				if err := d.Put(e); err != nil {
+					t.Fatal(err)
+				}
 			}
 
-			faults.setRead(tc.err)
-			if _, ok := d.Get(e.Key); ok {
-				t.Fatal("Get under an injected read fault served an entry")
+			name := fileFromKey(bad.Key)
+			faults.setReadPath(name, tc.err)
+			for i := 0; i < 2; i++ {
+				if _, ok := d.Get(bad.Key); ok {
+					t.Fatal("Get under an injected read fault served an entry")
+				}
+			}
+			if m := d.Manifest(); len(m) != 1 || m[0].Key != good.Key {
+				t.Fatalf("manifest after the fault = %v, want only %s", m, good.Key)
+			}
+			if got, ok := d.Get(good.Key); !ok || got.Digest != good.Digest {
+				t.Fatal("an unfaulted key stopped serving")
+			}
+			if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+				t.Fatalf("unreadable file moved: %v", err)
+			}
+			if d.Quarantines() != 0 {
+				t.Fatalf("Quarantines = %d, want 0", d.Quarantines())
 			}
 
+			faults.setReadPath(name, nil)
 			if !tc.degrades {
 				if got := d.State(); got != DiskOK {
 					t.Fatalf("state after unclassified read error = %v, want ok", got)
 				}
-				return
+				if d.ReadFaults() != 0 {
+					t.Fatalf("ReadFaults = %d for unclassified error, want 0", d.ReadFaults())
+				}
+			} else {
+				if got := d.State(); got != DiskReadOnly {
+					t.Fatalf("state after %v = %v, want readonly", tc.err, got)
+				}
+				// The second Get missed in the index: the file was read once.
+				if d.ReadFaults() != 1 {
+					t.Fatalf("ReadFaults = %d, want 1", d.ReadFaults())
+				}
+				if !d.TryRecover() || d.State() != DiskOK {
+					t.Fatalf("probe after the fault cleared left the tier %v", d.State())
+				}
 			}
 
-			if got := d.State(); got != DiskOffline {
-				t.Fatalf("state after %v = %v, want offline", tc.err, got)
+			// A re-put overwrites the file and re-indexes the key.
+			if err := d.Put(bad); err != nil {
+				t.Fatal(err)
 			}
-			if d.ReadFaults() != 1 {
-				t.Fatalf("ReadFaults = %d, want 1", d.ReadFaults())
-			}
-			if m := d.Manifest(); m != nil {
-				t.Fatalf("offline tier advertised %d entries", len(m))
-			}
-
-			// Offline short-circuits: no filesystem touch, counted.
-			if _, ok := d.Get(e.Key); ok {
-				t.Fatal("offline tier served an entry")
-			}
-			if d.DegradedGets() == 0 {
-				t.Fatal("offline Get was not counted as degraded")
-			}
-
-			// Recovery rescans the directory: the entry written before the
-			// fault is serving again without a re-put.
-			faults.setRead(nil)
-			clock.Advance(11 * time.Second)
-			got, ok := d.Get(e.Key)
-			if !ok || got.Digest != e.Digest {
-				t.Fatal("recovered tier did not rescan the surviving entry")
-			}
-			if d.State() != DiskOK {
-				t.Fatalf("state after recovery = %v, want ok", d.State())
-			}
-			if d.Recoveries() != 1 {
-				t.Fatalf("Recoveries = %d, want 1", d.Recoveries())
+			if got, ok := d.Get(bad.Key); !ok || got.Digest != bad.Digest {
+				t.Fatal("re-put key does not serve")
 			}
 		})
 	}
 }
 
-// TestSeverityNeverDowngrades checks that a write fault observed while
-// the tier is offline does not soften the state to readonly.
-func TestSeverityNeverDowngrades(t *testing.T) {
+// TestReadFaultKeepsEntries fails every read with EIO. The recovery
+// probe reads back what it wrote, so it must keep failing and the tier
+// must not report ok; no intact entry file may be moved, so once the
+// fault clears a restart serves every entry again.
+func TestReadFaultKeepsEntries(t *testing.T) {
 	clock := newFakeClock()
 	faults := &faultControls{}
-	d := openTestDisk(t, t.TempDir(), DiskOptions{
-		Ops:              faults.ops(),
-		Now:              clock.Now,
-		RecoveryInterval: time.Hour,
-	})
-	defer d.Close()
-	e := testEntry("cfg:aaaa000011112222", 1)
-	if err := d.Put(e); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	d := openTestDisk(t, dir, DiskOptions{Ops: faults.ops(), Now: clock.Now})
+	var entries []*Entry
+	for i, key := range []string{"cfg:aaaa000011112222", "cfg:bbbb000011112222", "cfg:cccc000011112222"} {
+		e := testEntry(key, i+1)
+		if err := d.Put(e); err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, e)
 	}
+
 	faults.setRead(syscall.EIO)
-	d.Get(e.Key)
-	if d.State() != DiskOffline {
-		t.Fatalf("state = %v, want offline", d.State())
+	if _, ok := d.Get(entries[0].Key); ok {
+		t.Fatal("Get served an entry while reads fail")
 	}
-	d.trip(DiskReadOnly, syscall.ENOSPC)
-	if d.State() != DiskOffline {
-		t.Fatalf("offline tier downgraded to %v on a write fault", d.State())
+	if d.State() == DiskOK {
+		t.Fatal("a read fault left the tier ok")
+	}
+
+	// Past any recovery interval: the lazy probe runs and fails.
+	clock.Advance(time.Hour)
+	if err := d.Put(testEntry("cfg:dddd000011112222", 4)); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("Put while reads fail = %v, want ErrDegraded", err)
+	}
+	d.Get(entries[1].Key)
+	if d.TryRecover() || d.State() == DiskOK {
+		t.Fatal("the tier re-armed while reads fail")
+	}
+	if q := d.Quarantines(); q != 0 {
+		t.Fatalf("Quarantines = %d, want 0 (every file is intact)", q)
+	}
+	for _, e := range entries {
+		if _, err := os.Stat(filepath.Join(dir, fileFromKey(e.Key))); err != nil {
+			t.Fatalf("entry file for %s gone: %v", e.Key, err)
+		}
+	}
+
+	faults.setRead(nil)
+	if !d.TryRecover() {
+		t.Fatal("probe failed after the fault cleared")
+	}
+	d.Close()
+	d2 := openTestDisk(t, dir, DiskOptions{})
+	defer d2.Close()
+	for _, e := range entries {
+		if got, ok := d2.Get(e.Key); !ok || got.Digest != e.Digest {
+			t.Fatalf("entry %s lost to the read fault", e.Key)
+		}
+	}
+}
+
+// TestOpenDiskUnderReadFaultLeavesFiles checks the startup scan
+// quarantines only bytes it read and found wrong: under EIO every
+// entry file stays where it was, unindexed, and a clean reopen indexes
+// them all.
+func TestOpenDiskUnderReadFaultLeavesFiles(t *testing.T) {
+	dir := t.TempDir()
+	d := openTestDisk(t, dir, DiskOptions{})
+	keys := []string{"cfg:aaaa000011112222", "cfg:bbbb000011112222", "cfg:cccc000011112222"}
+	for i, key := range keys {
+		if err := d.Put(testEntry(key, i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Close()
+
+	faults := &faultControls{}
+	faults.setRead(syscall.EIO)
+	d2 := openTestDisk(t, dir, DiskOptions{Ops: faults.ops()})
+	if d2.Quarantines() != 0 || d2.Len() != 0 {
+		t.Fatalf("open under EIO: Quarantines = %d, Len = %d, want 0 and 0", d2.Quarantines(), d2.Len())
+	}
+	if d2.State() != DiskReadOnly {
+		t.Fatalf("state after a startup read fault = %v, want readonly", d2.State())
+	}
+	for _, key := range keys {
+		if _, err := os.Stat(filepath.Join(dir, fileFromKey(key))); err != nil {
+			t.Fatalf("entry file for %s moved: %v", key, err)
+		}
+	}
+	d2.Close()
+
+	d3 := openTestDisk(t, dir, DiskOptions{})
+	defer d3.Close()
+	if d3.Len() != len(keys) {
+		t.Fatalf("clean reopen Len = %d, want %d", d3.Len(), len(keys))
+	}
+}
+
+// TestDiskFaultsConcurrent trips and re-arms the tier from several
+// goroutines at once (run it under -race): trips, probes and reads all
+// go through the one lock, and every resident file survives.
+func TestDiskFaultsConcurrent(t *testing.T) {
+	faults := &faultControls{}
+	dir := t.TempDir()
+	d := openTestDisk(t, dir, DiskOptions{Ops: faults.ops()})
+	defer d.Close()
+	const n = 8
+	for i := 0; i < n; i++ {
+		if err := d.Put(testEntry(fmt.Sprintf("cfg:%016x", i), i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				key := fmt.Sprintf("cfg:%016x", (g+i)%n)
+				switch i % 5 {
+				case 0:
+					faults.setRead(syscall.EIO)
+				case 1:
+					faults.setRead(nil)
+				}
+				d.Get(key)
+				d.Check(key)
+				d.Put(testEntry(key, (g+i)%n+1))
+				d.TryRecover()
+				_, _ = d.State(), d.StateReason()
+				d.Manifest()
+			}
+		}(g)
+	}
+	wg.Wait()
+	faults.setRead(nil)
+	if !d.TryRecover() {
+		t.Fatal("probe failed after the fault cleared")
+	}
+	if d.Quarantines() != 0 {
+		t.Fatalf("Quarantines = %d, want 0", d.Quarantines())
+	}
+	for i := 0; i < n; i++ {
+		if _, err := os.Stat(filepath.Join(dir, fileFromKey(fmt.Sprintf("cfg:%016x", i)))); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -283,11 +420,7 @@ func TestSeverityNeverDowngrades(t *testing.T) {
 func TestTryRecoverProbesImmediately(t *testing.T) {
 	clock := newFakeClock()
 	faults := &faultControls{}
-	d := openTestDisk(t, t.TempDir(), DiskOptions{
-		Ops:              faults.ops(),
-		Now:              clock.Now,
-		RecoveryInterval: time.Hour,
-	})
+	d := openTestDisk(t, t.TempDir(), DiskOptions{Ops: faults.ops(), Now: clock.Now})
 	defer d.Close()
 	faults.setWrite(syscall.ENOSPC)
 	d.Put(testEntry("cfg:aaaa000011112222", 1))
@@ -354,7 +487,7 @@ func TestTieredState(t *testing.T) {
 
 	faults := &faultControls{}
 	clock := newFakeClock()
-	d := openTestDisk(t, t.TempDir(), DiskOptions{Ops: faults.ops(), Now: clock.Now, RecoveryInterval: time.Hour})
+	d := openTestDisk(t, t.TempDir(), DiskOptions{Ops: faults.ops(), Now: clock.Now})
 	defer d.Close()
 	st := NewTiered(NewMemory(4), d)
 	if got := st.State(); got != StateOK {
@@ -364,9 +497,5 @@ func TestTieredState(t *testing.T) {
 	d.Put(testEntry("cfg:aaaa000011112222", 1))
 	if got := st.State(); got != StateReadOnly {
 		t.Fatalf("readonly store state = %q, want readonly", got)
-	}
-	d.trip(DiskOffline, syscall.EIO)
-	if got := st.State(); got != StateMemoryOnly {
-		t.Fatalf("offline store state = %q, want memory-only", got)
 	}
 }

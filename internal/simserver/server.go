@@ -414,9 +414,10 @@ type Health struct {
 	Status  string `json:"status"`
 	Version string `json:"version"`
 	// StoreState is the result store's serving state: "ok",
-	// "readonly" (disk refuses writes), or "memory-only" (no serving
-	// disk tier). Duplicated from Store.State at the top level so fleet
-	// probes can read it without decoding the nested block.
+	// "readonly" (a disk fault; the disk refuses writes), or
+	// "memory-only" (no disk tier configured). Duplicated from
+	// Store.State at the top level so fleet probes can read it without
+	// decoding the nested block.
 	StoreState string `json:"store_state"`
 	// Store is the per-tier store detail for operators and runbooks.
 	Store StoreHealth `json:"store"`
@@ -492,10 +493,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		p.Gauge("smtsimd_store_disk_max_bytes", "Disk-tier byte budget.", disk.MaxBytes())
 		p.Counter("smtsimd_store_disk_evictions_total", "Disk-tier entries evicted by the byte budget.", disk.Evictions())
 		p.Counter("smtsimd_store_disk_quarantines_total", "Disk-tier files quarantined as corrupt or truncated.", disk.Quarantines())
-		p.Counter("smtsimd_store_disk_write_faults_total", "Disk-tier writes that failed with a classified fault (ENOSPC, EROFS, permission).", disk.WriteFaults())
-		p.Counter("smtsimd_store_disk_read_faults_total", "Disk-tier reads that failed with a classified fault (EIO, permission).", disk.ReadFaults())
-		p.Counter("smtsimd_store_disk_degraded_total", "Requests refused because the disk tier was degraded (puts + gets).", disk.DegradedPuts()+disk.DegradedGets())
-		p.Counter("smtsimd_store_disk_state_transitions_total", "Disk-tier state-machine transitions into a degraded state.", disk.StateTransitions())
+		p.Counter("smtsimd_store_disk_write_faults_total", "Disk-tier writes that failed with a classified fault (ENOSPC, EDQUOT, EROFS, EIO, permission).", disk.WriteFaults())
+		p.Counter("smtsimd_store_disk_read_faults_total", "Disk-tier entry reads that failed with a classified fault (ENOSPC, EDQUOT, EROFS, EIO, permission).", disk.ReadFaults())
+		p.Counter("smtsimd_store_disk_degraded_total", "Disk-tier writes refused because the tier was degraded.", disk.DegradedPuts())
 		p.Counter("smtsimd_store_disk_recoveries_total", "Disk-tier recovery probes that re-armed a degraded tier.", disk.Recoveries())
 	}
 	// Serving state as a gauge: 0 ok, 1 readonly, 2 memory-only — the

@@ -7,8 +7,8 @@ import (
 )
 
 // storeManifest is the GET /v1/store/manifest body: the anti-entropy
-// exchange unit. State rides along so a replicator can log why a peer's
-// manifest shrank (a degraded disk advertises only what RAM holds).
+// exchange unit. State rides along for operators reading a peer's
+// manifest; replicators read only the entries.
 type storeManifest struct {
 	State   string                      `json:"state"`
 	Entries []resultstore.ManifestEntry `json:"entries"`
