@@ -179,7 +179,10 @@ func replaySamples(dir string, m float64) ([]adaptive.Sample, error) {
 		if !ok {
 			continue
 		}
-		res := e.Result
+		res, err := e.Decode()
+		if err != nil {
+			continue
+		}
 		if len(res.PolicyTimeline) != len(res.QuantumIPC) || len(res.QuantumIPC) < 2 {
 			continue
 		}

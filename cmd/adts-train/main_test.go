@@ -60,7 +60,7 @@ func TestReplaySamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Put(resultstore.NewEntry(resultstore.ConfigKey(cfg), simrun.Request{}, cfg, res)); err != nil {
+	if err := store.Put(resultstore.NewEntry(resultstore.ConfigKey(cfg), res)); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Close(); err != nil {

@@ -14,9 +14,11 @@ import (
 	"syscall"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/resultstore"
+	"repro/internal/simrun"
 	"repro/internal/simserver"
 )
 
@@ -24,8 +26,10 @@ import (
 // in the middle of a repeated sweep. Each entry it cannot read misses
 // and is simulated again, so the sweep must render byte-identical to
 // the local run; the daemon must report readonly on /healthz, refuse to
-// re-arm while reads fail, and move no entry file, so a restart after
-// the fault clears indexes every entry it held.
+// re-arm while reads fail, and move no entry file. Once the fault
+// clears, the recovery probe re-indexes every entry the fault dropped,
+// so a repeat of the sweep simulates nothing, and a restart indexes
+// every entry file too.
 func TestSweepSurvivesDiskReadFault(t *testing.T) {
 	want := groundTruth(t)
 	ctx := context.Background()
@@ -46,6 +50,7 @@ func TestSweepSurvivesDiskReadFault(t *testing.T) {
 		store *resultstore.Tiered
 		disk  *resultstore.Disk
 		url   string
+		sims  *atomic.Int64
 	}
 	mkDaemon := func(dir string, memory int, ops *resultstore.DiskOps) daemon {
 		disk, err := resultstore.OpenDisk(dir, resultstore.DiskOptions{Ops: ops})
@@ -53,9 +58,14 @@ func TestSweepSurvivesDiskReadFault(t *testing.T) {
 			t.Fatal(err)
 		}
 		store := resultstore.NewTiered(resultstore.NewMemory(memory), disk)
-		ts := httptest.NewServer(simserver.New(simserver.Config{Workers: 2, Store: store}).Handler())
+		sims := new(atomic.Int64)
+		run := func(ctx context.Context, cfg core.Config) (core.Result, error) {
+			sims.Add(1)
+			return simrun.Run(ctx, cfg)
+		}
+		ts := httptest.NewServer(simserver.New(simserver.Config{Workers: 2, Store: store, Run: run}).Handler())
 		t.Cleanup(func() { ts.Close(); store.Close() })
-		return daemon{store: store, disk: disk, url: ts.URL}
+		return daemon{store: store, disk: disk, url: ts.URL, sims: sims}
 	}
 	healthy := mkDaemon(t.TempDir(), 1024, nil)
 	// A one-entry memory tier sends the faulty daemon's repeated reads
@@ -128,12 +138,37 @@ func TestSweepSurvivesDiskReadFault(t *testing.T) {
 		t.Fatalf("Quarantines = %d, want 0: a read fault proves nothing about the bytes", q)
 	}
 
-	// The fault clears: the probe re-arms the tier, and a restart
-	// indexes every entry file the fault left in place.
+	// The fault clears: the probe re-arms the tier and re-indexes every
+	// entry the fault dropped, without a rescan.
 	armed.Store(false)
 	if !faulty.disk.TryRecover() {
 		t.Fatal("probe failed after the fault cleared")
 	}
+	if files, err = filepath.Glob(filepath.Join(faultyDir, "*.json")); err != nil {
+		t.Fatal(err)
+	}
+	if faulty.disk.Len() != len(files) {
+		t.Fatalf("after recovery the faulty daemon indexes %d of %d entry files", faulty.disk.Len(), len(files))
+	}
+	// The healthy daemon pulls what only the faulty one simulated, so
+	// every item of the repeat is stored wherever it lands.
+	back := resultstore.NewReplicator(healthy.store, resultstore.ReplicateConfig{Peers: []string{faulty.url}, Pace: -1})
+	if rep := back.SyncOnce(ctx); rep.PullErrors != 0 || rep.PeerErrors != 0 {
+		t.Fatalf("replication round reported errors: %+v", rep)
+	}
+	sims := healthy.sims.Load() + faulty.sims.Load()
+	diskHits := faulty.store.Metrics().Hits(resultstore.TierDisk)
+	if got := runSweep(); got != want {
+		t.Fatalf("sweep after recovery diverges from local run\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	if n := healthy.sims.Load() + faulty.sims.Load() - sims; n != 0 {
+		t.Fatalf("the sweep after recovery ran %d simulations, want 0", n)
+	}
+	if faulty.store.Metrics().Hits(resultstore.TierDisk) == diskHits {
+		t.Fatal("the faulty daemon served nothing from disk after recovery")
+	}
+
+	// A restart indexes every entry file the fault left in place.
 	reopened, err := resultstore.OpenDisk(faultyDir, resultstore.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/resultstore"
 	"repro/internal/runner"
-	"repro/internal/simrun"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -193,16 +192,17 @@ func (o Options) Run(ctx context.Context, exps ...Experiment) error {
 	rjobs := stats.RunnerJobs(jobs)
 	if ck := o.Checkpoint; ck != nil {
 		for i := range rjobs {
-			cfg, key := cfgs[i], keys[i]
+			key := keys[i]
 			rjobs[i].Stored = func() (core.Result, bool) {
 				e, ok := ck.Get(key)
 				if !ok {
 					return core.Result{}, false
 				}
-				return e.Result, true
+				res, err := e.Decode()
+				return res, err == nil
 			}
 			rjobs[i].Record = func(res core.Result) error {
-				return ck.Put(resultstore.NewEntry(key, simrun.Request{}, cfg, res))
+				return ck.Put(resultstore.NewEntry(key, res))
 			}
 		}
 	}

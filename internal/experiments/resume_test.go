@@ -2,14 +2,21 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/resultstore"
 	"repro/internal/runner"
+	"repro/internal/simrun"
 )
 
 // TestSweepResumeDeterminism is the acceptance property of the runner:
@@ -167,5 +174,127 @@ func TestRunJobschedCancelled(t *testing.T) {
 	cancel()
 	if _, err := RunJobsched(ctx, tiny(), 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// toOldFormat rewrites a checkpoint entry file in the layout the store
+// wrote before entry files held the result bytes directly: the whole
+// entry JSON (request echo and report included) inside a
+// {"sha256","entry"} envelope. poison makes the result wrong while
+// keeping every checksum and digest in the file consistent.
+func toOldFormat(t *testing.T, path string, poison bool) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cur struct {
+		Key    string          `json:"key"`
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal(raw, &cur); err != nil {
+		t.Fatal(err)
+	}
+	var res core.Result
+	if err := json.Unmarshal(cur.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	if poison {
+		res.AggregateIPC *= 2
+	}
+	entry, err := json.Marshal(struct {
+		Key     string         `json:"key"`
+		Request simrun.Request `json:"request"`
+		Result  core.Result    `json:"result"`
+		Report  string         `json:"report"`
+		Digest  string         `json:"digest"`
+	}{cur.Key, simrun.Request{}, res, "report", simrun.ResultDigest(res)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(entry)
+	rec, err := json.Marshal(struct {
+		SHA256 string          `json:"sha256"`
+		Entry  json.RawMessage `json:"entry"`
+	}{hex.EncodeToString(sum[:]), entry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(rec, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOldFormatCheckpointResumes: a checkpoint written in the old entry
+// layout, one of its entries poisoned, is quarantined whole when it is
+// opened. Resuming from it serves nothing from those files, simulates
+// every run again and renders byte-identical output; the refilled
+// checkpoint then serves every run.
+func TestOldFormatCheckpointResumes(t *testing.T) {
+	o := tiny()
+	thresholds := []float64{1, 2}
+	heuristics := []detector.Heuristic{detector.Type1, detector.Type3}
+	render := func(s *Sweep) string {
+		return s.Figure7Switches().String() + s.Figure8IPC().String() + s.Figure8Improvement().String() + s.Headline()
+	}
+	dir := t.TempDir()
+	cp, err := resultstore.OpenDisk(dir, resultstore.DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oc := o
+	oc.Checkpoint = cp
+	fresh, err := RunSweep(context.Background(), oc, thresholds, heuristics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := cp.Len()
+	if err := cp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "cfg-*.json"))
+	if err != nil || len(files) != n || n == 0 {
+		t.Fatalf("checkpoint holds %d entry files (%v), want %d", len(files), err, n)
+	}
+	for i, f := range files {
+		toOldFormat(t, f, i == 0)
+	}
+
+	resume := func(wantLen, wantResumed int) string {
+		t.Helper()
+		cp, err := resultstore.OpenDisk(dir, resultstore.DiskOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cp.Close()
+		if cp.Len() != wantLen {
+			t.Fatalf("checkpoint indexes %d entries, want %d", cp.Len(), wantLen)
+		}
+		or := o
+		or.Checkpoint = cp
+		var resumed atomic.Int32
+		or.RunHook = func(e runner.Event) {
+			if e.Resumed {
+				resumed.Add(1)
+			}
+		}
+		s, err := RunSweep(context.Background(), or, thresholds, heuristics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(resumed.Load()) != wantResumed {
+			t.Fatalf("resume satisfied %d runs from the checkpoint, want %d", resumed.Load(), wantResumed)
+		}
+		return render(s)
+	}
+	want := render(fresh)
+	if got := resume(0, 0); got != want {
+		t.Fatalf("resume from an old-format checkpoint differs:\nfresh:\n%s\nresumed:\n%s", want, got)
+	}
+	if q, err := filepath.Glob(filepath.Join(dir, "quarantine", "cfg-*.json")); err != nil || len(q) != n {
+		t.Fatalf("quarantined %d old-format files, want %d", len(q), n)
+	}
+	if got := resume(n, n); got != want {
+		t.Fatalf("resume from the refilled checkpoint differs:\nfresh:\n%s\nresumed:\n%s", want, got)
 	}
 }

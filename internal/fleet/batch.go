@@ -31,15 +31,19 @@ func NewPeerLookup(backends []string, timeout time.Duration) (*resultstore.PeerC
 }
 
 // batchWireLine is the union of the item and trailer NDJSON line
-// shapes streamed by /v1/batch.
+// shapes streamed by /v1/batch. Result holds the line's result bytes as
+// they arrived; decodeBatch hashes them and decodes an accepted line's
+// result once, into res.
 type batchWireLine struct {
-	Trailer bool         `json:"trailer"`
-	Index   int          `json:"index"`
-	Key     string       `json:"key"`
-	Result  *core.Result `json:"result"`
-	Digest  string       `json:"digest"`
-	Error   string       `json:"error"`
-	Total   int          `json:"total"`
+	Trailer bool            `json:"trailer"`
+	Index   int             `json:"index"`
+	Key     string          `json:"key"`
+	Result  json.RawMessage `json:"result"`
+	Digest  string          `json:"digest"`
+	Error   string          `json:"error"`
+	Total   int             `json:"total"`
+
+	res core.Result
 }
 
 // RunBatch dispatches many configs with chunk sharding: the slice is
@@ -107,7 +111,7 @@ func (c *Client) dispatch(ctx context.Context, cfgs []core.Config, out []core.Re
 				}
 			default:
 				c.metrics.batchItems.Add(1)
-				out[i], served[i] = *l.Result, b
+				out[i], served[i] = l.res, b
 			}
 		}
 		pending = left
@@ -134,7 +138,7 @@ func (c *Client) sendOne(ctx context.Context, b *backend, raw []byte, key string
 		return core.Result{}, err
 	}
 	if l := lines[0]; l != nil && l.Error == "" {
-		return *l.Result, nil
+		return l.res, nil
 	}
 	return core.Result{}, fmt.Errorf("fleet: %s: no verified result", b.url)
 }
@@ -206,9 +210,10 @@ func (c *Client) post(ctx context.Context, b *backend, raws [][]byte, keys []str
 // decodeBatch reads the NDJSON stream of a batch whose configs have the
 // given keys. It returns the lines it accepted, index-aligned with
 // keys: each is bound to its config (its key is its index's key) and
-// is an item error (Error set) or a result whose digest verifies. A
-// line that is misbound or fails digest verification is dropped and
-// counted in corrupt: it costs a resend of that item, not the chunk.
+// is an item error (Error set) or a result whose bytes hash to its
+// digest and decode. A line that is misbound, fails digest
+// verification or does not decode is dropped and counted in corrupt:
+// it costs a resend of that item, not the chunk.
 // It returns an error unless a trailer accounting for every item
 // arrives; io.EOF before the trailer is a truncated stream (killed
 // backend, dropped connection), anything else framing corruption.
@@ -233,10 +238,11 @@ func decodeBatch(r io.Reader, keys []string) (lines []*batchWireLine, corrupt in
 			corrupt++
 		case line.Error != "":
 			lines[line.Index] = line
-		case line.Result == nil:
+		case len(line.Result) == 0:
 			line.Error = "empty result line"
 			lines[line.Index] = line
-		case line.Digest == "" || simrun.ResultDigest(*line.Result) != line.Digest:
+		case line.Digest == "" || simrun.DigestJSON(line.Result) != line.Digest,
+			json.Unmarshal(line.Result, &line.res) != nil:
 			corrupt++
 		default:
 			lines[line.Index] = line

@@ -53,7 +53,7 @@ func serveBatch(w http.ResponseWriter, r *http.Request, truncateAfter int, corru
 		if corruptFirst && i == 0 {
 			digest = strings.Repeat("0", len(digest))
 		}
-		enc.Encode(batchWireLine{Index: i, Key: resultstore.ConfigKey(cfg), Result: &res, Digest: digest})
+		enc.Encode(batchWireLine{Index: i, Key: resultstore.ConfigKey(cfg), Result: resultJSON(res), Digest: digest})
 	}
 	enc.Encode(map[string]any{"trailer": true, "total": len(p.Configs)})
 	return p.Configs
@@ -182,7 +182,7 @@ func TestRunBatchIndexFlippedLineResent(t *testing.T) {
 			if first && i == 0 {
 				idx = 1
 			}
-			enc.Encode(batchWireLine{Index: idx, Key: resultstore.ConfigKey(p.Configs[i]), Result: &res, Digest: simrun.ResultDigest(res)})
+			enc.Encode(batchWireLine{Index: idx, Key: resultstore.ConfigKey(p.Configs[i]), Result: resultJSON(res), Digest: simrun.ResultDigest(res)})
 		}
 		enc.Encode(batchWireLine{Trailer: true, Total: len(p.Configs)})
 	})
@@ -306,7 +306,7 @@ func TestPeerLookupShortCircuitsRun(t *testing.T) {
 			http.NotFound(w, r)
 			return
 		}
-		json.NewEncoder(w).Encode(entry)
+		w.Write(entry.AppendRecord(nil))
 	})
 	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
 		posts.Add(1)

@@ -293,8 +293,10 @@ func (c *Client) Run(ctx context.Context, simCfg core.Config) (core.Result, erro
 	// a simulation slot.
 	if c.cfg.PeerLookup != nil {
 		if e, ok := c.cfg.PeerLookup.Lookup(ctx, resultstore.ConfigKey(simCfg)); ok {
-			c.metrics.peerHits.Add(1)
-			return e.Result, nil
+			if res, err := e.Decode(); err == nil {
+				c.metrics.peerHits.Add(1)
+				return res, nil
+			}
 		}
 		c.metrics.peerMisses.Add(1)
 	}

@@ -65,9 +65,18 @@ func answerBatch(w http.ResponseWriter, r *http.Request, result func(core.Config
 		if digest == "" {
 			digest = simrun.ResultDigest(res)
 		}
-		enc.Encode(batchWireLine{Index: i, Key: resultstore.ConfigKey(cfg), Result: &res, Digest: digest})
+		enc.Encode(batchWireLine{Index: i, Key: resultstore.ConfigKey(cfg), Result: resultJSON(res), Digest: digest})
 	}
 	enc.Encode(batchWireLine{Trailer: true, Total: len(p.Configs)})
+}
+
+// resultJSON is res's canonical bytes, as a batch line carries them.
+func resultJSON(res core.Result) json.RawMessage {
+	raw, err := json.Marshal(res)
+	if err != nil {
+		panic(err)
+	}
+	return raw
 }
 
 // okReply answers a /v1/batch request with a recognizable result.

@@ -23,7 +23,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	enc := json.NewEncoder(&stream)
 	for i := 0; i < 2; i++ {
 		res := fakeResult(core.Config{Seed: uint64(i)})
-		enc.Encode(batchWireLine{Index: i, Key: fuzzKey(i), Result: &res, Digest: simrun.ResultDigest(res)})
+		enc.Encode(batchWireLine{Index: i, Key: fuzzKey(i), Result: resultJSON(res), Digest: simrun.ResultDigest(res)})
 	}
 	enc.Encode(batchWireLine{Index: 2, Key: fuzzKey(2), Error: "simulation failed"})
 	good := append([]byte(nil), stream.Bytes()...)
@@ -74,7 +74,7 @@ func FuzzDecodeBatch(f *testing.F) {
 			if l.Key != keys[i] {
 				t.Fatalf("index %d: accepted a line bound to %q, want %q", i, l.Key, keys[i])
 			}
-			if l.Error == "" && (l.Result == nil || l.Digest == "" || simrun.ResultDigest(*l.Result) != l.Digest) {
+			if l.Error == "" && (l.Digest == "" || simrun.DigestJSON(l.Result) != l.Digest) {
 				t.Fatalf("index %d: returned a result whose digest does not verify", i)
 			}
 		}

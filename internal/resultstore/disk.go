@@ -2,8 +2,6 @@ package resultstore
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -181,8 +179,13 @@ type Disk struct {
 
 	// mu guards the index and the state transitions; state is also
 	// atomic so State and the Put fast path read it without the lock.
-	mu          sync.Mutex
-	index       map[string]*diskEntry
+	mu    sync.Mutex
+	index map[string]*diskEntry
+	// faulted holds the keys a classified read fault took out of the
+	// index, with their files left in place. A successful recovery
+	// re-indexes them; a Put of one of them drops it here. No key is
+	// in both maps.
+	faulted     map[string]*diskEntry
 	bytes       int64
 	seq         int64 // monotonic access clock
 	open        bool
@@ -209,21 +212,6 @@ type persistedIndex struct {
 	Access map[string]int64 `json:"access"`
 }
 
-// diskRecord is the on-disk envelope around an entry. The result
-// digest inside the entry only covers the simulation result, so the
-// envelope carries a checksum of the whole entry JSON: a bit flip
-// anywhere in the file — report, request echo, digest field, or the
-// checksum itself — fails verification on read.
-type diskRecord struct {
-	SHA256 string          `json:"sha256"`
-	Entry  json.RawMessage `json:"entry"`
-}
-
-func recordSum(entryJSON []byte) string {
-	sum := sha256.Sum256(entryJSON)
-	return hex.EncodeToString(sum[:])
-}
-
 // OpenDisk opens (creating if needed) a tier-1 store rooted at dir.
 // Startup rebuilds the index by scanning the directory: stranded temp
 // files are removed, unparsable or truncated entry files are
@@ -240,7 +228,7 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 	if opts.Log == nil {
 		opts.Log = io.Discard
 	}
-	d := &Disk{dir: dir, opts: opts, open: true, index: make(map[string]*diskEntry)}
+	d := &Disk{dir: dir, opts: opts, open: true, index: make(map[string]*diskEntry), faulted: make(map[string]*diskEntry)}
 	if opts.Ops != nil {
 		d.ops = opts.Ops.withDefaults()
 	} else {
@@ -295,33 +283,34 @@ func (d *Disk) scan() error {
 			d.quarantine(path, "empty (truncated write)")
 			continue
 		}
-		// A cheap structural check: the file must parse as a record
-		// whose entry key matches its name. The checksum and digest are
-		// re-verified on every read, so startup stays O(store size) in
-		// I/O but does not pay a SHA-256 per entry. A file that cannot
-		// be read proves nothing about its bytes: it stays where it is,
-		// unindexed, and the next startup tries it again.
+		// A cheap structural check: the file must be a record framed for
+		// the key its name gives (a file in the pre-digest-layout
+		// {"sha256","entry"} envelope fails it and is quarantined). The
+		// digest is re-verified on every read, so startup stays
+		// O(store size) in I/O but does not pay a SHA-256 per entry. A
+		// file that cannot be read proves nothing about its bytes: it
+		// stays where it is, unindexed; after a classified fault a
+		// recovery indexes it, otherwise the next startup tries it again.
+		seq := access[key]
+		if seq > maxSeq {
+			maxSeq = seq
+		}
+		ent := &diskEntry{size: info.Size(), access: seq}
 		raw, err := d.ops.ReadFile(path)
 		if err != nil {
 			fmt.Fprintf(d.opts.Log, "resultstore: not indexing unreadable %s: %v\n", name, err)
 			if isFault(err) {
 				d.readFaults.Add(1)
 				d.trip(err)
+				d.faulted[key] = ent
 			}
 			continue
 		}
-		var rec diskRecord
-		var e Entry
-		if json.Unmarshal(raw, &rec) != nil ||
-			json.Unmarshal(rec.Entry, &e) != nil || e.Key != key {
-			d.quarantine(path, "corrupt or mismatched entry")
+		if _, _, ok := splitRecord(raw, key); !ok {
+			d.quarantine(path, "corrupt, mismatched or old-format entry")
 			continue
 		}
-		seq := access[key]
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-		d.index[key] = &diskEntry{size: info.Size(), access: seq}
+		d.index[key] = ent
 		d.bytes += info.Size()
 	}
 	d.seq = maxSeq + 1
@@ -391,70 +380,82 @@ func (d *Disk) Check(key string) error {
 	return err
 }
 
+// errClosed reports a use of a closed store.
+var errClosed = errors.New("resultstore: store closed")
+
 // read is the one disk read path behind Get and Check: read the file,
 // verify the record, quarantine it on failure, and (when promote is
-// set) advance the entry's access clock. A file that cannot be read,
-// for whatever reason, leaves the index but stays where it is: a
-// failing disk is read at most once per resident key, the manifest
-// stops advertising the key, and a re-put or the next startup scan
-// brings it back. A classified fault also trips the tier and reads as
-// ErrDegraded.
+// set) advance the entry's access clock. The file is read and verified
+// outside d.mu, so concurrent reads do not queue behind each other;
+// the bookkeeping afterwards applies only while the index still names
+// the file that was read, so a concurrent re-put or eviction of the
+// key is never quarantined or dropped. A file that cannot be read
+// leaves the index but stays where it is: a failing disk is read at
+// most once per resident key, and the manifest stops advertising the
+// key. A classified fault also trips the tier, reads as ErrDegraded,
+// and parks the key for the recovery that re-indexes it.
 func (d *Disk) read(key string, promote bool) (*Entry, error) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.open {
-		return nil, errors.New("resultstore: store closed")
-	}
 	ent, ok := d.index[key]
+	open := d.open
+	d.mu.Unlock()
+	if !open {
+		return nil, errClosed
+	}
 	if !ok {
 		return nil, os.ErrNotExist
 	}
 	path := filepath.Join(d.dir, fileFromKey(key))
 	raw, err := d.ops.ReadFile(path)
-	if err != nil {
-		delete(d.index, key)
-		d.bytes -= ent.size
-		if isFault(err) {
+	var e *Entry
+	if err == nil {
+		e, ok = parseRecord(raw, key)
+	}
+
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	current := d.index[key] == ent
+	switch {
+	case err != nil:
+		fault := isFault(err)
+		if current {
+			delete(d.index, key)
+			d.bytes -= ent.size
+			if fault {
+				d.faulted[key] = ent
+			}
+		}
+		if fault {
 			d.readFaults.Add(1)
 			d.trip(err)
 			return nil, ErrDegraded
 		}
 		return nil, err
-	}
-	var got Entry
-	if !verifyRecord(raw, key, &got) {
+	case !ok && !current:
+		// The key was re-put or evicted while its old file was read.
+		return nil, os.ErrNotExist
+	case !ok:
 		d.quarantine(path, "failed integrity verification")
+		d.boundQuarantine()
 		delete(d.index, key)
 		d.bytes -= ent.size
 		return nil, ErrCorrupt
 	}
-	if promote {
+	if promote && current {
 		ent.access = d.seq
 		d.seq++
 	}
-	return &got, nil
+	return e, nil
 }
 
-// verifyRecord checks raw against the whole-record checksum and the
-// entry's result digest, decoding into e on success.
-func verifyRecord(raw []byte, key string, e *Entry) bool {
-	var rec diskRecord
-	if err := json.Unmarshal(raw, &rec); err != nil ||
-		recordSum(rec.Entry) != rec.SHA256 ||
-		json.Unmarshal(rec.Entry, e) != nil || e.Key != key || !e.Verify() {
-		return false
-	}
-	return true
-}
-
-// Put writes the entry atomically: canonical JSON into a temp file,
-// fsync, rename into place. Oldest-accessed entries are evicted until
-// the store fits its byte budget. Entries that fail verification are
-// refused — the disk tier never persists bytes it could not serve.
-// A classified fault trips the tier to DiskReadOnly: resident entries
-// stay served, new ones are refused with ErrDegraded until a recovery
-// probe re-arms the tier. A degraded tier offers that probe lazily,
-// on the first Put a recovery interval after the last trip.
+// Put writes the entry atomically: its record into a temp file, fsync,
+// rename into place. Oldest-accessed entries are evicted until the
+// store fits its byte budget. Entries whose result bytes fail their
+// digest are refused — the disk tier never persists bytes it could not
+// serve. A classified fault trips the tier to DiskReadOnly: resident
+// entries stay served, new ones are refused with ErrDegraded until a
+// recovery probe re-arms the tier. A degraded tier offers that probe
+// lazily, on the first Put a recovery interval after the last trip.
 func (d *Disk) Put(e *Entry) error {
 	if e == nil || !ValidKey(e.Key) {
 		return errors.New("resultstore: invalid entry key")
@@ -466,23 +467,24 @@ func (d *Disk) Put(e *Entry) error {
 		d.degradedPuts.Add(1)
 		return fmt.Errorf("%w: not persisting %s", ErrDegraded, e.Key)
 	}
-	entryJSON, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("resultstore: encoding entry: %w", err)
-	}
-	raw, err := json.Marshal(diskRecord{SHA256: recordSum(entryJSON), Entry: entryJSON})
-	if err != nil {
-		return fmt.Errorf("resultstore: encoding record: %w", err)
-	}
-	raw = append(raw, '\n')
+	raw := e.AppendRecord(nil)
 	size := int64(len(raw))
 	if size > d.opts.MaxBytes {
 		return fmt.Errorf("resultstore: entry %s (%d bytes) exceeds the store budget", e.Key, size)
 	}
 
-	err = d.writeAtomic(fileFromKey(e.Key), raw)
+	tmp, err := d.writeTemp(raw)
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	// The rename and the index update happen together under d.mu, so a
+	// read that finds the index unchanged has read the file it names.
+	if err == nil {
+		if !d.open {
+			d.ops.Remove(tmp)
+			return errClosed
+		}
+		err = d.rename(tmp, fileFromKey(e.Key))
+	}
 	if err != nil {
 		if isFault(err) {
 			d.writeFaults.Add(1)
@@ -490,12 +492,10 @@ func (d *Disk) Put(e *Entry) error {
 		}
 		return err
 	}
-	if !d.open {
-		return errors.New("resultstore: store closed")
-	}
 	if old, ok := d.index[e.Key]; ok {
 		d.bytes -= old.size
 	}
+	delete(d.faulted, e.Key)
 	d.index[e.Key] = &diskEntry{size: size, access: d.seq}
 	d.seq++
 	d.bytes += size
@@ -503,13 +503,14 @@ func (d *Disk) Put(e *Entry) error {
 	return nil
 }
 
-// writeAtomic lands raw at name via temp file + fsync + rename, so a
-// crash mid-write strands a temp file (swept at startup) instead of a
-// truncated entry under a valid name.
-func (d *Disk) writeAtomic(name string, raw []byte) error {
+// writeTemp writes raw to a fresh temp file through the writer seam
+// and fsyncs it, so a crash mid-write strands a temp file (swept at
+// startup) instead of a truncated entry under a valid name. It returns
+// the temp file's path; rename lands it.
+func (d *Disk) writeTemp(raw []byte) (string, error) {
 	f, err := d.ops.CreateTemp(d.dir, tmpPrefix+"*")
 	if err != nil {
-		return fmt.Errorf("resultstore: %w", err)
+		return "", fmt.Errorf("resultstore: %w", err)
 	}
 	tmp := f.Name()
 	var w io.WriteCloser = f
@@ -519,19 +520,24 @@ func (d *Disk) writeAtomic(name string, raw []byte) error {
 	if _, err := w.Write(raw); err != nil {
 		w.Close()
 		d.ops.Remove(tmp)
-		return fmt.Errorf("resultstore: writing %s: %w", name, err)
+		return "", fmt.Errorf("resultstore: writing %s: %w", tmp, err)
 	}
 	if s, ok := w.(interface{ Sync() error }); ok {
 		if err := s.Sync(); err != nil {
 			w.Close()
 			d.ops.Remove(tmp)
-			return fmt.Errorf("resultstore: syncing %s: %w", name, err)
+			return "", fmt.Errorf("resultstore: syncing %s: %w", tmp, err)
 		}
 	}
 	if err := w.Close(); err != nil {
 		d.ops.Remove(tmp)
-		return fmt.Errorf("resultstore: closing %s: %w", name, err)
+		return "", fmt.Errorf("resultstore: closing %s: %w", tmp, err)
 	}
+	return tmp, nil
+}
+
+// rename lands a temp file at name, removing it on failure.
+func (d *Disk) rename(tmp, name string) error {
 	if err := d.ops.Rename(tmp, filepath.Join(d.dir, name)); err != nil {
 		d.ops.Remove(tmp)
 		return fmt.Errorf("resultstore: %w", err)
@@ -578,7 +584,15 @@ func (d *Disk) rearm(lazy bool) bool {
 	d.state.Store(int32(DiskOK))
 	d.stateReason = ""
 	d.recoveries.Add(1)
-	fmt.Fprintf(d.opts.Log, "resultstore: disk tier readonly → ok (recovery probe succeeded)\n")
+	fmt.Fprintf(d.opts.Log, "resultstore: disk tier readonly → ok (recovery probe succeeded); re-indexing %d faulted entries\n", len(d.faulted))
+	// The disk reads again, so the files a fault left in place serve
+	// again; their next read verifies them like any other.
+	for k, ent := range d.faulted {
+		d.index[k] = ent
+		d.bytes += ent.size
+	}
+	clear(d.faulted)
+	d.evictLocked()
 	return true
 }
 
@@ -649,16 +663,18 @@ func (d *Disk) evictLocked() {
 }
 
 // quarantine moves a bad file aside (keeping it for inspection) and
-// counts it, then ages out the oldest quarantined files past the byte
-// cap. Failures fall back to removal: a file that can neither be moved
-// nor removed would otherwise be re-quarantined forever.
+// counts it. Failures fall back to removal: a file that can neither be
+// moved nor removed would otherwise be re-quarantined forever. The
+// caller bounds the quarantine directory afterwards (boundQuarantine):
+// the startup scan does so once, not once per file, because bounding
+// lists the whole directory and a store of old-format files
+// quarantines every file it holds.
 func (d *Disk) quarantine(path, why string) {
 	d.quarantines.Add(1)
 	qdir := filepath.Join(d.dir, quarantineDir)
 	if err := d.ops.MkdirAll(qdir, 0o755); err == nil {
 		if err := d.ops.Rename(path, filepath.Join(qdir, filepath.Base(path))); err == nil {
 			fmt.Fprintf(d.opts.Log, "resultstore: quarantined %s: %s\n", filepath.Base(path), why)
-			d.boundQuarantine()
 			return
 		}
 	}
@@ -739,7 +755,11 @@ func (d *Disk) Close() error {
 	if err != nil {
 		return fmt.Errorf("resultstore: encoding index: %w", err)
 	}
-	return d.writeAtomic(indexFile, append(raw, '\n'))
+	tmp, err := d.writeTemp(append(raw, '\n'))
+	if err != nil {
+		return err
+	}
+	return d.rename(tmp, indexFile)
 }
 
 // Manifest lists the resident keys in order — the anti-entropy

@@ -1,6 +1,10 @@
 package resultstore
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -41,8 +45,8 @@ func TestDiskRoundTripAndRestart(t *testing.T) {
 	if !ok {
 		t.Fatal("entry missing after Put")
 	}
-	if got.Report != e.Report || got.Digest != e.Digest || !reflect.DeepEqual(got.Result, e.Result) {
-		t.Fatalf("round-trip mutated the entry: got %+v want %+v", got, e)
+	if res, err := got.Decode(); err != nil || got.Digest != e.Digest || !reflect.DeepEqual(res, e.Result) {
+		t.Fatalf("round-trip mutated the entry: got %+v (%v) want %+v", got, err, e)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -54,8 +58,74 @@ func TestDiskRoundTripAndRestart(t *testing.T) {
 		t.Fatalf("restarted store Len = %d, want 1", d2.Len())
 	}
 	got2, ok := d2.Get(e.Key)
-	if !ok || !reflect.DeepEqual(got2.Result, e.Result) {
+	if !ok || !bytes.Equal(got2.ResultJSON(), got.ResultJSON()) {
 		t.Fatal("entry did not survive the restart")
+	}
+}
+
+// oldFormatRecord is e as the store wrote it before entry files held
+// the result bytes directly: the whole entry JSON, report included,
+// inside a {"sha256","entry"} envelope.
+func oldFormatRecord(tb testing.TB, e *Entry) []byte {
+	tb.Helper()
+	entry, err := json.Marshal(struct {
+		Key     string         `json:"key"`
+		Request simrun.Request `json:"request"`
+		Result  core.Result    `json:"result"`
+		Report  string         `json:"report"`
+		Digest  string         `json:"digest"`
+	}{e.Key, simrun.Request{}, e.Result, e.Report, e.Digest})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sum := sha256.Sum256(entry)
+	rec, err := json.Marshal(struct {
+		SHA256 string          `json:"sha256"`
+		Entry  json.RawMessage `json:"entry"`
+	}{hex.EncodeToString(sum[:]), entry})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append(rec, '\n')
+}
+
+// TestDiskQuarantinesOldFormatFiles: files in the old envelope layout
+// are quarantined by the startup scan and never served, with one
+// listing of the quarantine directory for the whole scan (a listing per
+// file made opening a store of n old files O(n²)); a re-put stores the
+// same key in the current layout.
+func TestDiskQuarantinesOldFormatFiles(t *testing.T) {
+	dir := t.TempDir()
+	var entries []*Entry
+	for i := 0; i < 20; i++ {
+		e := testEntry(fmt.Sprintf("cfg:%016x", i), i)
+		entries = append(entries, e)
+		if err := os.WriteFile(filepath.Join(dir, fileFromKey(e.Key)), oldFormatRecord(t, e), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var listings int
+	ops := &DiskOps{ReadDir: func(name string) ([]os.DirEntry, error) {
+		if filepath.Base(name) == quarantineDir {
+			listings++
+		}
+		return os.ReadDir(name)
+	}}
+	d := openTestDisk(t, dir, DiskOptions{Ops: ops})
+	if d.Len() != 0 || d.Quarantines() != int64(len(entries)) || listings != 1 {
+		t.Fatalf("Len = %d, Quarantines = %d, quarantine listings = %d; want 0, %d and 1", d.Len(), d.Quarantines(), listings, len(entries))
+	}
+	for _, e := range entries {
+		if _, ok := d.Get(e.Key); ok {
+			t.Fatalf("%s: served an old-format file", e.Key)
+		}
+		if err := d.Put(e); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := d.Get(e.Key)
+		if !ok || !got.Verify() || got.Digest != e.Digest {
+			t.Fatalf("%s: re-put entry does not serve", e.Key)
+		}
 	}
 }
 

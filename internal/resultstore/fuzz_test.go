@@ -5,10 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/simrun"
 )
 
-// FuzzVerifyRecord: the disk envelope check never panics and never
-// accepts a record whose entry fails Verify or belongs to another key.
+// FuzzVerifyRecord: the disk record check never panics and never
+// accepts a record whose result bytes fail their digest or that belongs
+// to another key.
 func FuzzVerifyRecord(f *testing.F) {
 	dir := f.TempDir()
 	d, err := OpenDisk(dir, DiskOptions{})
@@ -25,11 +28,39 @@ func FuzzVerifyRecord(f *testing.F) {
 	}
 	f.Add(raw, e.Key)
 	f.Add(raw, "cfg:fedcba9876543210")
-	f.Add([]byte(`{"sha256":"","entry":{}}`), "")
+	f.Add(raw, "cfg:0123456789abcde")
+	f.Add(oldFormatRecord(f, e), e.Key)
+	f.Add([]byte(`{"key":"","digest":"","result":}`+"\n"), "")
 
 	f.Fuzz(func(t *testing.T, raw []byte, key string) {
-		var got Entry
-		if verifyRecord(raw, key, &got) && (got.Key != key || !got.Verify()) {
+		if got, ok := parseRecord(raw, key); ok && (got.Key != key || !got.Verify()) {
+			t.Fatalf("accepted an entry for %q that fails verification: %+v", key, got)
+		}
+	})
+}
+
+// FuzzDecodePeerEntry drives the GET /v1/result/{key} body decoder
+// with untrusted bodies: it must never panic, and never accept an
+// entry that names another key or whose result bytes do not hash to
+// its digest.
+func FuzzDecodePeerEntry(f *testing.F) {
+	e := testEntry("cfg:0123456789abcdef", 1)
+	f.Add(e.AppendRecord(nil), e.Key)
+	f.Add(e.AppendRecord(nil), "cfg:fedcba9876543210")
+	f.Add(oldFormatRecord(f, e), e.Key)
+	f.Add([]byte(`{"key":"cfg:0123456789abcdef","digest":"","result":null}`), e.Key)
+	f.Add([]byte(`{"key":"cfg:0123456789abcdef","digest":"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"}`), e.Key)
+	f.Add([]byte(`[`), "")
+
+	f.Fuzz(func(t *testing.T, body []byte, key string) {
+		got, err := decodePeerEntry(bytes.NewReader(body), key)
+		if err != nil {
+			if got != nil {
+				t.Fatalf("error %v with a non-nil entry", err)
+			}
+			return
+		}
+		if got.Key != key || got.Digest == "" || simrun.DigestJSON(got.ResultJSON()) != got.Digest {
 			t.Fatalf("accepted an entry for %q that fails verification: %+v", key, got)
 		}
 	})

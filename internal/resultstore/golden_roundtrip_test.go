@@ -1,6 +1,7 @@
 package resultstore
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -39,10 +40,12 @@ func goldenMixes(t *testing.T) []string {
 // property: for every mix in the committed multi-core golden (and a
 // few seeds each), write a real simulation result to the disk tier,
 // force it out of the memory tier, read it back through the tiered
-// store, and require (a) the digest re-verifies and (b) the entry —
-// result, report, request echo — is deep-equal to what was written.
-// Equal configs produce byte-identical results, so any divergence here
-// means the disk tier mutated bytes in flight.
+// store, and require that (a) the digest re-verifies, (b) the stored
+// result bytes are exactly the bytes written, which are json.Marshal of
+// the decoded result and hash to its simrun.ResultDigest, and (c) the
+// decoded result is deep-equal to the simulated one. Equal configs
+// produce byte-identical results, so any divergence here means the
+// disk tier mutated bytes in flight.
 func TestDiskRoundTripIdentityForGoldenMixes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
@@ -63,13 +66,7 @@ func TestDiskRoundTripIdentityForGoldenMixes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", mix, seed, err)
 			}
-			e := &Entry{
-				Key:     simrun.Key(cfg),
-				Request: req.Normalize(),
-				Result:  res,
-				Report:  simrun.Report(cfg, res, simrun.ReportOptions{}),
-				Digest:  simrun.ResultDigest(res),
-			}
+			e := NewEntry(simrun.Key(cfg), res)
 			ts.Put(e)
 			// Evict from memory by churning the 1-entry LRU.
 			mem.Put(testEntry("cfg:evictor000000000", 1))
@@ -84,11 +81,25 @@ func TestDiskRoundTripIdentityForGoldenMixes(t *testing.T) {
 			if !got.Verify() {
 				t.Fatalf("%s seed %d: digest failed to re-verify after disk round-trip", mix, seed)
 			}
-			if !reflect.DeepEqual(got, e) {
-				t.Fatalf("%s seed %d: disk round-trip is not identity:\nwrote %+v\nread  %+v", mix, seed, e, got)
+			if !bytes.Equal(got.ResultJSON(), e.ResultJSON()) {
+				t.Fatalf("%s seed %d: disk round-trip changed the result bytes:\nwrote %s\nread  %s", mix, seed, e.ResultJSON(), got.ResultJSON())
 			}
-			if simrun.ResultDigest(got.Result) != simrun.ResultDigest(res) {
-				t.Fatalf("%s seed %d: result digest drifted across the round-trip", mix, seed)
+			decoded, err := got.Decode()
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", mix, seed, err)
+			}
+			canonical, err := json.Marshal(decoded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.ResultJSON(), canonical) {
+				t.Fatalf("%s seed %d: stored result bytes are not json.Marshal of the decoded result", mix, seed)
+			}
+			if simrun.DigestJSON(got.ResultJSON()) != simrun.ResultDigest(res) || got.Digest != simrun.ResultDigest(res) {
+				t.Fatalf("%s seed %d: stored result bytes do not hash to ResultDigest", mix, seed)
+			}
+			if !reflect.DeepEqual(decoded, res) {
+				t.Fatalf("%s seed %d: decoded result differs from the simulated one", mix, seed)
 			}
 		}
 	}

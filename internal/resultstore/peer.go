@@ -2,7 +2,6 @@ package resultstore
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -118,14 +117,27 @@ func getEntry(ctx context.Context, hc *http.Client, base, key string) (*Entry, e
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
 		return nil, errPeerMiss
 	}
-	var e Entry
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&e); err != nil {
+	e, err := decodePeerEntry(io.LimitReader(resp.Body, 8<<20), key)
+	if err != nil {
+		return nil, fmt.Errorf("resultstore: peer %s: %w", base, err)
+	}
+	return e, nil
+}
+
+// decodePeerEntry reads a GET /v1/result/{key} body, an untrusted
+// entry record, and accepts it only if it names key and its result
+// bytes hash to its digest. The result is not decoded: the entry
+// carries the bytes as they arrived.
+func decodePeerEntry(body io.Reader, key string) (*Entry, error) {
+	raw, err := io.ReadAll(body)
+	if err != nil {
 		return nil, err
 	}
-	if e.Key != key || !e.Verify() {
-		return nil, fmt.Errorf("resultstore: peer %s served unverifiable entry for %s", base, key)
+	e, ok := parseRecord(raw, key)
+	if !ok {
+		return nil, fmt.Errorf("unverifiable entry for %s", key)
 	}
-	return &e, nil
+	return e, nil
 }
 
 // Peers reports the configured peer base URLs.

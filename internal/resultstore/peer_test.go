@@ -2,7 +2,6 @@ package resultstore
 
 import (
 	"context"
-	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -25,7 +24,7 @@ func peerServer(t *testing.T, entries map[string]*Entry, requests *atomic.Int64)
 			http.Error(w, `{"error":"not found"}`, http.StatusNotFound)
 			return
 		}
-		json.NewEncoder(w).Encode(e)
+		w.Write(e.AppendRecord(nil))
 	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
@@ -111,7 +110,7 @@ func TestPeerLookupKeepsLoserConnections(t *testing.T) {
 	peer := func(delay time.Duration) string {
 		ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			time.Sleep(delay)
-			json.NewEncoder(w).Encode(e)
+			w.Write(e.AppendRecord(nil))
 		}))
 		ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
 			if st == http.StateNew {

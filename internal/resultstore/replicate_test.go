@@ -29,7 +29,7 @@ func tieredPeerServer(t *testing.T, st *Tiered) *httptest.Server {
 			http.Error(w, "no stored result", http.StatusNotFound)
 			return
 		}
-		json.NewEncoder(w).Encode(e)
+		w.Write(e.AppendRecord(nil))
 	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
@@ -103,7 +103,7 @@ func TestReplicatorRejectsUnverifiablePulls(t *testing.T) {
 		json.NewEncoder(w).Encode(manifestReply{Entries: []ManifestEntry{{Key: key}}})
 	})
 	mux.HandleFunc("GET /v1/result/{key}", func(w http.ResponseWriter, _ *http.Request) {
-		json.NewEncoder(w).Encode(corrupt)
+		w.Write(corrupt.AppendRecord(nil))
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()

@@ -29,6 +29,8 @@ package resultstore
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"sort"
 	"strings"
 
@@ -63,51 +65,87 @@ type ManifestEntry struct {
 	Key string `json:"key"`
 }
 
-// Entry is one stored simulation result. Its JSON field set (and
-// order) is exactly the cacheable part of a POST /v1/run response, so
-// serving an entry from any tier is byte-identical to serving the
-// response that first produced it.
+// Entry is one stored simulation result: the canonical JSON bytes of
+// its core.Result (exactly json.Marshal of it, the bytes
+// simrun.ResultDigest hashes) and their digest, under its key. Every
+// tier, the disk file, GET /v1/result/{key} (both an entry record, see
+// AppendRecord) and /v1/batch lines carry those bytes as they are;
+// each hop verifies them by hashing them, and only a consumer that
+// needs a core.Result decodes one (Decode).
 type Entry struct {
 	// Key is the canonical config hash the entry is stored under
 	// (simrun.Key, with a "cfg:" prefix for raw-config entries).
-	Key string `json:"key"`
-	// Request echoes the normalized request that produced the result;
-	// zero for raw-config ("cfg:") entries.
-	Request simrun.Request `json:"request"`
-	// Result is the full structured simulation result.
-	Result core.Result `json:"result"`
-	// Report is the human-readable summary, byte-identical to what
-	// `smtsim` prints for the same configuration.
-	Report string `json:"report"`
-	// Digest is the canonical SHA-256 of Result (simrun.ResultDigest).
-	// Every tier re-verifies it before serving an entry it did not
-	// just compute.
-	Digest string `json:"digest"`
+	Key string
+	// Result is the simulation result of an entry built as a literal;
+	// ResultJSON encodes it when the entry holds no bytes. An entry
+	// read from a tier or a peer holds bytes only and leaves Result
+	// zero: read it with Decode.
+	Result core.Result
+	// Report is ignored: no tier stores or serves a report, and a
+	// POST /v1/run reply derives its report from the request's config.
+	// It stays so entry literals that set it still build.
+	Report string
+	// Digest is the canonical SHA-256 of the result bytes
+	// (simrun.ResultDigest). Every tier re-verifies it before serving an
+	// entry it did not just compute.
+	Digest string
+
+	raw []byte // canonical result JSON; nil on a literal entry
 }
 
-// NewEntry builds the stored form of one simulation: the result with
-// its smtsim report and digest, under key, echoing req (zero for
-// raw-config entries). Every writer — smtsimd and sweep checkpoints —
-// builds entries here, so equal configs store equal bytes.
-func NewEntry(key string, req simrun.Request, cfg core.Config, res core.Result) *Entry {
-	return &Entry{
-		Key:     key,
-		Request: req,
-		Result:  res,
-		Report:  simrun.Report(cfg, res, simrun.ReportOptions{}),
-		Digest:  simrun.ResultDigest(res),
+// NewEntry builds the stored form of one simulation: the result's
+// canonical bytes and their digest, under key. Every writer — smtsimd
+// and sweep checkpoints — builds entries here, so equal configs store
+// equal bytes.
+func NewEntry(key string, res core.Result) *Entry {
+	raw, err := json.Marshal(res)
+	if err != nil {
+		// core.Result is plain data; an unencodable one cannot verify.
+		return &Entry{Key: key}
 	}
+	return &Entry{Key: key, Digest: simrun.DigestJSON(raw), raw: raw}
 }
 
 // ConfigKey is the store key of a raw-config entry: simrun.Key behind
-// the "cfg:" prefix, so a raw-config entry (whose request echo is
-// empty) is never served to a POST /v1/run caller.
+// the "cfg:" prefix, so a raw-config entry is never served to a
+// POST /v1/run caller.
 func ConfigKey(cfg core.Config) string { return "cfg:" + simrun.Key(cfg) }
 
-// Verify recomputes the result digest and reports whether it matches
-// the entry's claim. Entries with no digest are unverifiable and fail.
+// ResultJSON returns the result's canonical JSON bytes: the bytes the
+// entry carries, or, for a literal entry, the encoding of Result.
+// Callers must not modify them.
+func (e *Entry) ResultJSON() []byte {
+	if e.raw != nil {
+		return e.raw
+	}
+	raw, err := json.Marshal(e.Result)
+	if err != nil {
+		return nil
+	}
+	return raw
+}
+
+// Decode returns the entry's result: decoded from its bytes, or Result
+// itself for a literal entry.
+func (e *Entry) Decode() (core.Result, error) {
+	if e.raw == nil {
+		return e.Result, nil
+	}
+	var res core.Result
+	if err := json.Unmarshal(e.raw, &res); err != nil {
+		return core.Result{}, fmt.Errorf("resultstore: decoding result %s: %w", e.Key, err)
+	}
+	return res, nil
+}
+
+// Verify hashes the result bytes and reports whether they match the
+// entry's digest. Entries with no digest are unverifiable and fail.
 func (e *Entry) Verify() bool {
-	return e != nil && e.Digest != "" && simrun.ResultDigest(e.Result) == e.Digest
+	if e == nil || e.Digest == "" {
+		return false
+	}
+	raw := e.ResultJSON()
+	return len(raw) > 0 && simrun.DigestJSON(raw) == e.Digest
 }
 
 // ValidKey reports whether key is storable: non-empty, bounded, and

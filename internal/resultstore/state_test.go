@@ -1,6 +1,7 @@
 package resultstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -411,6 +412,129 @@ func TestDiskFaultsConcurrent(t *testing.T) {
 	for i := 0; i < n; i++ {
 		if _, err := os.Stat(filepath.Join(dir, fileFromKey(fmt.Sprintf("cfg:%016x", i)))); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestRecoveryReindexesFaultedKeys: keys a classified read fault took
+// out of the index, on the read path or in the startup scan, serve
+// again once a recovery probe re-arms the tier, without a restart or a
+// directory rescan.
+func TestRecoveryReindexesFaultedKeys(t *testing.T) {
+	dir := t.TempDir()
+	keys := []string{"cfg:aaaa000011112222", "cfg:bbbb000011112222", "cfg:cccc000011112222"}
+	entries := make(map[string]*Entry)
+	d := openTestDisk(t, dir, DiskOptions{})
+	for i, key := range keys {
+		entries[key] = testEntry(key, i+1)
+		if err := d.Put(entries[key]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Close()
+
+	var dirReads int
+	faults := &faultControls{}
+	ops := faults.ops()
+	ops.ReadDir = func(name string) ([]os.DirEntry, error) {
+		dirReads++
+		return os.ReadDir(name)
+	}
+	// The startup scan cannot read the first file; the read path then
+	// fails the second.
+	faults.setReadPath(fileFromKey(keys[0]), syscall.EIO)
+	d = openTestDisk(t, dir, DiskOptions{Ops: ops})
+	defer d.Close()
+	faults.setReadPath(fileFromKey(keys[0]), nil)
+	faults.setRead(syscall.EIO)
+	if _, ok := d.Get(keys[1]); ok {
+		t.Fatal("Get served an entry while reads fail")
+	}
+	if d.Len() != 1 || d.State() != DiskReadOnly {
+		t.Fatalf("after the faults: Len = %d, state %v; want 1 and readonly", d.Len(), d.State())
+	}
+	if d.TryRecover() {
+		t.Fatal("the tier re-armed while reads fail")
+	}
+
+	faults.setRead(nil)
+	scans := dirReads
+	if !d.TryRecover() {
+		t.Fatal("probe failed after the fault cleared")
+	}
+	if dirReads != scans {
+		t.Fatalf("recovery read the directory %d times", dirReads-scans)
+	}
+	if d.Len() != len(keys) || d.Bytes() <= 0 {
+		t.Fatalf("after recovery: Len = %d, Bytes = %d; want %d entries", d.Len(), d.Bytes(), len(keys))
+	}
+	if m := d.Manifest(); len(m) != len(keys) {
+		t.Fatalf("manifest after recovery lists %d keys, want %d", len(m), len(keys))
+	}
+	for _, key := range keys {
+		if got, ok := d.Get(key); !ok || got.Digest != entries[key].Digest {
+			t.Fatalf("%s does not serve after recovery", key)
+		}
+	}
+	if d.Quarantines() != 0 {
+		t.Fatalf("Quarantines = %d, want 0", d.Quarantines())
+	}
+}
+
+// TestDiskGetRacesPut races Get against a re-put of the same key while
+// the file on disk is rotten (run it under -race). The file is read
+// outside the lock, so a read can find the rotten file after the re-put
+// has replaced it: it must quarantine only while the index still names
+// the file it read. The re-put entry always serves afterwards, and
+// nothing quarantined verifies.
+func TestDiskGetRacesPut(t *testing.T) {
+	dir := t.TempDir()
+	d := openTestDisk(t, dir, DiskOptions{})
+	defer d.Close()
+	e := testEntry("cfg:00ff00ff00ff00ff", 1)
+	if err := d.Put(e); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, fileFromKey(e.Key))
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotten := bytes.Replace(good, []byte(`"Mix":"kitchen-sink"`), []byte(`"Mix":"kitchen-sinK"`), 1)
+	if bytes.Equal(rotten, good) {
+		t.Fatal("the test entry's bytes changed; rot something else")
+	}
+	for i := 0; i < 300; i++ {
+		if err := os.WriteFile(path, rotten, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if got, ok := d.Get(e.Key); ok && !bytes.Equal(got.ResultJSON(), e.ResultJSON()) {
+				t.Error("Get served bytes that are not the entry's")
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if err := d.Put(e); err != nil {
+				t.Error(err)
+			}
+		}()
+		wg.Wait()
+		if got, ok := d.Get(e.Key); !ok || got.Digest != e.Digest {
+			t.Fatalf("iteration %d: the re-put entry does not serve", i)
+		}
+	}
+	qfiles, _ := os.ReadDir(filepath.Join(dir, quarantineDir))
+	for _, qf := range qfiles {
+		raw, err := os.ReadFile(filepath.Join(dir, quarantineDir, qf.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := parseRecord(raw, e.Key); ok {
+			t.Fatalf("quarantined a good file: %s", qf.Name())
 		}
 	}
 }

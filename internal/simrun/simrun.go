@@ -225,6 +225,14 @@ func ResultDigest(res core.Result) string {
 	if err != nil {
 		return ""
 	}
+	return DigestJSON(raw)
+}
+
+// DigestJSON is the hex SHA-256 of a result's JSON bytes:
+// ResultDigest(res) == DigestJSON(json.Marshal(res)). A reader that
+// holds a result's canonical bytes verifies them with it, without
+// decoding the result or encoding it again.
+func DigestJSON(raw []byte) string {
 	sum := sha256.Sum256(raw)
 	return hex.EncodeToString(sum[:])
 }

@@ -10,14 +10,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/resultstore"
-	"repro/internal/simrun"
 )
 
 // handleResult is GET /v1/result/{key}: the surface behind the fleet's
 // pre-dispatch lookup and replication pulls (which also refill entries
 // a scrub quarantined). It serves the local tiers (memory, disk), the
 // only tiers a store has, so a lookup never recurses across the fleet. A miss is a plain 404; the
-// caller treats every non-200 as a miss.
+// caller treats every non-200 as a miss. A hit is the entry's record
+// (resultstore.Entry.AppendRecord), written as stored: a disk hit
+// serves the bytes of the file it read.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !resultstore.ValidKey(key) {
@@ -31,7 +32,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Result-Digest", e.Digest)
 	w.Header().Set("X-Store-Tier", tier)
-	writeJSON(w, http.StatusOK, e)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(e.AppendRecord(nil))
 }
 
 // batchRequest is the POST /v1/batch body: raw core.Configs, the exact
@@ -47,15 +50,16 @@ type batchRequest struct {
 // request and Key names that config's store key, so a client can check
 // that the line is bound to the config it sent; Digest is the canonical
 // result digest (simrun.ResultDigest) the client re-verifies per line
-// before trusting the bytes.
+// before trusting the bytes. Result is the stored result bytes, copied
+// into the line as they are.
 type batchLine struct {
-	Index     int          `json:"index"`
-	Key       string       `json:"key,omitempty"`
-	Result    *core.Result `json:"result,omitempty"`
-	Digest    string       `json:"digest,omitempty"`
-	Cached    bool         `json:"cached,omitempty"`
-	Coalesced bool         `json:"coalesced,omitempty"`
-	Error     string       `json:"error,omitempty"`
+	Index     int             `json:"index"`
+	Key       string          `json:"key,omitempty"`
+	Result    json.RawMessage `json:"result,omitempty"`
+	Digest    string          `json:"digest,omitempty"`
+	Cached    bool            `json:"cached,omitempty"`
+	Coalesced bool            `json:"coalesced,omitempty"`
+	Error     string          `json:"error,omitempty"`
 }
 
 // batchTrailer is the final NDJSON line: the client checks Total
@@ -163,7 +167,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // blocking admission. It always returns a line; errors ride in the
 // line instead of failing the stream.
 func (s *Server) batchItem(idx int, key string, cfg core.Config) batchLine {
-	e, f, d := s.lookup(key, simrun.Request{}, cfg, true)
+	e, f, d := s.lookup(key, cfg, true)
 	if f != nil {
 		<-f.done
 		if f.err != nil {
@@ -171,5 +175,5 @@ func (s *Server) batchItem(idx int, key string, cfg core.Config) batchLine {
 		}
 		e = f.val
 	}
-	return batchLine{Index: idx, Key: key, Result: &e.Result, Digest: e.Digest, Cached: d.Cached, Coalesced: d.Coalesced}
+	return batchLine{Index: idx, Key: key, Result: e.ResultJSON(), Digest: e.Digest, Cached: d.Cached, Coalesced: d.Coalesced}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/resultstore"
 	"repro/internal/simrun"
 )
 
@@ -20,7 +21,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	if lead2 || f1 != f2 {
 		t.Fatal("second join should coalesce onto the open flight")
 	}
-	g.finish("k", f1, &runResponse{Key: "k"}, nil)
+	g.finish("k", f1, &resultstore.Entry{Key: "k"}, nil)
 	<-f2.done
 	if f2.val == nil || f2.val.Key != "k" {
 		t.Fatal("follower did not observe the leader's result")
@@ -85,7 +86,7 @@ func TestLeaderSettlesFromStore(t *testing.T) {
 	cfg := testCoreConfig(t)
 	key := "cfg:" + simrun.Key(cfg)
 	res, _ := stubResult(context.Background(), cfg)
-	stored := &runResponse{Key: key, Result: res, Digest: simrun.ResultDigest(res)}
+	stored := resultstore.NewEntry(key, res)
 	srv.Store().Put(stored)
 
 	f, leader := srv.flights.join(key)
@@ -93,7 +94,7 @@ func TestLeaderSettlesFromStore(t *testing.T) {
 		t.Fatal("first join should lead")
 	}
 	srv.wg.Add(1)
-	srv.execute(key, f, simrun.Request{}, cfg, false)
+	srv.execute(key, f, cfg, false)
 	<-f.done
 	if got := sims.Load(); got != 0 {
 		t.Fatalf("leader ran %d simulations for a stored key, want 0", got)

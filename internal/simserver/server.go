@@ -200,12 +200,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// runResponse is the cacheable part of a POST /v1/run response: it is
-// identical no matter which request produced it, so it is exactly a
-// stored result entry — the tiered store persists and serves these
-// bytes unchanged.
-type runResponse = resultstore.Entry
-
 // delivery is how one result reached its caller, appended to the
 // /v1/run reply and flagged on each /v1/batch line.
 type delivery struct {
@@ -216,9 +210,16 @@ type delivery struct {
 	Coalesced bool `json:"coalesced"`
 }
 
-// runReply wraps a runResponse with per-request delivery facts.
+// runReply is the POST /v1/run response: the stored result bytes as
+// they are, the normalized request echo and the smtsim report (both
+// derived from this request's config, so a cached reply is
+// byte-identical to a fresh one), and the delivery facts.
 type runReply struct {
-	*runResponse
+	Key     string          `json:"key"`
+	Request simrun.Request  `json:"request"`
+	Result  json.RawMessage `json:"result"`
+	Report  string          `json:"report"`
+	Digest  string          `json:"digest"`
 	delivery
 }
 
@@ -237,7 +238,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, err.Error())
 		return
 	}
-	e, f, d := s.lookup(simrun.Key(cfg), req.Normalize(), cfg, false)
+	e, f, d := s.lookup(simrun.Key(cfg), cfg, false)
 	if f != nil {
 		select {
 		case <-f.done:
@@ -253,8 +254,20 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		e = f.val
 	}
+	res, err := e.Decode()
+	if err != nil {
+		s.replyError(w, err)
+		return
+	}
 	w.Header().Set("X-Result-Digest", e.Digest)
-	writeJSON(w, http.StatusOK, runReply{runResponse: e, delivery: d})
+	writeJSON(w, http.StatusOK, runReply{
+		Key:      e.Key,
+		Request:  req.Normalize(),
+		Result:   e.ResultJSON(),
+		Report:   simrun.Report(cfg, res, simrun.ReportOptions{}),
+		Digest:   e.Digest,
+		delivery: d,
+	})
 }
 
 // badRequest counts and answers one malformed or invalid request.
@@ -268,7 +281,7 @@ func (s *Server) badRequest(w http.ResponseWriter, msg string) {
 // key's flight, either leading it (execute runs it detached from this
 // request) or coalescing onto another caller's. It returns exactly one
 // of the entry and the flight to wait on.
-func (s *Server) lookup(key string, req simrun.Request, cfg core.Config, blockAdmission bool) (*runResponse, *flight, delivery) {
+func (s *Server) lookup(key string, cfg core.Config, blockAdmission bool) (*resultstore.Entry, *flight, delivery) {
 	if e, _, ok := s.store.Get(key); ok {
 		s.metrics.cacheHits.Add(1)
 		return e, nil, delivery{Cached: true}
@@ -280,7 +293,7 @@ func (s *Server) lookup(key string, req simrun.Request, cfg core.Config, blockAd
 		return nil, f, delivery{Coalesced: true}
 	}
 	s.wg.Add(1)
-	go s.execute(key, f, req, cfg, blockAdmission)
+	go s.execute(key, f, cfg, blockAdmission)
 	return nil, f, delivery{}
 }
 
@@ -291,7 +304,7 @@ func (s *Server) lookup(key string, req simrun.Request, cfg core.Config, blockAd
 // a per-request flight past a full queue is rejected immediately (429),
 // but a batch item's flight waits for a slot — the batch request itself
 // was already accepted, so its items queue instead of failing.
-func (s *Server) execute(key string, f *flight, req simrun.Request, cfg core.Config, blockAdmission bool) {
+func (s *Server) execute(key string, f *flight, cfg core.Config, blockAdmission bool) {
 	defer s.wg.Done()
 
 	// A caller that missed the store can join after another leader
@@ -349,9 +362,9 @@ func (s *Server) execute(key string, f *flight, req simrun.Request, cfg core.Con
 	}
 	s.metrics.observeRunSeconds(elapsed.Seconds())
 	s.metrics.observeSimThroughput(res.Cycles+cfg.FastForward, elapsed.Nanoseconds())
-	resp := resultstore.NewEntry(key, req, cfg, res)
-	s.store.Put(resp)
-	s.flights.finish(key, f, resp, nil)
+	e := resultstore.NewEntry(key, res)
+	s.store.Put(e)
+	s.flights.finish(key, f, e, nil)
 }
 
 // runSafe executes one simulation with panic containment. The executor

@@ -1,6 +1,10 @@
 package simserver
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/resultstore"
+)
 
 // flightGroup deduplicates concurrent work by key: the first request
 // for a key becomes the leader and executes; every request that arrives
@@ -15,7 +19,7 @@ type flightGroup struct {
 // after val/err are set; waiters must not read them before done closes.
 type flight struct {
 	done chan struct{}
-	val  *runResponse
+	val  *resultstore.Entry
 	err  error
 }
 
@@ -39,7 +43,7 @@ func (g *flightGroup) join(key string) (f *flight, leader bool) {
 
 // finish publishes the result and closes the flight: later requests for
 // the same key start a fresh flight (normally they hit the cache first).
-func (g *flightGroup) finish(key string, f *flight, val *runResponse, err error) {
+func (g *flightGroup) finish(key string, f *flight, val *resultstore.Entry, err error) {
 	g.mu.Lock()
 	delete(g.m, key)
 	g.mu.Unlock()

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -256,6 +258,87 @@ func TestResultEndpoint(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("invalid key status %d, want 400", resp.StatusCode)
 		}
+	}
+}
+
+// TestResultEndpointServesStoredBytes: GET /v1/result/{key} serves the
+// same bytes from the memory tier and from the disk tier, those bytes
+// are the entry file's, and their result is the /v1/batch line's result
+// bytes, exactly json.Marshal of the decoded result.
+func TestResultEndpointServesStoredBytes(t *testing.T) {
+	dir := t.TempDir()
+	disk, err := resultstore.OpenDisk(dir, resultstore.DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := resultstore.NewTiered(resultstore.NewMemory(8), disk)
+	defer store.Close()
+	srv := New(Config{Workers: 1, Run: simrun.Run, Store: store})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(batchBody(t, testCoreConfig(t))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var line struct {
+		Key    string          `json:"key"`
+		Result json.RawMessage `json:"result"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&line)
+	resp.Body.Close()
+	if err != nil || line.Key == "" {
+		t.Fatalf("decoding the batch line: %v", err)
+	}
+
+	get := func(wantTier string) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/result/" + line.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /v1/result: status %d, %v", resp.StatusCode, err)
+		}
+		if tier := resp.Header.Get("X-Store-Tier"); tier != wantTier {
+			t.Fatalf("X-Store-Tier = %q, want %q", tier, wantTier)
+		}
+		return body
+	}
+	fromMemory := get(resultstore.TierMemory)
+	store.Memory().Remove(line.Key)
+	fromDisk := get(resultstore.TierDisk)
+	if !bytes.Equal(fromMemory, fromDisk) {
+		t.Fatalf("memory and disk hits serve different bytes:\nmemory %s\ndisk   %s", fromMemory, fromDisk)
+	}
+	file, err := os.ReadFile(filepath.Join(dir, strings.Replace(line.Key, ":", "-", 1)+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fromDisk, file) {
+		t.Fatalf("disk hit is not the entry file's bytes:\nserved %s\nfile   %s", fromDisk, file)
+	}
+
+	var served struct {
+		Digest string          `json:"digest"`
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal(fromDisk, &served); err != nil {
+		t.Fatal(err)
+	}
+	var res core.Result
+	if err := json.Unmarshal(served.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	canonical, _ := json.Marshal(res)
+	if !bytes.Equal(served.Result, line.Result) || !bytes.Equal(served.Result, canonical) {
+		t.Fatal("served result bytes differ from the batch line's or from json.Marshal of the result")
+	}
+	if served.Digest != simrun.ResultDigest(res) {
+		t.Fatal("served digest is not the result's ResultDigest")
 	}
 }
 
