@@ -39,11 +39,13 @@
 // see docs/fleet.md); results
 // are byte-identical to a local run, and -checkpoint/-resume work
 // unchanged. -batch ships runs in chunks of many configs (one request
-// per chunk instead of per run). -peer-lookup consults every backend's
-// result store before dispatching a run, so a fleet that has seen a
-// config anywhere never re-simulates it (see docs/resultstore.md). It
-// applies to per-run dispatch only, so it is rejected with -batch: the
-// backend that receives a chunk serves what its own store holds.
+// per chunk instead of per run). -peer-lookup reads every backend's
+// store manifest once, then fetches each run's stored result from a
+// backend that lists its key before dispatching the run, so a fleet
+// that has seen a config anywhere never re-simulates it (see
+// docs/resultstore.md). It applies to per-run dispatch only, so it is
+// rejected with -batch: the backend that receives a chunk serves what
+// its own store holds.
 package main
 
 import (
@@ -98,8 +100,8 @@ func main() {
 		backendsF     = flag.String("backends", "", "comma-separated smtsimd backends (host:port or URL) to shard runs across")
 		batchF        = flag.Bool("batch", false, "with -backends: ship runs in chunks of many configs per POST /v1/batch instead of one request per run")
 		batchSizeF    = flag.Int("batch-size", 0, "with -batch: configs per batch chunk (0 = default 64)")
-		peerLookupF   = flag.Bool("peer-lookup", false, "with -backends: ask every backend's result store before dispatching a run (per-run dispatch only, so not with -batch, where the receiving backend's own store serves hits)")
-		peerTimeoutF  = flag.Duration("peer-timeout", resultstore.DefaultPeerTimeout, "with -peer-lookup: budget for one whole peer lookup across all backends")
+		peerLookupF   = flag.Bool("peer-lookup", false, "with -backends: read every backend's store manifest once, then fetch each run's stored result from a backend that lists it before dispatching the run (per-run dispatch only, so not with -batch, where the receiving backend's own store serves hits)")
+		peerTimeoutF  = flag.Duration("peer-timeout", resultstore.DefaultPeerTimeout, "with -peer-lookup: budget for the first lookup's manifest reads (all backends at once) and for each result fetch")
 		maxRetriesF   = flag.Int("max-retries", 3, "with -backends: re-dispatches per run after a failure (0 or -1 disables)")
 		fleetMetricsF = flag.Bool("fleet-metrics", false, "with -backends: print fleet client metrics to stderr on exit")
 		auditRateF    = flag.Float64("audit-rate", 0, "with -backends: fraction of runs (0..1) re-checked on a second backend; disagreements are majority-voted and byzantine backends quarantined")

@@ -17,11 +17,11 @@ import (
 	"repro/internal/simrun"
 )
 
-// NewPeerLookup builds the pre-dispatch lookup over the pool's
-// GET /v1/result/{key} endpoints. A zero timeout selects the peer
-// client's default. The returned lookup digest-verifies every entry
-// and treats all failures as misses, so it is safe to consult before
-// every dispatch.
+// NewPeerLookup builds the pre-dispatch lookup over the pool's store
+// manifests and GET /v1/result/{key} endpoints. A zero timeout selects
+// the peer client's default. The returned lookup digest-verifies every
+// entry and treats all failures as misses, so it is safe to consult
+// before every dispatch.
 func NewPeerLookup(backends []string, timeout time.Duration) (*resultstore.PeerClient, error) {
 	urls, err := NormalizeURLs(backends)
 	if err != nil {

@@ -301,6 +301,9 @@ func TestPeerLookupShortCircuitsRun(t *testing.T) {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `{"status":"ok","version":"test"}`)
 	})
+	mux.HandleFunc("GET /v1/store/manifest", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, `{"state":"ok","entries":[{"key":%q}]}`, key)
+	})
 	mux.HandleFunc("GET /v1/result/{key}", func(w http.ResponseWriter, r *http.Request) {
 		if r.PathValue("key") != key {
 			http.NotFound(w, r)

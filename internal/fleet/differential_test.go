@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand/v2"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -71,11 +73,12 @@ func servingDiffDraw(t *testing.T, n int) []core.Config {
 }
 
 // countingDaemon is one in-process smtsimd over store, counting the
-// simulations it runs.
+// simulations it runs and the GET /v1/result/{key} requests it serves.
 type countingDaemon struct {
 	srv  *simserver.Server
 	ts   *httptest.Server
 	sims atomic.Int64
+	gets atomic.Int64
 }
 
 func startCountingDaemon(store *resultstore.Tiered) *countingDaemon {
@@ -88,7 +91,13 @@ func startCountingDaemon(store *resultstore.Tiered) *countingDaemon {
 			return simrun.Run(ctx, cfg)
 		},
 	})
-	d.ts = httptest.NewServer(d.srv.Handler())
+	h := d.srv.Handler()
+	d.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/result/") {
+			d.gets.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
 	return d
 }
 
@@ -106,7 +115,10 @@ func (d *countingDaemon) stop() {
 //  3. fleet.RunBatch through a second, memory-only smtsimd, and
 //  4. fleet.RunBatch through a new smtsimd restarted over the first
 //     one's store directory, which must serve every config warm with
-//     zero simulations.
+//     zero simulations, and
+//  5. fleet.Run with a PeerLookup over that restarted daemon and an
+//     empty one, which must serve each config with exactly one
+//     GET /v1/result/{key}, to the holder, and still zero simulations.
 func TestServingPathsMatchLocal(t *testing.T) {
 	cfgs := servingDiffDraw(t, servingDiffConfigs)
 	ctx := context.Background()
@@ -135,8 +147,8 @@ func TestServingPathsMatchLocal(t *testing.T) {
 			t.Fatalf("%s: config %d diverges from the local run\nconfig: %s\n got: %s\nwant: %s", path, i, cfg, got, want[i])
 		}
 	}
-	client := func(d *countingDaemon, batchSize int) *Client {
-		c, err := New(Config{Backends: []string{d.ts.URL}, BatchSize: batchSize, ProbeInterval: -1})
+	client := func(d *countingDaemon, batchSize int, peers resultstore.PeerLookup) *Client {
+		c, err := New(Config{Backends: []string{d.ts.URL}, BatchSize: batchSize, ProbeInterval: -1, PeerLookup: peers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +166,7 @@ func TestServingPathsMatchLocal(t *testing.T) {
 	}
 	stored := openStore()
 	a := startCountingDaemon(stored)
-	ca := client(a, 0)
+	ca := client(a, 0, nil)
 	for i, cfg := range cfgs {
 		res, err := ca.Run(ctx, cfg)
 		check("fleet.Run", i, res, err)
@@ -166,7 +178,7 @@ func TestServingPathsMatchLocal(t *testing.T) {
 
 	b := startCountingDaemon(nil)
 	defer b.stop()
-	res, errs := client(b, 5).RunBatch(ctx, cfgs)
+	res, errs := client(b, 5, nil).RunBatch(ctx, cfgs)
 	for i := range cfgs {
 		check("fleet.RunBatch", i, res[i], errs[i])
 	}
@@ -175,12 +187,32 @@ func TestServingPathsMatchLocal(t *testing.T) {
 	defer warm.Close()
 	w := startCountingDaemon(warm)
 	defer w.stop()
-	res, errs = client(w, 5).RunBatch(ctx, cfgs)
+	res, errs = client(w, 5, nil).RunBatch(ctx, cfgs)
 	for i := range cfgs {
 		check("warm store", i, res[i], errs[i])
 	}
 	if n := w.sims.Load(); n != 0 {
 		t.Fatalf("restarted store daemon ran %d simulations, want 0", n)
+	}
+
+	// The lookup also lists a daemon with an empty store: it must be
+	// sent no GET.
+	empty := startCountingDaemon(resultstore.NewTiered(resultstore.NewMemory(1), nil))
+	defer empty.stop()
+	lookup, err := NewPeerLookup([]string{empty.ts.URL, w.ts.URL}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cw := client(w, 0, lookup)
+	for i, cfg := range cfgs {
+		res, err := cw.Run(ctx, cfg)
+		check("peer lookup", i, res, err)
+	}
+	if n := w.sims.Load(); n != 0 {
+		t.Fatalf("restarted store daemon ran %d simulations behind the peer lookup, want 0", n)
+	}
+	if n, e := w.gets.Load(), empty.gets.Load(); n != int64(len(cfgs)) || e != 0 {
+		t.Fatalf("peer lookup sent %d GET /v1/result requests to the holder and %d to the empty daemon for %d configs, want one each to the holder", n, e, len(cfgs))
 	}
 	if a.sims.Load() == 0 || b.sims.Load() == 0 {
 		t.Fatalf("daemons ran %d and %d simulations: a serving path was not exercised", a.sims.Load(), b.sims.Load())

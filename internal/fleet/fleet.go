@@ -84,10 +84,11 @@ type Config struct {
 	// round trips, smaller ones spread a sweep across more backends.
 	BatchSize int
 	// PeerLookup, when non-nil, is consulted once before Run dispatches
-	// a config: a digest-verified result already stored anywhere in the
-	// fleet short-circuits the dispatch entirely. RunBatch does not
-	// consult it; the backend that receives a chunk serves what its own
-	// store holds. Build one with NewPeerLookup over the pool addresses.
+	// a config: a digest-verified result stored on a backend whose
+	// manifest listed it at the first lookup short-circuits the
+	// dispatch entirely. RunBatch does not consult it; the backend that
+	// receives a chunk serves what its own store holds. Build one with
+	// NewPeerLookup over the pool addresses.
 	PeerLookup resultstore.PeerLookup
 	// HTTPClient overrides the transport; nil selects a dedicated
 	// client (timeouts come from request contexts).
@@ -288,9 +289,9 @@ func (c *Client) noteDigestMismatch(b *backend) {
 // back to local execution); when retries are exhausted it returns the
 // last dispatch error.
 func (c *Client) Run(ctx context.Context, simCfg core.Config) (core.Result, error) {
-	// Pre-dispatch lookup: a result already stored anywhere in the fleet
-	// (verified end to end by the peer client) costs one GET instead of
-	// a simulation slot.
+	// Pre-dispatch lookup: a result already stored in the fleet
+	// (verified end to end by the peer client) costs one GET to a
+	// backend that lists it instead of a simulation slot.
 	if c.cfg.PeerLookup != nil {
 		if e, ok := c.cfg.PeerLookup.Lookup(ctx, resultstore.ConfigKey(simCfg)); ok {
 			if res, err := e.Decode(); err == nil {

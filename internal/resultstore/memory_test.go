@@ -30,14 +30,14 @@ func TestMemoryEvictsOldest(t *testing.T) {
 
 func TestMemoryUpdateInPlace(t *testing.T) {
 	c := NewMemory(2)
-	c.Put(&Entry{Key: "a", Report: "v1"})
-	c.Put(&Entry{Key: "a", Report: "v2"})
+	c.Put(&Entry{Key: "a", Digest: "v1"})
+	c.Put(&Entry{Key: "a", Digest: "v2"})
 	if got := c.Len(); got != 1 {
 		t.Fatalf("Len = %d, want 1", got)
 	}
 	v, _ := c.Get("a")
-	if v.Report != "v2" {
-		t.Fatalf("Report = %q, want v2", v.Report)
+	if v.Digest != "v2" {
+		t.Fatalf("Digest = %q, want v2", v.Digest)
 	}
 	if got := c.Evictions(); got != 0 {
 		t.Fatalf("Evictions = %d, want 0 (update is not eviction)", got)

@@ -11,11 +11,12 @@ import (
 	"time"
 )
 
-// DefaultPeerTimeout bounds one whole peer lookup when the caller
-// passes no budget. Peer lookups are an optimization on the way to a
-// simulation, so the default is deliberately tight: a slow peer must
-// never cost more than the simulation it would have saved. Deployments
-// with slower networks raise it (adts-sweep -peer-timeout).
+// DefaultPeerTimeout bounds each peer exchange of a lookup when the
+// caller passes no budget: the first lookup's manifest reads (all peers
+// at once) and each GET after them. Peer lookups are an optimization on
+// the way to a simulation, so the default is deliberately tight: a slow
+// peer must never cost more than the simulation it would have saved.
+// Deployments with slower networks raise it (adts-sweep -peer-timeout).
 const DefaultPeerTimeout = 500 * time.Millisecond
 
 // PeerConfig tunes a PeerClient. Zero values select the documented
@@ -24,25 +25,36 @@ type PeerConfig struct {
 	// Peers are smtsimd base URLs to consult (already normalized; the
 	// fleet client passes its backend pool).
 	Peers []string
-	// Timeout bounds one whole lookup (all peers, in parallel); <= 0
-	// selects DefaultPeerTimeout.
+	// Timeout bounds the first lookup's manifest reads (all peers, in
+	// parallel) and each GET /v1/result/{key}; <= 0 selects
+	// DefaultPeerTimeout.
 	Timeout time.Duration
 }
 
-// PeerClient is the cross-daemon read: GET /v1/result/{key} against
-// every peer in parallel, first verified hit wins. The fleet client
-// asks it once per config before dispatching. All failures — timeouts,
-// resets, corrupt bodies, digest mismatches — are misses; chaos on the
-// peer path can cost latency, never correctness.
+// PeerClient is the cross-daemon read, routed by the peers' manifests
+// the way the Replicator pulls. Its first Lookup reads every peer's
+// GET /v1/store/manifest once, concurrently; after that a key's
+// GET /v1/result/{key} goes only to the peers whose manifest lists it,
+// in pool order, and the first entry that digest-verifies wins. A key
+// no manifest lists is a miss that sends no request. The manifests are
+// a snapshot: a key stored after the first lookup is not found by this
+// client. The fleet client asks it once per config before dispatching.
+// All failures — a failed manifest read, timeouts, resets, corrupt
+// bodies, digest mismatches — are misses; chaos on the peer path can
+// cost latency, never correctness.
 type PeerClient struct {
 	cfg  PeerConfig
 	http *http.Client
+
+	read sync.Once
+	has  []map[string]bool // per peer, set by read; nil where it failed
 
 	hits      atomic.Int64
 	errsTotal atomic.Int64
 }
 
-// NewPeerClient builds a lookup client over the given peers.
+// NewPeerClient builds a lookup client over the given peers. It sends
+// nothing until the first Lookup.
 func NewPeerClient(cfg PeerConfig) *PeerClient {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultPeerTimeout
@@ -50,48 +62,73 @@ func NewPeerClient(cfg PeerConfig) *PeerClient {
 	return &PeerClient{cfg: cfg, http: &http.Client{}}
 }
 
-// Lookup implements PeerLookup: it asks every peer for the key in
-// parallel and returns the first entry that digest-verifies.
+// Lookup implements PeerLookup: it asks the peers whose manifest lists
+// the key, one after another, and returns the first entry that
+// digest-verifies. Concurrent first lookups share one manifest read.
 func (p *PeerClient) Lookup(ctx context.Context, key string) (*Entry, bool) {
 	if len(p.cfg.Peers) == 0 || !ValidKey(key) {
 		return nil, false
 	}
-
-	lctx, cancel := context.WithTimeout(ctx, p.cfg.Timeout)
-	results := make(chan *Entry, len(p.cfg.Peers))
-	var wg sync.WaitGroup
-	for _, peer := range p.cfg.Peers {
-		wg.Add(1)
-		go func(base string) {
-			defer wg.Done()
-			results <- p.fetch(lctx, base, key)
-		}(peer)
-	}
-	// The first hit returns at once, but the losers' requests run on
-	// under the timeout rather than being cancelled: a cancelled request
-	// makes the transport drop its keep-alive connection, and the next
-	// lookup would pay a fresh dial to that peer.
-	go func() { wg.Wait(); cancel(); close(results) }()
-
-	for e := range results {
-		if e != nil {
-			p.hits.Add(1)
-			return e, true
+	p.read.Do(func() {
+		// Every lookup of this client shares the read, so one caller
+		// giving up must not cancel it; the timeout bounds it.
+		p.has = readManifests(context.WithoutCancel(ctx), p.http, p.cfg.Peers, p.cfg.Timeout)
+		for _, m := range p.has {
+			if m == nil {
+				p.errsTotal.Add(1)
+			}
 		}
+	})
+	e, errs := getListed(ctx, p.http, p.cfg.Peers, p.has, key, p.cfg.Timeout)
+	p.errsTotal.Add(int64(errs))
+	if e == nil {
+		return nil, false
 	}
-	return nil, false
+	p.hits.Add(1)
+	return e, true
 }
 
-// fetch asks one peer; any failure is a nil (miss).
-func (p *PeerClient) fetch(ctx context.Context, base, key string) *Entry {
-	e, err := getEntry(ctx, p.http, base, key)
-	if err != nil {
-		if !errors.Is(err, errPeerMiss) && ctx.Err() == nil {
-			p.errsTotal.Add(1)
-		}
-		return nil
+// readManifests reads every peer's manifest concurrently, all within
+// one timeout. A peer whose read fails gets a nil set, which lists no
+// key. Shared by the lookup client and the replicator.
+func readManifests(ctx context.Context, hc *http.Client, peers []string, timeout time.Duration) []map[string]bool {
+	mctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	has := make([]map[string]bool, len(peers))
+	var wg sync.WaitGroup
+	for i, base := range peers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			has[i], _ = fetchManifest(mctx, hc, base)
+		}()
 	}
-	return e
+	wg.Wait()
+	return has
+}
+
+// getListed GETs key from each peer whose set in has lists it, in pool
+// order and each request within timeout, and returns the first entry
+// that verifies, with the number of requests that failed other than
+// as a clean miss while ctx was live. Shared by the lookup client and
+// the replicator.
+func getListed(ctx context.Context, hc *http.Client, peers []string, has []map[string]bool, key string, timeout time.Duration) (*Entry, int) {
+	errs := 0
+	for i, base := range peers {
+		if !has[i][key] {
+			continue
+		}
+		gctx, cancel := context.WithTimeout(ctx, timeout)
+		e, err := getEntry(gctx, hc, base, key)
+		cancel()
+		if err == nil {
+			return e, errs
+		}
+		if !errors.Is(err, errPeerMiss) && ctx.Err() == nil {
+			errs++
+		}
+	}
+	return nil, errs
 }
 
 // errPeerMiss marks a clean non-200 from a peer (usually 404): the
@@ -100,9 +137,10 @@ func (p *PeerClient) fetch(ctx context.Context, base, key string) *Entry {
 var errPeerMiss = errors.New("resultstore: peer does not have the key")
 
 // getEntry GETs one entry from one peer's /v1/result/{key} and
-// digest-verifies it before returning. Shared by the lookup client and
-// the replicator; every byte crossing the fleet passes through this
-// verification regardless of which subsystem asked for it.
+// digest-verifies it before returning. Every byte crossing the fleet
+// passes through this verification regardless of which subsystem asked
+// for it. An accepted body has been read to its end, so its connection
+// is back in the pool before the caller cancels ctx.
 func getEntry(ctx context.Context, hc *http.Client, base, key string) (*Entry, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/result/"+key, nil)
 	if err != nil {
@@ -140,12 +178,9 @@ func decodePeerEntry(body io.Reader, key string) (*Entry, error) {
 	return e, nil
 }
 
-// Peers reports the configured peer base URLs.
-func (p *PeerClient) Peers() []string { return p.cfg.Peers }
-
 // Hits reports verified peer hits.
 func (p *PeerClient) Hits() int64 { return p.hits.Load() }
 
-// Errors reports individual peer requests that failed or returned
-// unverifiable bytes.
+// Errors reports peer requests, manifest reads included, that failed
+// or returned unverifiable bytes.
 func (p *PeerClient) Errors() int64 { return p.errsTotal.Load() }

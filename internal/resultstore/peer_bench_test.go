@@ -3,6 +3,10 @@ package resultstore
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/simrun"
@@ -34,5 +38,42 @@ func BenchmarkPeerEntryDecode(b *testing.B) {
 		if _, err := e.Decode(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkManifestRead times the lookup client's one-off manifest read
+// (GET /v1/store/manifest over loopback, decoded into a key set) for a
+// peer storing 10k and 100k keys, and reports its cost per key: the
+// body bytes and the microseconds a first lookup pays for each key the
+// peer holds.
+func BenchmarkManifestRead(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			m := manifestReply{Entries: make([]ManifestEntry, n)}
+			for i := range m.Entries {
+				m.Entries[i].Key = fmt.Sprintf("cfg:%016x", uint64(i)*0x9e3779b97f4a7c15)
+			}
+			body, err := json.Marshal(m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				w.Write(body)
+			}))
+			defer ts.Close()
+			hc := &http.Client{}
+			peers := []string{ts.URL}
+
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if has := readManifests(context.Background(), hc, peers, DefaultReplicateInterval); len(has[0]) != n {
+					b.Fatalf("read %d keys, want %d", len(has[0]), n)
+				}
+			}
+			b.ReportMetric(float64(len(body))/float64(n), "bytes/key")
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/float64(n), "us/key")
+		})
 	}
 }

@@ -2,23 +2,41 @@ package resultstore
 
 import (
 	"context"
+	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// peerServer serves /v1/result/{key} from a canned map, the way
-// smtsimd does.
-func peerServer(t *testing.T, entries map[string]*Entry, requests *atomic.Int64) string {
+// peerCounts counts the requests one fake peer received, by endpoint,
+// and the connections it accepted.
+type peerCounts struct {
+	manifests, gets, dials atomic.Int64
+}
+
+// peerServer serves GET /v1/store/manifest and /v1/result/{key} from a
+// canned map, the way smtsimd does.
+func peerServer(t *testing.T, entries map[string]*Entry, n *peerCounts) string {
 	t.Helper()
+	if n == nil {
+		n = &peerCounts{}
+	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/result/{key}", func(w http.ResponseWriter, r *http.Request) {
-		if requests != nil {
-			requests.Add(1)
+	mux.HandleFunc("GET /v1/store/manifest", func(w http.ResponseWriter, _ *http.Request) {
+		n.manifests.Add(1)
+		m := manifestReply{Entries: []ManifestEntry{}}
+		for k := range entries {
+			m.Entries = append(m.Entries, ManifestEntry{Key: k})
 		}
+		json.NewEncoder(w).Encode(m)
+	})
+	mux.HandleFunc("GET /v1/result/{key}", func(w http.ResponseWriter, r *http.Request) {
+		n.gets.Add(1)
 		e, ok := entries[r.PathValue("key")]
 		if !ok {
 			http.Error(w, `{"error":"not found"}`, http.StatusNotFound)
@@ -26,7 +44,13 @@ func peerServer(t *testing.T, entries map[string]*Entry, requests *atomic.Int64)
 		}
 		w.Write(e.AppendRecord(nil))
 	})
-	ts := httptest.NewServer(mux)
+	ts := httptest.NewUnstartedServer(mux)
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			n.dials.Add(1)
+		}
+	}
+	ts.Start()
 	t.Cleanup(ts.Close)
 	return ts.URL
 }
@@ -44,27 +68,79 @@ func TestPeerLookupFirstVerifiedHitWins(t *testing.T) {
 	if p.Hits() != 1 {
 		t.Fatalf("Hits = %d, want 1", p.Hits())
 	}
+
+	// The manifest read is the client's, not its first caller's: a
+	// first lookup that has already given up still reads it for the
+	// lookups after it.
+	p = NewPeerClient(PeerConfig{Peers: []string{empty, full}})
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	p.Lookup(gone, e.Key)
+	if _, ok := p.Lookup(context.Background(), e.Key); !ok {
+		t.Fatal("a cancelled first lookup left the client without manifests")
+	}
 }
 
+// TestPeerLookupRejectsUnverifiableEntry: a listed holder whose body
+// does not verify is an error, and the lookup moves on to the next
+// listed holder.
 func TestPeerLookupRejectsUnverifiableEntry(t *testing.T) {
 	e := testEntry("cfg:dddd0000eeee1111", 2)
 	lie := *e
 	lie.Result.AggregateIPC *= 2 // digest no longer matches
-	peer := peerServer(t, map[string]*Entry{e.Key: &lie}, nil)
+	liar := peerServer(t, map[string]*Entry{e.Key: &lie}, nil)
 
-	p := NewPeerClient(PeerConfig{Peers: []string{peer}})
+	p := NewPeerClient(PeerConfig{Peers: []string{liar}})
 	if _, ok := p.Lookup(context.Background(), e.Key); ok {
 		t.Fatal("Lookup served an entry whose digest does not verify")
 	}
 	if p.Errors() == 0 {
 		t.Fatal("unverifiable entry not counted as an error")
 	}
+
+	honest := peerServer(t, map[string]*Entry{e.Key: e}, nil)
+	p = NewPeerClient(PeerConfig{Peers: []string{liar, honest}})
+	if got, ok := p.Lookup(context.Background(), e.Key); !ok || got.Digest != e.Digest {
+		t.Fatalf("Lookup = (%v, %v), want the next holder's entry", got, ok)
+	}
+	if p.Errors() != 1 {
+		t.Fatalf("Errors = %d, want the liar's one rejected body", p.Errors())
+	}
+}
+
+// countingTransport counts the requests a client sends to each host.
+type countingTransport struct {
+	mu   sync.Mutex
+	sent map[string]int
+}
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.mu.Lock()
+	c.sent[r.URL.Host]++
+	c.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+func (c *countingTransport) to(base string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.sent[strings.TrimPrefix(base, "http://")]
+}
+
+// countedPeerClient is a PeerClient whose requests are counted per peer.
+func countedPeerClient(cfg PeerConfig) (*PeerClient, *countingTransport) {
+	p := NewPeerClient(cfg)
+	ct := &countingTransport{sent: map[string]int{}}
+	p.http = &http.Client{Transport: ct}
+	return p, ct
 }
 
 // TestPeerLookupSurvivesDeadAndSlowPeers is the chaos-tolerance
-// contract: a dead peer and a hanging peer must cost at most the
-// lookup timeout, and a healthy peer alongside them still answers.
+// contract: a dead peer and a hanging peer cost one timeout per
+// client, in its first lookup's manifest read, and never again; a
+// healthy peer alongside them still answers.
 func TestPeerLookupSurvivesDeadAndSlowPeers(t *testing.T) {
+	const timeout = 500 * time.Millisecond
 	e := testEntry("cfg:6666777788889999", 3)
 	healthy := peerServer(t, map[string]*Entry{e.Key: e}, nil)
 
@@ -76,62 +152,104 @@ func TestPeerLookupSurvivesDeadAndSlowPeers(t *testing.T) {
 	}))
 	t.Cleanup(hang.Close)
 
-	p := NewPeerClient(PeerConfig{
-		Peers:   []string{dead.URL, hang.URL, healthy},
-		Timeout: 2 * time.Second,
-	})
+	p, sent := countedPeerClient(PeerConfig{Peers: []string{dead.URL, hang.URL, healthy}, Timeout: timeout})
 	start := time.Now()
 	got, ok := p.Lookup(context.Background(), e.Key)
 	if !ok || got.Digest != e.Digest {
 		t.Fatal("healthy peer's entry lost among the chaos")
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("lookup took %s: a hanging peer must not stall a hit", elapsed)
+	if elapsed := time.Since(start); elapsed > timeout+time.Second/2 {
+		t.Fatalf("first lookup took %s, want about one %s timeout", elapsed, timeout)
 	}
 
-	// All peers broken: a miss, bounded by the timeout, not a hang.
-	pBroken := NewPeerClient(PeerConfig{Peers: []string{dead.URL, hang.URL}, Timeout: 200 * time.Millisecond})
+	// Manifests read: a hit and a miss both go to the healthy peer
+	// only, or nowhere, and take far less than the timeout.
+	for _, key := range []string{e.Key, "cfg:0000111122223333"} {
+		start = time.Now()
+		p.Lookup(context.Background(), key)
+		if elapsed := time.Since(start); elapsed > timeout/2 {
+			t.Fatalf("lookup of %s after the manifest read took %s, want far less than the %s timeout", key, elapsed, timeout)
+		}
+	}
+	if d, h := sent.to(dead.URL), sent.to(hang.URL); d != 1 || h != 1 {
+		t.Fatalf("dead and hanging peers received %d and %d requests, want one manifest read each", d, h)
+	}
+
+	// All peers broken: the first lookup is a miss bounded by the
+	// timeout, and later ones send nothing.
+	pBroken, sent := countedPeerClient(PeerConfig{Peers: []string{dead.URL, hang.URL}, Timeout: timeout})
 	start = time.Now()
 	if _, ok := pBroken.Lookup(context.Background(), e.Key); ok {
 		t.Fatal("hit from broken peers")
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("broken-pool lookup took %s, want ~timeout", elapsed)
+	if elapsed := time.Since(start); elapsed > timeout+time.Second/2 {
+		t.Fatalf("broken-pool lookup took %s, want about one %s timeout", elapsed, timeout)
+	}
+	start = time.Now()
+	for i := 0; i < 10; i++ {
+		pBroken.Lookup(context.Background(), e.Key)
+	}
+	if elapsed := time.Since(start); elapsed > timeout/2 {
+		t.Fatalf("10 later lookups over a broken pool took %s, want far less than one timeout", elapsed)
+	}
+	if d, h := sent.to(dead.URL), sent.to(hang.URL); d != 1 || h != 1 {
+		t.Fatalf("broken peers received %d and %d requests, want one manifest read each", d, h)
 	}
 }
 
-// TestPeerLookupKeepsLoserConnections: when two peers both hold the
-// key, the slower one loses every lookup. Its request must be left to
-// finish, not cancelled, so its keep-alive connection survives and
-// later lookups reuse it instead of dialling again.
-func TestPeerLookupKeepsLoserConnections(t *testing.T) {
-	e := testEntry("cfg:1234123412341234", 4)
-	var dials atomic.Int64
-	peer := func(delay time.Duration) string {
-		ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			time.Sleep(delay)
-			w.Write(e.AppendRecord(nil))
-		}))
-		ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
-			if st == http.StateNew {
-				dials.Add(1)
+// TestPeerLookupRequestCounts pins the lookup's cost: one manifest
+// read per peer per client, even when the first lookups run
+// concurrently; one GET for a listed key, to its holder only; none for
+// an unlisted key. Sequential GETs reuse their keep-alive connection.
+func TestPeerLookupRequestCounts(t *testing.T) {
+	ea := testEntry("cfg:aaaa111122223333", 4)
+	eb := testEntry("cfg:bbbb111122223333", 5)
+	var na, nb peerCounts
+	a := peerServer(t, map[string]*Entry{ea.Key: ea}, &na)
+	b := peerServer(t, map[string]*Entry{eb.Key: eb}, &nb)
+
+	p := NewPeerClient(PeerConfig{Peers: []string{a, b}})
+	const first = 8
+	var wg sync.WaitGroup
+	for i := 0; i < first; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, ok := p.Lookup(context.Background(), ea.Key); !ok {
+				t.Error("concurrent first lookup missed")
 			}
-		}
-		ts.Start()
-		t.Cleanup(ts.Close)
-		return ts.URL
+		}()
 	}
-	p := NewPeerClient(PeerConfig{Peers: []string{peer(0), peer(5 * time.Millisecond)}})
-	const lookups = 50
-	for i := 0; i < lookups; i++ {
-		if _, ok := p.Lookup(context.Background(), e.Key); !ok {
-			t.Fatalf("lookup %d missed", i)
-		}
-		// Pace the lookups so the loser finishes before the next one,
-		// as it does when a simulation sits between two lookups.
-		time.Sleep(10 * time.Millisecond)
+	wg.Wait()
+	if na.manifests.Load() != 1 || nb.manifests.Load() != 1 {
+		t.Fatalf("%d concurrent first lookups read the manifests %d and %d times, want once per peer",
+			first, na.manifests.Load(), nb.manifests.Load())
 	}
-	if n := dials.Load(); n > 4 {
-		t.Fatalf("%d lookups opened %d connections to 2 peers, want the first ones reused", lookups, n)
+	if na.gets.Load() != first || nb.gets.Load() != 0 {
+		t.Fatalf("GETs = %d and %d, want %d to the holder and none to the other peer", na.gets.Load(), nb.gets.Load(), first)
+	}
+
+	if _, ok := p.Lookup(context.Background(), "cfg:cccc111122223333"); ok {
+		t.Fatal("hit for a key no manifest lists")
+	}
+	if _, ok := p.Lookup(context.Background(), eb.Key); !ok {
+		t.Fatal("miss for a key b lists")
+	}
+	if na.gets.Load() != first || nb.gets.Load() != 1 || na.manifests.Load() != 1 || nb.manifests.Load() != 1 {
+		t.Fatalf("after an unlisted and a listed lookup: a %d GETs, b %d GETs, manifests %d and %d; want %d, 1, 1, 1",
+			na.gets.Load(), nb.gets.Load(), na.manifests.Load(), nb.manifests.Load(), first)
+	}
+
+	// A lookup reads its body to the end before it cancels, so the
+	// connection survives for the next one instead of being redialled.
+	dials := na.dials.Load()
+	const sequential = 50
+	for i := 0; i < sequential; i++ {
+		if _, ok := p.Lookup(context.Background(), ea.Key); !ok {
+			t.Fatalf("sequential lookup %d missed", i)
+		}
+	}
+	if n := na.dials.Load() - dials; n > 1 {
+		t.Fatalf("%d sequential lookups opened %d new connections, want the pooled one reused", sequential, n)
 	}
 }

@@ -34,8 +34,9 @@ type ReplicateConfig struct {
 	// Pace is the idle gap between transfers; < 0 disables pacing, 0
 	// selects DefaultReplicatePace.
 	Pace time.Duration
-	// Timeout bounds one HTTP exchange (manifest or pull); <= 0
-	// selects 10s. Manifests and entries are both small.
+	// Timeout bounds the manifest exchange (all peers at once) and
+	// each pull request; <= 0 selects 10s. Manifests and entries are
+	// both small.
 	Timeout time.Duration
 	// Log receives per-round summaries when anything moved; nil
 	// discards them.
@@ -126,19 +127,17 @@ func (r *Replicator) SyncOnce(ctx context.Context) SyncReport {
 	// is skipped this round — anti-entropy is eventually consistent by
 	// construction, so a missed round costs convergence time, never
 	// correctness.
-	peerHas := make([]map[string]bool, len(r.cfg.Peers))
-	for i, peer := range r.cfg.Peers {
-		if ctx.Err() != nil {
-			return rep
-		}
-		m, err := r.fetchManifest(ctx, peer)
-		if err != nil {
+	peerHas := readManifests(ctx, r.http, r.cfg.Peers, r.cfg.Timeout)
+	if ctx.Err() != nil {
+		return rep
+	}
+	for _, m := range peerHas {
+		if m == nil {
 			rep.PeerErrors++
 			r.manifestErr.Add(1)
-			continue
+		} else {
+			rep.PeersSeen++
 		}
-		rep.PeersSeen++
-		peerHas[i] = m
 	}
 	if rep.PeersSeen == 0 {
 		return rep
@@ -161,20 +160,11 @@ func (r *Replicator) SyncOnce(ctx context.Context) SyncReport {
 		if !r.pace(ctx) {
 			return rep
 		}
-		pulled := false
-		for i, peer := range r.cfg.Peers {
-			if peerHas[i] == nil || !peerHas[i][key] {
-				continue
-			}
-			if e := r.pull(ctx, peer, key); e != nil {
-				r.store.Put(e)
-				rep.Pulled++
-				r.pulls.Add(1)
-				pulled = true
-				break
-			}
-		}
-		if !pulled {
+		if e, _ := getListed(ctx, r.http, r.cfg.Peers, peerHas, key, r.cfg.Timeout); e != nil {
+			r.store.Put(e)
+			rep.Pulled++
+			r.pulls.Add(1)
+		} else {
 			rep.PullErrors++
 			r.pullErrors.Add(1)
 		}
@@ -204,20 +194,18 @@ func (r *Replicator) pace(ctx context.Context) bool {
 }
 
 // manifestReply is the part of simserver's GET /v1/store/manifest body
-// a replicator reads: the key list.
+// a replicator or a lookup client reads: the key list.
 type manifestReply struct {
 	Entries []ManifestEntry `json:"entries"`
 }
 
 // fetchManifest GETs one peer's manifest as a key set.
-func (r *Replicator) fetchManifest(ctx context.Context, base string) (map[string]bool, error) {
-	mctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(mctx, http.MethodGet, base+"/v1/store/manifest", nil)
+func fetchManifest(ctx context.Context, hc *http.Client, base string) (map[string]bool, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/store/manifest", nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := r.http.Do(req)
+	resp, err := hc.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -244,18 +232,6 @@ func decodeManifest(body io.Reader) (map[string]bool, error) {
 		}
 	}
 	return has, nil
-}
-
-// pull fetches one missing entry from one peer, digest-verified; any
-// failure returns nil.
-func (r *Replicator) pull(ctx context.Context, base, key string) *Entry {
-	pctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
-	defer cancel()
-	e, err := getEntry(pctx, r.http, base, key)
-	if err != nil {
-		return nil
-	}
-	return e
 }
 
 // Syncs reports completed + in-progress sync rounds.

@@ -14,7 +14,8 @@
 // Results cross daemons only over the digest-verified
 // GET /v1/result/{key} endpoint, by two callers: the fleet client's
 // pre-dispatch lookup (PeerClient) and the background anti-entropy
-// Replicator (which learns what to pull from GET /v1/store/manifest).
+// Replicator. Both learn which peer holds a key from its
+// GET /v1/store/manifest and ask only a peer that lists it.
 // The Replicator is also how a daemon refills an entry its Scrubber
 // quarantined: the key drops out of the local manifest, so the next
 // pull round fetches it again.
@@ -83,7 +84,8 @@ type Entry struct {
 	Result core.Result
 	// Report is ignored: no tier stores or serves a report, and a
 	// POST /v1/run reply derives its report from the request's config.
-	// It stays so entry literals that set it still build.
+	// It stays only because the benchmark's store probe (bench/probes.go)
+	// still sets it; delete it with that line.
 	Report string
 	// Digest is the canonical SHA-256 of the result bytes
 	// (simrun.ResultDigest). Every tier re-verifies it before serving an

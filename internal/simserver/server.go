@@ -298,7 +298,8 @@ func (s *Server) lookup(key string, cfg core.Config, blockAdmission bool) (*resu
 }
 
 // execute is the singleflight leader's path: admission, worker slot,
-// timed run, store fill, publish. It runs detached from any one request
+// timed run, store fill, publish. The worker slot is held for the run
+// alone. It runs detached from any one request
 // so a disconnecting client never kills a flight other clients (or the
 // store) are waiting on. blockAdmission selects the batch discipline:
 // a per-request flight past a full queue is rejected immediately (429),
@@ -344,7 +345,6 @@ func (s *Server) execute(key string, f *flight, cfg core.Config, blockAdmission 
 		return
 	}
 	s.metrics.queueDepth.Add(-1)
-	defer func() { <-s.sem }()
 
 	s.metrics.inFlight.Add(1)
 	runCtx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RunTimeout)
@@ -352,6 +352,9 @@ func (s *Server) execute(key string, f *flight, cfg core.Config, blockAdmission 
 	res, err := s.runSafe(runCtx, cfg)
 	elapsed := time.Since(start)
 	cancel()
+	// The slot bounds simulations only: the next one starts while this
+	// result is hashed and written (and fsynced) to the store.
+	<-s.sem
 	s.metrics.inFlight.Add(-1)
 	s.metrics.runs.Add(1)
 

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/resultstore"
@@ -423,5 +424,69 @@ func TestWarmDiskStoreServesAcrossRestart(t *testing.T) {
 		if !strings.Contains(string(mraw), wantLine) {
 			t.Errorf("metrics missing %q:\n%s", wantLine, mraw)
 		}
+	}
+}
+
+// heldWriter holds an entry write until release closes, and reports
+// on held each write it holds.
+type heldWriter struct {
+	io.WriteCloser
+	held    chan<- struct{}
+	release <-chan struct{}
+}
+
+func (w heldWriter) Write(p []byte) (int, error) {
+	select {
+	case w.held <- struct{}{}:
+	default:
+	}
+	<-w.release
+	return w.WriteCloser.Write(p)
+}
+
+// TestSimulationSlotFreeDuringStoreWrite: with one worker, a second
+// simulation starts while the first result's disk write is still
+// blocked. The worker slot bounds simulations, not store writes.
+func TestSimulationSlotFreeDuringStoreWrite(t *testing.T) {
+	held := make(chan struct{}, 1)
+	release := make(chan struct{})
+	disk, err := resultstore.OpenDisk(t.TempDir(), resultstore.DiskOptions{
+		WrapWriter: func(w io.WriteCloser) io.WriteCloser { return heldWriter{w, held, release} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sims atomic.Int64
+	srv := New(Config{
+		Workers: 1,
+		Store:   resultstore.NewTiered(resultstore.NewMemory(8), disk),
+		Run: func(_ context.Context, cfg core.Config) (core.Result, error) {
+			sims.Add(1)
+			return core.Result{Mix: cfg.MixName, Seed: cfg.Seed}, nil
+		},
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(batchBody(t, batchConfigs(t, 2)...)))
+		if err == nil {
+			_, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	<-held // the first result's disk write is blocked
+	for deadline := time.Now().Add(5 * time.Second); sims.Load() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("%d simulation(s) ran while the first store write was blocked, want 2", sims.Load())
+		}
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
