@@ -9,7 +9,7 @@ import (
 
 // downAfter is how many charged dispatch failures in a row mark a
 // backend down. A charged failure is a transport error, a non-200
-// status other than 429, or a broken stream (see post).
+// status, or a broken stream (see post).
 const downAfter = 3
 
 // backend is one smtsimd instance in the pool: its base URL plus the
@@ -21,8 +21,7 @@ type backend struct {
 
 	inflight atomic.Int64 // requests being served now (load metric)
 	requests atomic.Int64 // dispatches, including retries
-	errors   atomic.Int64 // failed dispatches (transport, 5xx, timeout)
-	ratelim  atomic.Int64 // 429 responses
+	errors   atomic.Int64 // failed dispatches (transport, non-200, timeout)
 
 	digestBad   atomic.Int64 // responses whose digest failed verification
 	quarantined atomic.Bool  // byzantine: permanently removed from the pool

@@ -30,6 +30,10 @@ func NewPeerLookup(backends []string, timeout time.Duration) (*resultstore.PeerC
 	return resultstore.NewPeerClient(resultstore.PeerConfig{Peers: urls, Timeout: timeout}), nil
 }
 
+// requestTimeout bounds one dispatch: queueing plus simulation on the
+// backend.
+const requestTimeout = 5 * time.Minute
+
 // batchWireLine is the union of the item and trailer NDJSON line
 // shapes streamed by /v1/batch. Result holds the line's result bytes as
 // they arrived; decodeBatch hashes them and decodes an accepted line's
@@ -147,13 +151,12 @@ func (c *Client) sendOne(ctx context.Context, b *backend, raw []byte, key string
 // configs to b's /v1/batch and returns the stream's accepted lines,
 // index-aligned with keys and nil where nothing was delivered (see
 // decodeBatch). It releases the in-flight slot pick reserved on b and
-// maintains b's health and latency stats. A 429 is returned as a
-// rateLimitedError without charging b (the backend is healthy, just
-// saturated); transport failures, other statuses and broken streams
+// maintains b's health and latency stats. Transport failures, non-200
+// statuses (a 429 from a proxy in between included) and broken streams
 // are charged, downAfter of them in a row mark b down, and each
 // corrupt or misbound line counts toward b's quarantine. A caller that
-// gave up is not the backend's fault either: its context error returns
-// uncharged.
+// gave up is not the backend's fault: its context error returns
+// uncharged. Each request is bounded by requestTimeout.
 func (c *Client) post(ctx context.Context, b *backend, raws [][]byte, keys []string) ([]*batchWireLine, error) {
 	defer b.inflight.Add(-1)
 	b.requests.Add(1)
@@ -162,7 +165,7 @@ func (c *Client) post(ctx context.Context, b *backend, raws [][]byte, keys []str
 	body := append([]byte(`{"configs":[`), bytes.Join(raws, []byte(","))...)
 	body = append(body, "]}"...)
 
-	rctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
+	rctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodPost, b.url+"/v1/batch", bytes.NewReader(body))
 	if err != nil {
@@ -181,12 +184,6 @@ func (c *Client) post(ctx context.Context, b *backend, raws [][]byte, keys []str
 			for ; corrupt > 0; corrupt-- {
 				c.noteDigestMismatch(b)
 			}
-		case http.StatusTooManyRequests:
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
-			b.ratelim.Add(1)
-			c.metrics.rateLimited.Add(1)
-			after := parseRetryAfter(resp.Header.Get("Retry-After"), c.cfg.now(), c.cfg.RetryAfterMax)
-			return lines, &rateLimitedError{backend: b.url, after: after}
 		default:
 			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
 			err = fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/resultstore"
@@ -288,23 +289,21 @@ func TestRunBatchAuditsItems(t *testing.T) {
 	}
 }
 
-// TestPeerLookupShortCircuitsRun: a verified peer store hit answers
-// Run without any dispatch.
-func TestPeerLookupShortCircuitsRun(t *testing.T) {
-	cfg := testCfg()
-	key := resultstore.ConfigKey(cfg)
-	stored := core.Result{Mix: "from-peer-store"}
+// storeBackend is a backend whose store holds one result, stored under
+// key: its manifest (written by manifest) and GET /v1/result serve it,
+// and /v1/batch simulates "simulated-fresh". It counts the result GETs
+// and batch POSTs it answers.
+func storeBackend(t *testing.T, key string, stored core.Result, manifest func(http.ResponseWriter)) (url string, gets, posts *atomic.Int64) {
+	t.Helper()
+	gets, posts = new(atomic.Int64), new(atomic.Int64)
 	entry := resultstore.Entry{Key: key, Result: stored, Digest: simrun.ResultDigest(stored)}
-
-	var posts atomic.Int64
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `{"status":"ok","version":"test"}`)
 	})
-	mux.HandleFunc("GET /v1/store/manifest", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, `{"state":"ok","entries":[{"key":%q}]}`, key)
-	})
+	mux.HandleFunc("GET /v1/store/manifest", func(w http.ResponseWriter, r *http.Request) { manifest(w) })
 	mux.HandleFunc("GET /v1/result/{key}", func(w http.ResponseWriter, r *http.Request) {
+		gets.Add(1)
 		if r.PathValue("key") != key {
 			http.NotFound(w, r)
 			return
@@ -317,12 +316,26 @@ func TestPeerLookupShortCircuitsRun(t *testing.T) {
 	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
+	return ts.URL, gets, posts
+}
 
-	peers, err := NewPeerLookup([]string{ts.URL}, 0)
+// listing writes a manifest that lists key.
+func listing(key string) func(http.ResponseWriter) {
+	return func(w http.ResponseWriter) { fmt.Fprintf(w, `{"state":"ok","entries":[{"key":%q}]}`, key) }
+}
+
+// TestPeerLookupShortCircuitsRun: a verified peer store hit answers
+// Run without any dispatch.
+func TestPeerLookupShortCircuitsRun(t *testing.T) {
+	cfg := testCfg()
+	key := resultstore.ConfigKey(cfg)
+	url, _, posts := storeBackend(t, key, core.Result{Mix: "from-peer-store"}, listing(key))
+
+	peers, err := NewPeerLookup([]string{url}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newTestClient(t, Config{Backends: []string{ts.URL}, PeerLookup: peers})
+	c := newTestClient(t, Config{Backends: []string{url}, PeerLookup: peers})
 	res, err := c.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -349,5 +362,54 @@ func TestPeerLookupShortCircuitsRun(t *testing.T) {
 	}
 	if c.metrics.peerMisses.Load() == 0 {
 		t.Fatal("peer miss not counted")
+	}
+}
+
+// TestPeerLookupManifestPastCap: a backend whose manifest is larger
+// than the read cap lists nothing for the lookup. Its keys miss and are
+// dispatched, the other backend's keys still hit, and the failed read
+// is logged naming the backend and counted once.
+func TestPeerLookupManifestPastCap(t *testing.T) {
+	bigCfg, smallCfg := testCfg(), testCfg()
+	bigCfg.Seed, smallCfg.Seed = 101, 102
+	bigKey, smallKey := resultstore.ConfigKey(bigCfg), resultstore.ConfigKey(smallCfg)
+	// A valid manifest listing bigKey, padded with 33 MiB of repeats.
+	chunk := []byte(strings.Repeat(fmt.Sprintf(`{"key":%q},`, bigKey), (1<<20)/(len(bigKey)+10)))
+	big, bigGets, _ := storeBackend(t, bigKey, core.Result{Mix: "stored-big"}, func(w http.ResponseWriter) {
+		fmt.Fprintf(w, `{"state":"ok","entries":[`)
+		for n := 0; n <= 33<<20; n += len(chunk) {
+			w.Write(chunk)
+		}
+		fmt.Fprintf(w, `{"key":%q}]}`, bigKey)
+	})
+	small, _, _ := storeBackend(t, smallKey, core.Result{Mix: "stored-small"}, listing(smallKey))
+
+	peers, err := NewPeerLookup([]string{big, small}, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log strings.Builder
+	c := newTestClient(t, Config{Backends: []string{big, small}, PeerLookup: peers, Log: &log})
+	ctx := context.Background()
+	for _, tc := range []struct {
+		cfg  core.Config
+		want string
+	}{{smallCfg, "stored-small"}, {bigCfg, "simulated-fresh"}, {bigCfg, "simulated-fresh"}} {
+		if res, err := c.Run(ctx, tc.cfg); err != nil || res.Mix != tc.want {
+			t.Fatalf("Run(seed %d) = (%q, %v), want %q", tc.cfg.Seed, res.Mix, err, tc.want)
+		}
+	}
+	if n := bigGets.Load(); n != 0 {
+		t.Fatalf("the lookup sent %d GETs to the backend whose manifest it could not read", n)
+	}
+	if got := strings.Count(log.String(), big); got != 1 || !strings.Contains(log.String(), "cap") {
+		t.Fatalf("log names %s %d times, want one line naming the cap:\n%s", big, got, log.String())
+	}
+	var metrics strings.Builder
+	c.WriteMetrics(&metrics)
+	for _, want := range []string{"fleet_peer_manifest_errors_total 1\n", "fleet_peer_hits_total 1\n", "fleet_peer_misses_total 2\n"} {
+		if !strings.Contains(metrics.String(), want) {
+			t.Fatalf("metrics lack %q", want)
+		}
 	}
 }

@@ -24,8 +24,6 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"slices"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,15 +55,6 @@ type Config struct {
 	// <= 0 select 50ms / 2s.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// RequestTimeout bounds one dispatch (queueing + simulation on the
-	// backend); <= 0 selects 5m.
-	RequestTimeout time.Duration
-	// ProbeTimeout bounds one health probe; <= 0 selects 2s.
-	ProbeTimeout time.Duration
-	// RetryAfterMax caps how long a backend's Retry-After header can
-	// stall a shard; <= 0 selects 30s. Negative, unparsable, and
-	// past-dated headers are treated as "retry with normal backoff".
-	RetryAfterMax time.Duration
 	// AuditRate is the fraction of successful runs (0..1) re-dispatched
 	// to a second backend for digest cross-checking. When the two
 	// disagree, a third backend breaks the tie and the minority backend
@@ -134,6 +123,8 @@ type Client struct {
 
 	auditN atomic.Uint64 // successful runs seen by the audit sampler
 
+	manifestsNoted sync.Once // noteManifestErrors ran after the first lookup
+
 	pickMu sync.Mutex // makes pick's choice and slot reservation one step
 
 	skewMu   sync.Mutex
@@ -156,15 +147,6 @@ func New(cfg Config) (*Client, error) {
 	}
 	if cfg.BackoffMax <= 0 {
 		cfg.BackoffMax = 2 * time.Second
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 5 * time.Minute
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
-	if cfg.RetryAfterMax <= 0 {
-		cfg.RetryAfterMax = 30 * time.Second
 	}
 	if cfg.AuditRate < 0 || cfg.AuditRate > 1 {
 		return nil, fmt.Errorf("fleet: AuditRate must be in [0, 1], got %g", cfg.AuditRate)
@@ -293,7 +275,9 @@ func (c *Client) Run(ctx context.Context, simCfg core.Config) (core.Result, erro
 	// (verified end to end by the peer client) costs one GET to a
 	// backend that lists it instead of a simulation slot.
 	if c.cfg.PeerLookup != nil {
-		if e, ok := c.cfg.PeerLookup.Lookup(ctx, resultstore.ConfigKey(simCfg)); ok {
+		e, ok := c.cfg.PeerLookup.Lookup(ctx, resultstore.ConfigKey(simCfg))
+		c.manifestsNoted.Do(c.noteManifestErrors)
+		if ok {
 			if res, err := e.Decode(); err == nil {
 				c.metrics.peerHits.Add(1)
 				return res, nil
@@ -305,10 +289,26 @@ func (c *Client) Run(ctx context.Context, simCfg core.Config) (core.Result, erro
 	return res[0], errs[0]
 }
 
+// manifestErrors is the part of a PeerLookup (resultstore.PeerClient)
+// that reports the manifest reads its first lookup could not make.
+type manifestErrors interface{ ManifestErrors() []error }
+
+// noteManifestErrors logs and counts each backend whose manifest the
+// lookup could not read. The lookup lists none of that backend's keys,
+// so every config it holds is dispatched instead (docs/resultstore.md).
+func (c *Client) noteManifestErrors() {
+	if r, ok := c.cfg.PeerLookup.(manifestErrors); ok {
+		for _, err := range r.ManifestErrors() {
+			c.metrics.peerManifestErrors.Add(1)
+			fmt.Fprintf(c.cfg.Log, "fleet: pre-dispatch lookup skips a backend: %v\n", err)
+		}
+	}
+}
+
 // withRetries runs try on the least-loaded routable backend and, after
 // a failure, again on a different one — or on the same one when no
 // other is routable — with exponential backoff + jitter between
-// attempts (or the backend's Retry-After on a 429). It
+// attempts. It
 // returns nil once a try succeeds, ErrNoBackends when no backend can
 // take the work, the context's error once the caller gives up, and the
 // last error once MaxRetries re-dispatches are exhausted.
@@ -344,12 +344,7 @@ func (c *Client) withRetries(ctx context.Context, try func(*backend) error) erro
 			return fmt.Errorf("fleet: %d dispatch attempt(s) exhausted: %w", attempt+1, lastErr)
 		}
 		exclude = b
-		delay := c.backoff(attempt)
-		var rl *rateLimitedError
-		if errors.As(err, &rl) && rl.after > 0 {
-			delay = rl.after
-		}
-		if err := c.cfg.sleep(ctx, delay); err != nil {
+		if err := c.cfg.sleep(ctx, c.backoff(attempt)); err != nil {
 			return err
 		}
 	}
@@ -394,48 +389,6 @@ func (c *Client) pick(exclude ...*backend) *backend {
 		best.inflight.Add(1)
 	}
 	return best
-}
-
-// rateLimitedError is a 429 response with its Retry-After hint.
-type rateLimitedError struct {
-	backend string
-	after   time.Duration
-}
-
-func (e *rateLimitedError) Error() string {
-	return fmt.Sprintf("fleet: %s rate-limited (retry after %s)", e.backend, e.after)
-}
-
-// parseRetryAfter hardens Retry-After handling: integer seconds and
-// HTTP-date forms are accepted, everything else — negative values,
-// past dates, garbage — collapses to 0 (normal backoff), and all
-// results are capped at max so a hostile or buggy backend cannot stall
-// a shard for hours.
-func parseRetryAfter(s string, now time.Time, max time.Duration) time.Duration {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0
-	}
-	if secs, err := strconv.Atoi(s); err == nil {
-		if secs <= 0 {
-			return 0
-		}
-		if secs > int(max/time.Second) {
-			return max
-		}
-		return time.Duration(secs) * time.Second
-	}
-	if t, err := http.ParseTime(s); err == nil {
-		d := t.Sub(now)
-		if d <= 0 {
-			return 0
-		}
-		if d > max {
-			return max
-		}
-		return d
-	}
-	return 0
 }
 
 // maybeAudit implements the sampled audit mode: a deterministic

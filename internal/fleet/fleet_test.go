@@ -140,69 +140,6 @@ func TestRetryReroutesToHealthyBackend(t *testing.T) {
 	}
 }
 
-// TestRetryAfterHonored: a 429 response's Retry-After header sets the
-// delay before the next attempt.
-func TestRetryAfterHonored(t *testing.T) {
-	var hits atomic.Int64
-	srv := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) == 1 {
-			w.Header().Set("Retry-After", "7")
-			http.Error(w, "busy", http.StatusTooManyRequests)
-			return
-		}
-		okReply("after-backoff")(w, r)
-	})
-
-	var slept []time.Duration
-	cfg := Config{Backends: []string{srv.URL}}
-	cfg.sleep = func(ctx context.Context, d time.Duration) error {
-		slept = append(slept, d)
-		return nil
-	}
-	c := newTestClient(t, cfg)
-	res, err := c.Run(context.Background(), testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Mix != "after-backoff" {
-		t.Fatalf("wrong result %q", res.Mix)
-	}
-	if len(slept) != 1 || slept[0] != 7*time.Second {
-		t.Fatalf("slept %v, want exactly [7s] from Retry-After", slept)
-	}
-	if c.metrics.rateLimited.Load() != 1 {
-		t.Fatalf("rateLimited = %d, want 1", c.metrics.rateLimited.Load())
-	}
-	// A 429 must not charge the backend's health.
-	if b := c.backends[0]; b.streak != 0 || b.down {
-		t.Fatalf("after a 429: failure streak %d, down %v; want 0, false", b.streak, b.down)
-	}
-}
-
-// TestRateLimitNeverMarksDown: a saturated backend answering 429 is
-// healthy, so any number of 429s in a row leaves it up and the retry
-// that follows them is served.
-func TestRateLimitNeverMarksDown(t *testing.T) {
-	var hits atomic.Int64
-	srv := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) <= downAfter {
-			http.Error(w, "busy", http.StatusTooManyRequests)
-			return
-		}
-		okReply("after-429s")(w, r)
-	})
-	cfg := Config{Backends: []string{srv.URL}, MaxRetries: downAfter}
-	cfg.sleep = func(context.Context, time.Duration) error { return nil }
-	c := newTestClient(t, cfg)
-	res, err := c.Run(context.Background(), testCfg())
-	if err != nil || res.Mix != "after-429s" {
-		t.Fatalf("Run after %d 429s = (%q, %v), want the retry served", downAfter, res.Mix, err)
-	}
-	if up, _, _ := c.backends[0].health(); !up {
-		t.Fatal("429s marked the backend down")
-	}
-}
-
 // TestDispatchFailuresMarkDownUntilProbe: downAfter charged failures
 // in a row mark a backend down, with one log line naming it and the
 // last error; dispatch then refuses it until a good probe marks it up.
@@ -407,7 +344,6 @@ func TestWriteMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		"fleet_dispatched_total 1",
 		"fleet_retried_total 0",
-		"fleet_rate_limited_total 0",
 		"fleet_local_fallback_total 0",
 		"fleet_backends 1",
 		"fleet_backends_healthy 1",

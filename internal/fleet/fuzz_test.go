@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/simrun"
@@ -77,27 +76,6 @@ func FuzzDecodeBatch(f *testing.F) {
 			if l.Error == "" && (l.Digest == "" || simrun.DigestJSON(l.Result) != l.Digest) {
 				t.Fatalf("index %d: returned a result whose digest does not verify", i)
 			}
-		}
-	})
-}
-
-// FuzzParseRetryAfter: the Retry-After header is backend-supplied
-// bytes. Whatever it holds, and whatever the cap, parsing never panics
-// and the delay is in [0, max].
-func FuzzParseRetryAfter(f *testing.F) {
-	for _, tt := range retryAfterCases {
-		f.Add(tt.in, int64(retryAfterMax))
-	}
-	f.Fuzz(func(t *testing.T, header string, maxNs int64) {
-		max := time.Duration(maxNs)
-		if max < 0 {
-			max = -max
-		}
-		if max < 0 { // math.MinInt64 has no positive counterpart
-			max = 0
-		}
-		if got := parseRetryAfter(header, retryAfterNow, max); got < 0 || got > max {
-			t.Fatalf("parseRetryAfter(%q, max %v) = %v, outside [0, max]", header, max, got)
 		}
 	})
 }

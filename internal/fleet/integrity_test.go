@@ -6,52 +6,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 )
-
-// retryAfterNow and retryAfterMax are the clock and cap of the
-// Retry-After cases; FuzzParseRetryAfter starts from the same table.
-var (
-	retryAfterNow = time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-	retryAfterMax = 30 * time.Second
-)
-
-// retryAfterCases are hostile and malformed Retry-After values with
-// the delay each must give.
-var retryAfterCases = []struct {
-	name string
-	in   string
-	want time.Duration
-}{
-	{"empty", "", 0},
-	{"seconds", "2", 2 * time.Second},
-	{"seconds with spaces", "  5  ", 5 * time.Second},
-	{"zero", "0", 0},
-	{"negative", "-30", 0},
-	{"huge", "86400", retryAfterMax},
-	{"overflowing", "999999999999999999", retryAfterMax},
-	{"overflowing past int64 seconds", "99999999999999999999999999", 0}, // Atoi fails, not a date either
-	{"http date future", retryAfterNow.Add(4 * time.Second).Format(http.TimeFormat), 4 * time.Second},
-	{"http date past", retryAfterNow.Add(-time.Hour).Format(http.TimeFormat), 0},
-	{"http date far future", retryAfterNow.Add(48 * time.Hour).Format(http.TimeFormat), retryAfterMax},
-	{"garbage", "soon", 0},
-	{"float", "1.5", 0},
-}
-
-// TestParseRetryAfter: hostile and malformed Retry-After values must
-// never stall a shard — negatives and garbage collapse to 0, huge
-// values and far-future dates cap at max.
-func TestParseRetryAfter(t *testing.T) {
-	for _, tt := range retryAfterCases {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := parseRetryAfter(tt.in, retryAfterNow, retryAfterMax); got != tt.want {
-				t.Errorf("parseRetryAfter(%q) = %v, want %v", tt.in, got, tt.want)
-			}
-		})
-	}
-}
 
 // digestReply answers /v1/batch with the given result and a digest —
 // correct when lie is "", otherwise the lie verbatim.

@@ -12,13 +12,14 @@ import (
 type clientMetrics struct {
 	dispatched    atomic.Int64 // POST /v1/batch requests sent to backends (incl. retries)
 	retried       atomic.Int64 // re-dispatches after a failure
-	rateLimited   atomic.Int64 // 429 responses received
 	localFallback atomic.Int64 // jobs run locally (pool empty / fully broken)
 
 	batchItems    atomic.Int64 // items delivered by verified batch stream lines
 	batchFallback atomic.Int64 // items resent by a retry attempt
 	peerHits      atomic.Int64 // dispatches short-circuited by a peer store hit
 	peerMisses    atomic.Int64 // peer lookups that found nothing
+
+	peerManifestErrors atomic.Int64 // backends whose manifest the lookup could not read
 
 	digestMismatch    atomic.Int64 // responses rejected by digest verification
 	audits            atomic.Int64 // sampled cross-backend audits performed
@@ -35,12 +36,12 @@ func (c *Client) WriteMetrics(w io.Writer) {
 	counter := p.Counter
 	counter("fleet_dispatched_total", "Requests dispatched to backends, including retries.", c.metrics.dispatched.Load())
 	counter("fleet_retried_total", "Dispatches that were retries after a failed attempt.", c.metrics.retried.Load())
-	counter("fleet_rate_limited_total", "429 responses received from backends.", c.metrics.rateLimited.Load())
 	counter("fleet_local_fallback_total", "Jobs executed locally because no backend could take them.", c.metrics.localFallback.Load())
 	counter("fleet_batch_items_total", "Items delivered by verified batch stream lines.", c.metrics.batchItems.Load())
 	counter("fleet_batch_item_fallback_total", "Items resent by a retry attempt.", c.metrics.batchFallback.Load())
 	counter("fleet_peer_hits_total", "Dispatches short-circuited by a peer result-store hit.", c.metrics.peerHits.Load())
 	counter("fleet_peer_misses_total", "Peer result-store lookups that found nothing.", c.metrics.peerMisses.Load())
+	counter("fleet_peer_manifest_errors_total", "Backends whose store manifest the pre-dispatch lookup could not read; it lists none of their keys.", c.metrics.peerManifestErrors.Load())
 	counter("fleet_digest_mismatch_total", "Responses rejected because the result digest failed verification.", c.metrics.digestMismatch.Load())
 	counter("fleet_audits_total", "Sampled cross-backend result audits performed.", c.metrics.audits.Load())
 	counter("fleet_audit_disagreements_total", "Audits where two backends returned different result digests.", c.metrics.auditDisagree.Load())
@@ -69,8 +70,6 @@ func (c *Client) WriteMetrics(w io.Writer) {
 		func(b *backend) any { return b.requests.Load() })
 	labeled("fleet_backend_errors_total", "Failed requests to this backend (transport, 5xx, timeout).", "counter",
 		func(b *backend) any { return b.errors.Load() })
-	labeled("fleet_backend_rate_limited_total", "429 responses from this backend.", "counter",
-		func(b *backend) any { return b.ratelim.Load() })
 	labeled("fleet_backend_inflight", "Requests in flight to this backend now.", "gauge",
 		func(b *backend) any { return b.inflight.Load() })
 	labeled("fleet_backend_up", "1 when the backend is up: a failed probe or 3 failed dispatches in a row mark it down, a good probe marks it up.", "gauge",

@@ -59,16 +59,15 @@ func maskTimings(text string) string {
 }
 
 // TestWriteMetricsGolden pins the full WriteMetrics text after a fixed
-// sequence over two backends: a clean run, a run that meets a 429 and
-// a 500 before succeeding, a run answered by the pre-dispatch lookup,
-// and a two-item batch.
+// sequence over two backends: a clean run, a run that meets two 500s
+// before succeeding, a run answered by the pre-dispatch lookup, and a
+// two-item batch.
 func TestWriteMetricsGolden(t *testing.T) {
 	var aRuns atomic.Int64
 	a := http.NewServeMux()
 	a.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
 		if aRuns.Add(1) == 2 {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "busy", http.StatusTooManyRequests)
+			http.Error(w, "boom", http.StatusInternalServerError)
 			return
 		}
 		serveBatch(w, r, -1, false)

@@ -11,6 +11,9 @@ import (
 	"time"
 )
 
+// probeTimeout bounds one health probe.
+const probeTimeout = 2 * time.Second
+
 // healthReply mirrors simserver's GET /healthz body. StoreState is the
 // backend's result-store serving state ("ok", "readonly",
 // "memory-only"); degraded backends stay routable but carry a dispatch
@@ -75,7 +78,7 @@ func (c *Client) ProbeNow(ctx context.Context) {
 // work. The store state rides along for dispatch weighting; older
 // backends that don't report one probe as "" (no penalty).
 func (c *Client) probeOne(ctx context.Context, b *backend) (up bool, version, storeState string) {
-	pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, b.url+"/healthz", nil)
 	if err != nil {

@@ -2,12 +2,14 @@ package resultstore
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -17,7 +19,8 @@ import (
 )
 
 // DefaultDiskMaxBytes bounds a disk store when the caller passes no
-// budget: 256 MiB, roughly 100k entries at typical result sizes.
+// budget: 256 MiB, roughly 290k entries of the 0.9 KB a typical result
+// record takes.
 const DefaultDiskMaxBytes = 256 << 20
 
 // DefaultQuarantineMaxBytes bounds the quarantine/ subdirectory: a
@@ -31,7 +34,7 @@ const DefaultQuarantineMaxBytes = 64 << 20
 // regardless (see Scrubber).
 const recoveryInterval = 30 * time.Second
 
-// indexFile persists the access order across restarts so eviction
+// indexFile persists the recency order across restarts so eviction
 // stays oldest-access (not oldest-mtime) after a clean shutdown. It is
 // advisory: a missing or corrupt index costs eviction precision, never
 // correctness, because the directory scan is the source of truth for
@@ -179,15 +182,15 @@ type Disk struct {
 
 	// mu guards the index and the state transitions; state is also
 	// atomic so State and the Put fast path read it without the lock.
-	mu    sync.Mutex
-	index map[string]*diskEntry
+	mu sync.Mutex
+	// index is the recency order of the readable entries, each weighing
+	// its file size and bounded by MaxBytes.
+	index *lru[*diskEntry]
 	// faulted holds the keys a classified read fault took out of the
 	// index, with their files left in place. A successful recovery
 	// re-indexes them; a Put of one of them drops it here. No key is
 	// in both maps.
 	faulted     map[string]*diskEntry
-	bytes       int64
-	seq         int64 // monotonic access clock
 	open        bool
 	state       atomic.Int32 // DiskState
 	stateReason string       // last trip cause, "" when ok
@@ -202,12 +205,14 @@ type Disk struct {
 	recoveries      atomic.Int64 // successful re-arms back to DiskOK
 }
 
-type diskEntry struct {
-	size   int64
-	access int64 // seq of the last Get/Put; smallest evicts first
-}
+// diskEntry is one indexed file. Every Put indexes a new one, so a
+// reader that finds the same pointer in the index after reading the
+// file outside d.mu knows it read the file the index names.
+type diskEntry struct{ size int64 }
 
-// persistedIndex is the on-disk shape of the access clock.
+// persistedIndex is the on-disk shape of the recency order: each key's
+// rank, lowest evicting first. Any increasing access sequence orders
+// the same way, so ranks and sequence numbers read alike.
 type persistedIndex struct {
 	Access map[string]int64 `json:"access"`
 }
@@ -216,7 +221,7 @@ type persistedIndex struct {
 // Startup rebuilds the index by scanning the directory: stranded temp
 // files are removed, unparsable or truncated entry files are
 // quarantined instead of crashing the daemon, files that cannot be
-// read are left in place unindexed, and the persisted access clock
+// read are left in place unindexed, and the persisted recency order
 // (written by Close) is applied where it matches a surviving file.
 func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 	if opts.MaxBytes <= 0 {
@@ -228,7 +233,7 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 	if opts.Log == nil {
 		opts.Log = io.Discard
 	}
-	d := &Disk{dir: dir, opts: opts, open: true, index: make(map[string]*diskEntry), faulted: make(map[string]*diskEntry)}
+	d := &Disk{dir: dir, opts: opts, open: true, index: newLRU[*diskEntry](opts.MaxBytes), faulted: make(map[string]*diskEntry)}
 	if opts.Ops != nil {
 		d.ops = opts.Ops.withDefaults()
 	} else {
@@ -250,16 +255,15 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 	return d, nil
 }
 
-// scan builds the index from the directory contents, applying the
-// persisted access clock when one survives. OpenDisk calls it once,
-// with exclusive access to a fresh index.
+// scan builds the index from the directory contents, in the persisted
+// recency order when one survives. OpenDisk calls it once, with
+// exclusive access to a fresh index.
 func (d *Disk) scan() error {
-	access := d.loadIndex()
+	rank := d.loadIndex()
 	entries, err := d.ops.ReadDir(d.dir)
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	var maxSeq int64
 	for _, de := range entries {
 		name := de.Name()
 		if de.IsDir() || name == indexFile {
@@ -291,11 +295,7 @@ func (d *Disk) scan() error {
 		// file that cannot be read proves nothing about its bytes: it
 		// stays where it is, unindexed; after a classified fault a
 		// recovery indexes it, otherwise the next startup tries it again.
-		seq := access[key]
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-		ent := &diskEntry{size: info.Size(), access: seq}
+		ent := &diskEntry{size: info.Size()}
 		raw, err := d.ops.ReadFile(path)
 		if err != nil {
 			fmt.Fprintf(d.opts.Log, "resultstore: not indexing unreadable %s: %v\n", name, err)
@@ -310,16 +310,21 @@ func (d *Disk) scan() error {
 			d.quarantine(path, "corrupt, mismatched or old-format entry")
 			continue
 		}
-		d.index[key] = ent
-		d.bytes += info.Size()
+		d.index.put(key, ent, ent.size, false)
 	}
-	d.seq = maxSeq + 1
+	// Promote in rank order, once: the lowest rank ends at the back, and
+	// ties, and keys the index does not name (rank 0), evict in key order.
+	keys := d.index.keys()
+	slices.SortFunc(keys, func(a, b string) int { return cmp.Or(cmp.Compare(rank[a], rank[b]), strings.Compare(a, b)) })
+	for _, k := range keys {
+		d.index.get(k, true)
+	}
 	d.boundQuarantine()
 	return nil
 }
 
-// loadIndex reads the persisted access clock; any failure returns an
-// empty clock (scan order decides eviction until accesses accrue).
+// loadIndex reads the persisted ranks; any failure returns none (key
+// order decides eviction until accesses accrue).
 func (d *Disk) loadIndex() map[string]int64 {
 	raw, err := d.ops.ReadFile(filepath.Join(d.dir, indexFile))
 	if err != nil {
@@ -366,8 +371,8 @@ func (d *Disk) Get(key string) (*Entry, bool) {
 	return e, err == nil
 }
 
-// Check re-reads and re-verifies one entry without promoting its
-// access clock — the scrubber's read path, so background integrity
+// Check re-reads and re-verifies one entry without promoting it in the
+// recency order — the scrubber's read path, so background integrity
 // sweeps do not perturb LRU eviction order. A corrupt entry is
 // quarantined and reported as ErrCorrupt (its key leaves the manifest,
 // so a replication pull refills it); a missing entry is
@@ -385,8 +390,8 @@ var errClosed = errors.New("resultstore: store closed")
 
 // read is the one disk read path behind Get and Check: read the file,
 // verify the record, quarantine it on failure, and (when promote is
-// set) advance the entry's access clock. The file is read and verified
-// outside d.mu, so concurrent reads do not queue behind each other;
+// set) move the entry to most recently used. The file is read and
+// verified outside d.mu, so concurrent reads do not queue behind each other;
 // the bookkeeping afterwards applies only while the index still names
 // the file that was read, so a concurrent re-put or eviction of the
 // key is never quarantined or dropped. A file that cannot be read
@@ -396,7 +401,7 @@ var errClosed = errors.New("resultstore: store closed")
 // and parks the key for the recovery that re-indexes it.
 func (d *Disk) read(key string, promote bool) (*Entry, error) {
 	d.mu.Lock()
-	ent, ok := d.index[key]
+	ent, ok := d.index.get(key, false)
 	open := d.open
 	d.mu.Unlock()
 	if !open {
@@ -414,13 +419,13 @@ func (d *Disk) read(key string, promote bool) (*Entry, error) {
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	current := d.index[key] == ent
+	cur, _ := d.index.get(key, false)
+	current := cur == ent
 	switch {
 	case err != nil:
 		fault := isFault(err)
 		if current {
-			delete(d.index, key)
-			d.bytes -= ent.size
+			d.index.remove(key)
 			if fault {
 				d.faulted[key] = ent
 			}
@@ -437,13 +442,11 @@ func (d *Disk) read(key string, promote bool) (*Entry, error) {
 	case !ok:
 		d.quarantine(path, "failed integrity verification")
 		d.boundQuarantine()
-		delete(d.index, key)
-		d.bytes -= ent.size
+		d.index.remove(key)
 		return nil, ErrCorrupt
 	}
 	if promote && current {
-		ent.access = d.seq
-		d.seq++
+		d.index.get(key, true)
 	}
 	return e, nil
 }
@@ -492,13 +495,8 @@ func (d *Disk) Put(e *Entry) error {
 		}
 		return err
 	}
-	if old, ok := d.index[e.Key]; ok {
-		d.bytes -= old.size
-	}
 	delete(d.faulted, e.Key)
-	d.index[e.Key] = &diskEntry{size: size, access: d.seq}
-	d.seq++
-	d.bytes += size
+	d.index.put(e.Key, &diskEntry{size: size}, size, false)
 	d.evictLocked()
 	return nil
 }
@@ -586,10 +584,16 @@ func (d *Disk) rearm(lazy bool) bool {
 	d.recoveries.Add(1)
 	fmt.Fprintf(d.opts.Log, "resultstore: disk tier readonly → ok (recovery probe succeeded); re-indexing %d faulted entries\n", len(d.faulted))
 	// The disk reads again, so the files a fault left in place serve
-	// again; their next read verifies them like any other.
-	for k, ent := range d.faulted {
-		d.index[k] = ent
-		d.bytes += ent.size
+	// again; their next read verifies them like any other. Their
+	// recency is lost: they go in at the oldest end, the lowest key
+	// evicting first.
+	keys := make([]string, 0, len(d.faulted))
+	for k := range d.faulted {
+		keys = append(keys, k)
+	}
+	sort.Sort(sort.Reverse(sort.StringSlice(keys)))
+	for _, k := range keys {
+		d.index.put(k, d.faulted[k], d.faulted[k].size, true)
 	}
 	clear(d.faulted)
 	d.evictLocked()
@@ -600,23 +604,14 @@ func (d *Disk) rearm(lazy bool) bool {
 var probeBytes = []byte("probe\n")
 
 // probe exercises both directions a fault can trip the tier in: it
-// writes a small file through the same writer seam as Put, reads it
-// back through the same read seam as Get, and removes it.
+// writes a small temp file the way Put does, reads it back through the
+// same read seam as Get, and removes it.
 func (d *Disk) probe() error {
-	f, err := d.ops.CreateTemp(d.dir, tmpPrefix+"probe-*")
+	tmp, err := d.writeTemp(probeBytes)
 	if err != nil {
 		return err
 	}
-	tmp := f.Name()
 	defer d.ops.Remove(tmp)
-	var w io.WriteCloser = f
-	if d.opts.WrapWriter != nil {
-		w = d.opts.WrapWriter(f)
-	}
-	_, werr := w.Write(probeBytes)
-	if err := errors.Join(werr, w.Close()); err != nil {
-		return err
-	}
 	got, err := d.ops.ReadFile(tmp)
 	if err != nil {
 		return err
@@ -628,38 +623,17 @@ func (d *Disk) probe() error {
 }
 
 // evictLocked removes oldest-accessed entries until the store fits its
-// budget. Caller holds d.mu.
+// budget. An entry whose file cannot be removed stays indexed, and the
+// next-oldest goes instead. Caller holds d.mu.
 func (d *Disk) evictLocked() {
-	if d.bytes <= d.opts.MaxBytes {
-		return
-	}
-	type victim struct {
-		key    string
-		access int64
-		size   int64
-	}
-	victims := make([]victim, 0, len(d.index))
-	for k, ent := range d.index {
-		victims = append(victims, victim{k, ent.access, ent.size})
-	}
-	sort.Slice(victims, func(i, j int) bool {
-		if victims[i].access != victims[j].access {
-			return victims[i].access < victims[j].access
+	d.index.evict(func(key string, _ *diskEntry) bool {
+		if err := d.ops.Remove(filepath.Join(d.dir, fileFromKey(key))); err != nil && !errors.Is(err, os.ErrNotExist) {
+			fmt.Fprintf(d.opts.Log, "resultstore: evicting %s: %v\n", key, err)
+			return true
 		}
-		return victims[i].key < victims[j].key
-	})
-	for _, v := range victims {
-		if d.bytes <= d.opts.MaxBytes {
-			break
-		}
-		if err := d.ops.Remove(filepath.Join(d.dir, fileFromKey(v.key))); err != nil && !errors.Is(err, os.ErrNotExist) {
-			fmt.Fprintf(d.opts.Log, "resultstore: evicting %s: %v\n", v.key, err)
-			continue
-		}
-		delete(d.index, v.key)
-		d.bytes -= v.size
 		d.evictions.Add(1)
-	}
+		return false
+	})
 }
 
 // quarantine moves a bad file aside (keeping it for inspection) and
@@ -731,7 +705,7 @@ func (d *Disk) boundQuarantine() {
 	}
 }
 
-// Close persists the access clock (temp file + fsync + rename, same
+// Close persists the recency order (temp file + fsync + rename, same
 // crash discipline as entries) and marks the store closed. The graceful
 // drain path calls it on SIGTERM so a restarted daemon evicts in true
 // oldest-access order instead of directory order. A degraded tier
@@ -747,9 +721,10 @@ func (d *Disk) Close() error {
 	if DiskState(d.state.Load()) != DiskOK {
 		return nil
 	}
-	idx := persistedIndex{Access: make(map[string]int64, len(d.index))}
-	for k, ent := range d.index {
-		idx.Access[k] = ent.access
+	keys := d.index.keys()
+	idx := persistedIndex{Access: make(map[string]int64, len(keys))}
+	for i, k := range keys {
+		idx.Access[k] = int64(i + 1)
 	}
 	raw, err := json.Marshal(idx)
 	if err != nil {
@@ -767,13 +742,9 @@ func (d *Disk) Close() error {
 // the index, so the manifest advertises only what the tier can serve.
 func (d *Disk) Manifest() []ManifestEntry {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]ManifestEntry, 0, len(d.index))
-	for k := range d.index {
-		out = append(out, ManifestEntry{Key: k})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	keys := d.index.keys()
+	d.mu.Unlock()
+	return manifestOf(keys)
 }
 
 // State reports the tier's health state.
@@ -790,14 +761,14 @@ func (d *Disk) StateReason() string {
 func (d *Disk) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.index)
+	return d.index.len()
 }
 
 // Bytes reports resident entry bytes.
 func (d *Disk) Bytes() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.bytes
+	return d.index.weight
 }
 
 // MaxBytes reports the configured byte budget.

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -399,4 +400,121 @@ func mustSize(t *testing.T, e *Entry) int64 {
 		t.Fatal(err)
 	}
 	return d.Bytes()
+}
+
+// TestDiskEvictionSkipsUnremovableFile: an eviction whose file cannot
+// be removed leaves that entry indexed and serving, and the next-oldest
+// entry goes instead.
+func TestDiskEvictionSkipsUnremovableFile(t *testing.T) {
+	dir := t.TempDir()
+	keys := []string{"cfg:0000000000000001", "cfg:0000000000000002", "cfg:0000000000000004"}
+	raw := mustSize(t, testEntry(keys[0], 1))
+	stuck := filepath.Join(dir, fileFromKey(keys[0]))
+	ops := &DiskOps{Remove: func(name string) error {
+		if name == stuck {
+			return errors.New("remove refused")
+		}
+		return os.Remove(name)
+	}}
+	d := openTestDisk(t, dir, DiskOptions{MaxBytes: raw*2 + raw/2, Ops: ops})
+	defer d.Close()
+	for i, key := range keys {
+		if err := d.Put(testEntry(key, []int{1, 2, 4}[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := d.Get(keys[0]); !ok {
+		t.Fatal("the entry whose file could not be removed left the index")
+	}
+	if _, ok := d.Get(keys[1]); ok {
+		t.Fatal("the next-oldest entry survived in its place")
+	}
+	if _, ok := d.Get(keys[2]); !ok {
+		t.Fatal("the newest entry was evicted")
+	}
+	if d.Evictions() != 1 || d.Len() != 2 || d.Bytes() > d.MaxBytes() {
+		t.Fatalf("Evictions %d, Len %d, Bytes %d (budget %d); want 1, 2, within budget", d.Evictions(), d.Len(), d.Bytes(), d.MaxBytes())
+	}
+}
+
+// TestDiskReadsAccessClockIndex: an index.json holding an access clock
+// (arbitrary increasing sequence numbers, keys missing from it, ties)
+// restores the eviction order it encodes: missing keys first, then by
+// sequence, ties in key order. Close writes the order back as ranks
+// that read the same way.
+func TestDiskReadsAccessClockIndex(t *testing.T) {
+	dir := t.TempDir()
+	keys := []string{"cfg:000000000000000a", "cfg:000000000000000b", "cfg:000000000000000c", "cfg:000000000000000d", "cfg:000000000000000e"}
+	d := openTestDisk(t, dir, DiskOptions{})
+	for i, key := range keys {
+		if err := d.Put(testEntry(key, i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Close()
+	clock := map[string]int64{keys[0]: 42, keys[1]: 7, keys[2]: 19, keys[4]: 7} // keys[3] is missing
+	raw, err := json.Marshal(persistedIndex{Access: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, indexFile), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{keys[3], keys[1], keys[4], keys[2], keys[0]} // next to evict first
+
+	d = openTestDisk(t, dir, DiskOptions{})
+	if got := d.index.keys(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored order %v, want %v", got, want)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d = openTestDisk(t, dir, DiskOptions{MaxBytes: d.Bytes() - 1})
+	defer d.Close()
+	if _, ok := d.Get(want[0]); ok || d.Evictions() != 1 {
+		t.Fatalf("one byte under budget: evicted %d entries, %s survived; want it evicted alone", d.Evictions(), want[0])
+	}
+	if got := d.index.keys(); !reflect.DeepEqual(got, want[1:]) {
+		t.Fatalf("order after a restart through ranks %v, want %v", got, want[1:])
+	}
+}
+
+// putAtBudgetSeq keeps the keys BenchmarkDiskPutAtBudget puts distinct
+// across the benchmark's repeated runs over one store directory.
+var putAtBudgetSeq int
+
+// BenchmarkDiskPutAtBudget times Put into a store whose entries fill
+// its byte budget exactly, so every Put evicts: the cost of a Put at
+// the budget, by how many entries the store holds.
+func BenchmarkDiskPutAtBudget(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		dir := b.TempDir()
+		var total int64
+		for i := 0; i < n; i++ {
+			e := testEntry(fmt.Sprintf("cfg:%016x", i), i)
+			raw := e.AppendRecord(nil)
+			if err := os.WriteFile(filepath.Join(dir, fileFromKey(e.Key)), raw, 0o644); err != nil {
+				b.Fatal(err)
+			}
+			total += int64(len(raw))
+		}
+		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
+			d, err := OpenDisk(dir, DiskOptions{MaxBytes: total})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer d.Close()
+			entries := make([]*Entry, b.N)
+			for i := range entries {
+				putAtBudgetSeq++
+				entries[i] = testEntry(fmt.Sprintf("cfg:%016x", 1<<40+putAtBudgetSeq), n)
+			}
+			b.ResetTimer()
+			for _, e := range entries {
+				if err := d.Put(e); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

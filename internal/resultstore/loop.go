@@ -36,6 +36,19 @@ func (l *loop) start(interval time.Duration, fn func(context.Context)) {
 	}()
 }
 
+// pace is the rate limit and cancellation point before each transfer or
+// check of a background round: it waits gap (none when gap <= 0) and
+// reports whether ctx is still live.
+func pace(ctx context.Context, gap time.Duration) bool {
+	if gap > 0 {
+		select {
+		case <-ctx.Done():
+		case <-time.After(gap):
+		}
+	}
+	return ctx.Err() == nil
+}
+
 // stop cancels the loop, including a run of fn in progress through its
 // context, and waits for it to exit. Safe without start, and more than
 // once.

@@ -1,8 +1,6 @@
 package resultstore
 
 import (
-	"container/list"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -13,16 +11,9 @@ import (
 // eviction. It is safe for concurrent use.
 type Memory struct {
 	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used; values are *memEntry
-	items map[string]*list.Element
+	order *lru[*Entry] // each entry weighs 1: the bound is the capacity
 
 	evictions atomic.Int64
-}
-
-type memEntry struct {
-	key string
-	val *Entry
 }
 
 // NewMemory builds a tier-0 store bounded to capacity entries
@@ -31,19 +22,14 @@ func NewMemory(capacity int) *Memory {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Memory{cap: capacity, order: list.New(), items: make(map[string]*list.Element)}
+	return &Memory{order: newLRU[*Entry](int64(capacity))}
 }
 
 // Get returns the cached entry and promotes it to most recently used.
 func (c *Memory) Get(key string) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*memEntry).val, true
+	return c.order.get(key, true)
 }
 
 // Put inserts or refreshes an entry, evicting the least recently used
@@ -54,28 +40,18 @@ func (c *Memory) Put(e *Entry) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[e.Key]; ok {
-		el.Value.(*memEntry).val = e
-		c.order.MoveToFront(el)
-		return
-	}
-	c.items[e.Key] = c.order.PushFront(&memEntry{key: e.Key, val: e})
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*memEntry).key)
+	c.order.put(e.Key, e, 1, false)
+	c.order.evict(func(string, *Entry) bool {
 		c.evictions.Add(1)
-	}
+		return false
+	})
 }
 
 // Remove drops an entry if present (used by tests).
 func (c *Memory) Remove(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.order.Remove(el)
-		delete(c.items, key)
-	}
+	c.order.remove(key)
 }
 
 // Manifest lists the resident keys in order, for the anti-entropy
@@ -84,24 +60,20 @@ func (c *Memory) Remove(key string) {
 // holds in RAM.
 func (c *Memory) Manifest() []ManifestEntry {
 	c.mu.Lock()
-	out := make([]ManifestEntry, 0, len(c.items))
-	for k := range c.items {
-		out = append(out, ManifestEntry{Key: k})
-	}
+	keys := c.order.keys()
 	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	return manifestOf(keys)
 }
 
 // Len reports the current entry count.
 func (c *Memory) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return c.order.len()
 }
 
 // Capacity reports the configured entry bound.
-func (c *Memory) Capacity() int { return c.cap }
+func (c *Memory) Capacity() int { return int(c.order.max) }
 
 // Evictions reports how many entries capacity pressure has evicted.
 func (c *Memory) Evictions() int64 { return c.evictions.Load() }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,13 +42,15 @@ type PeerConfig struct {
 // client. The fleet client asks it once per config before dispatching.
 // All failures — a failed manifest read, timeouts, resets, corrupt
 // bodies, digest mismatches — are misses; chaos on the peer path can
-// cost latency, never correctness.
+// cost latency, never correctness. A peer whose manifest read failed
+// lists no key for the client's whole life; ManifestErrors reports it.
 type PeerClient struct {
 	cfg  PeerConfig
 	http *http.Client
 
-	read sync.Once
-	has  []map[string]bool // per peer, set by read; nil where it failed
+	read         sync.Once
+	has          []map[string]bool // per peer, set by read; nil where it failed
+	manifestErrs []error           // set by read: the failed reads, each naming its peer
 
 	hits      atomic.Int64
 	errsTotal atomic.Int64
@@ -66,19 +69,18 @@ func NewPeerClient(cfg PeerConfig) *PeerClient {
 // the key, one after another, and returns the first entry that
 // digest-verifies. Concurrent first lookups share one manifest read.
 func (p *PeerClient) Lookup(ctx context.Context, key string) (*Entry, bool) {
-	if len(p.cfg.Peers) == 0 || !ValidKey(key) {
+	if len(p.cfg.Peers) == 0 {
 		return nil, false
 	}
 	p.read.Do(func() {
 		// Every lookup of this client shares the read, so one caller
 		// giving up must not cancel it; the timeout bounds it.
-		p.has = readManifests(context.WithoutCancel(ctx), p.http, p.cfg.Peers, p.cfg.Timeout)
-		for _, m := range p.has {
-			if m == nil {
-				p.errsTotal.Add(1)
-			}
-		}
+		p.has, p.manifestErrs = readManifests(context.WithoutCancel(ctx), p.http, p.cfg.Peers, p.cfg.Timeout)
+		p.errsTotal.Add(int64(len(p.manifestErrs)))
 	})
+	if !ValidKey(key) {
+		return nil, false
+	}
 	e, errs := getListed(ctx, p.http, p.cfg.Peers, p.has, key, p.cfg.Timeout)
 	p.errsTotal.Add(int64(errs))
 	if e == nil {
@@ -90,21 +92,26 @@ func (p *PeerClient) Lookup(ctx context.Context, key string) (*Entry, bool) {
 
 // readManifests reads every peer's manifest concurrently, all within
 // one timeout. A peer whose read fails gets a nil set, which lists no
-// key. Shared by the lookup client and the replicator.
-func readManifests(ctx context.Context, hc *http.Client, peers []string, timeout time.Duration) []map[string]bool {
+// key, and an error naming it among the errors returned. Shared by the
+// lookup client and the replicator.
+func readManifests(ctx context.Context, hc *http.Client, peers []string, timeout time.Duration) ([]map[string]bool, []error) {
 	mctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	has := make([]map[string]bool, len(peers))
+	errs := make([]error, len(peers))
 	var wg sync.WaitGroup
 	for i, base := range peers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			has[i], _ = fetchManifest(mctx, hc, base)
+			var err error
+			if has[i], err = fetchManifest(mctx, hc, base); err != nil {
+				errs[i] = fmt.Errorf("resultstore: manifest from %s: %w", base, err)
+			}
 		}()
 	}
 	wg.Wait()
-	return has
+	return has, slices.DeleteFunc(errs, func(err error) bool { return err == nil })
 }
 
 // getListed GETs key from each peer whose set in has lists it, in pool
@@ -184,3 +191,8 @@ func (p *PeerClient) Hits() int64 { return p.hits.Load() }
 // Errors reports peer requests, manifest reads included, that failed
 // or returned unverifiable bytes.
 func (p *PeerClient) Errors() int64 { return p.errsTotal.Load() }
+
+// ManifestErrors returns the manifest reads of the first Lookup that
+// failed, one per peer, each naming it. Call it after a Lookup has
+// returned; before the first one it returns nil.
+func (p *PeerClient) ManifestErrors() []error { return p.manifestErrs }

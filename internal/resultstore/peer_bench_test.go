@@ -68,7 +68,7 @@ func BenchmarkManifestRead(b *testing.B) {
 			b.SetBytes(int64(len(body)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if has := readManifests(context.Background(), hc, peers, DefaultReplicateInterval); len(has[0]) != n {
+				if has, _ := readManifests(context.Background(), hc, peers, DefaultReplicateInterval); len(has[0]) != n {
 					b.Fatalf("read %d keys, want %d", len(has[0]), n)
 				}
 			}

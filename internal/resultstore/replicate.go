@@ -22,6 +22,10 @@ const DefaultReplicateInterval = time.Minute
 // traffic from competing with simulation serving.
 const DefaultReplicatePace = 2 * time.Millisecond
 
+// replicateTimeout bounds a round's manifest exchange (all peers at
+// once) and each pull request. Manifests and entries are both small.
+const replicateTimeout = 10 * time.Second
+
 // ReplicateConfig tunes a Replicator. Zero values select the
 // documented defaults.
 type ReplicateConfig struct {
@@ -34,10 +38,6 @@ type ReplicateConfig struct {
 	// Pace is the idle gap between transfers; < 0 disables pacing, 0
 	// selects DefaultReplicatePace.
 	Pace time.Duration
-	// Timeout bounds the manifest exchange (all peers at once) and
-	// each pull request; <= 0 selects 10s. Manifests and entries are
-	// both small.
-	Timeout time.Duration
 	// Log receives per-round summaries when anything moved; nil
 	// discards them.
 	Log io.Writer
@@ -82,9 +82,6 @@ func NewReplicator(store *Tiered, cfg ReplicateConfig) *Replicator {
 	if cfg.Pace == 0 {
 		cfg.Pace = DefaultReplicatePace
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 10 * time.Second
-	}
 	if cfg.Log == nil {
 		cfg.Log = io.Discard
 	}
@@ -127,18 +124,12 @@ func (r *Replicator) SyncOnce(ctx context.Context) SyncReport {
 	// is skipped this round — anti-entropy is eventually consistent by
 	// construction, so a missed round costs convergence time, never
 	// correctness.
-	peerHas := readManifests(ctx, r.http, r.cfg.Peers, r.cfg.Timeout)
+	peerHas, errs := readManifests(ctx, r.http, r.cfg.Peers, replicateTimeout)
 	if ctx.Err() != nil {
 		return rep
 	}
-	for _, m := range peerHas {
-		if m == nil {
-			rep.PeerErrors++
-			r.manifestErr.Add(1)
-		} else {
-			rep.PeersSeen++
-		}
-	}
+	rep.PeerErrors, rep.PeersSeen = len(errs), len(peerHas)-len(errs)
+	r.manifestErr.Add(int64(len(errs)))
 	if rep.PeersSeen == 0 {
 		return rep
 	}
@@ -157,10 +148,10 @@ func (r *Replicator) SyncOnce(ctx context.Context) SyncReport {
 	}
 	sort.Strings(missing)
 	for _, key := range missing {
-		if !r.pace(ctx) {
+		if !pace(ctx, r.cfg.Pace) {
 			return rep
 		}
-		if e, _ := getListed(ctx, r.http, r.cfg.Peers, peerHas, key, r.cfg.Timeout); e != nil {
+		if e, _ := getListed(ctx, r.http, r.cfg.Peers, peerHas, key, replicateTimeout); e != nil {
 			r.store.Put(e)
 			rep.Pulled++
 			r.pulls.Add(1)
@@ -177,27 +168,14 @@ func (r *Replicator) SyncOnce(ctx context.Context) SyncReport {
 	return rep
 }
 
-// pace is the rate limit and cancellation point between transfers.
-func (r *Replicator) pace(ctx context.Context) bool {
-	if ctx.Err() != nil {
-		return false
-	}
-	if r.cfg.Pace <= 0 {
-		return true
-	}
-	select {
-	case <-ctx.Done():
-		return false
-	case <-time.After(r.cfg.Pace):
-		return true
-	}
-}
-
 // manifestReply is the part of simserver's GET /v1/store/manifest body
 // a replicator or a lookup client reads: the key list.
 type manifestReply struct {
 	Entries []ManifestEntry `json:"entries"`
 }
+
+// maxManifestBytes caps a manifest body: about a million keys.
+const maxManifestBytes = 32 << 20
 
 // fetchManifest GETs one peer's manifest as a key set.
 func fetchManifest(ctx context.Context, hc *http.Client, base string) (map[string]bool, error) {
@@ -212,9 +190,14 @@ func fetchManifest(ctx context.Context, hc *http.Client, base string) (map[strin
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
-		return nil, fmt.Errorf("resultstore: manifest from %s: HTTP %d", base, resp.StatusCode)
+		return nil, fmt.Errorf("HTTP %d", resp.StatusCode)
 	}
-	return decodeManifest(io.LimitReader(resp.Body, 32<<20))
+	body := &io.LimitedReader{R: resp.Body, N: maxManifestBytes}
+	has, err := decodeManifest(body)
+	if err != nil && body.N == 0 {
+		return nil, fmt.Errorf("body exceeds the %d-byte cap: %w", maxManifestBytes, err)
+	}
+	return has, err
 }
 
 // decodeManifest reads a peer's manifest body as the set of its valid

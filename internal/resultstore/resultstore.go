@@ -32,6 +32,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -64,6 +65,16 @@ const (
 // so the manifest carries only the key.
 type ManifestEntry struct {
 	Key string `json:"key"`
+}
+
+// manifestOf lists keys as a manifest, in key order.
+func manifestOf(keys []string) []ManifestEntry {
+	sort.Strings(keys)
+	out := make([]ManifestEntry, len(keys))
+	for i, k := range keys {
+		out[i] = ManifestEntry{Key: k}
+	}
+	return out
 }
 
 // Entry is one stored simulation result: the canonical JSON bytes of
@@ -266,26 +277,15 @@ func (t *Tiered) ManifestLocal() []ManifestEntry {
 	if t == nil {
 		return nil
 	}
-	seen := make(map[string]bool)
 	var out []ManifestEntry
 	if t.disk != nil {
-		for _, me := range t.disk.Manifest() {
-			if !seen[me.Key] {
-				seen[me.Key] = true
-				out = append(out, me)
-			}
-		}
+		out = t.disk.Manifest()
 	}
 	if t.mem != nil {
-		for _, me := range t.mem.Manifest() {
-			if !seen[me.Key] {
-				seen[me.Key] = true
-				out = append(out, me)
-			}
-		}
+		out = append(out, t.mem.Manifest()...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	slices.SortFunc(out, func(a, b ManifestEntry) int { return strings.Compare(a.Key, b.Key) })
+	return slices.Compact(out)
 }
 
 // Close flushes and closes the tiers that hold external resources

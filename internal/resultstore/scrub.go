@@ -113,7 +113,7 @@ func (s *Scrubber) ScrubOnce(ctx context.Context) ScrubReport {
 		fmt.Fprintf(s.cfg.Log, "resultstore: scrub re-armed the disk tier\n")
 	}
 	for _, me := range disk.Manifest() {
-		if ctx.Err() != nil {
+		if !pace(ctx, s.cfg.Pace) {
 			return rep
 		}
 		rep.Scanned++
@@ -128,13 +128,6 @@ func (s *Scrubber) ScrubOnce(ctx context.Context) ScrubReport {
 			// A classified fault tripped the tier mid-pass: stop reading
 			// a failing disk; the next pass probes before it reads.
 			return rep
-		}
-		if s.cfg.Pace > 0 {
-			select {
-			case <-ctx.Done():
-				return rep
-			case <-time.After(s.cfg.Pace):
-			}
 		}
 	}
 	if rep.Corrupt > 0 || rep.Recovered {

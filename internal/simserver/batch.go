@@ -37,6 +37,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	w.Write(e.AppendRecord(nil))
 }
 
+// maxBatchItems bounds the configs of one POST /v1/batch request.
+const maxBatchItems = 4096
+
 // batchRequest is the POST /v1/batch body: raw core.Configs, the exact
 // configs a local run would execute, so each result is byte-for-byte
 // the same function of the same input no matter which backend served
@@ -99,8 +102,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "empty batch")
 		return
 	}
-	if len(breq.Configs) > s.cfg.MaxBatchItems {
-		s.badRequest(w, fmt.Sprintf("batch of %d exceeds the %d-item bound", len(breq.Configs), s.cfg.MaxBatchItems))
+	if len(breq.Configs) > maxBatchItems {
+		s.badRequest(w, fmt.Sprintf("batch of %d exceeds the %d-item bound", len(breq.Configs), maxBatchItems))
 		return
 	}
 	keys := make([]string, len(breq.Configs))

@@ -69,9 +69,6 @@ type Config struct {
 	// the owner closes the store after Shutdown returns, so the drain
 	// path fsyncs the on-disk index exactly once.
 	Store *resultstore.Tiered
-	// MaxBatchItems bounds one POST /v1/batch request; <= 0 selects
-	// 4096.
-	MaxBatchItems int
 	// Scrubber, when set, has its pass/scan/corrupt counters surfaced in
 	// /healthz and /metrics. The owner (cmd/smtsimd) starts and stops it;
 	// the server only reports.
@@ -128,9 +125,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Store == nil {
 		cfg.Store = resultstore.NewTiered(resultstore.NewMemory(cfg.CacheEntries), nil)
-	}
-	if cfg.MaxBatchItems <= 0 {
-		cfg.MaxBatchItems = 4096
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
