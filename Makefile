@@ -14,9 +14,12 @@ all: build vet test
 # adts-sweep pass shares one checkpoint and one Record path across every
 # experiment's concurrent runs, so the experiments' resume, checkpoint
 # and plan tests run under -race too (the whole package is too slow).
+# check_fma.sh cross-compiles for arm64, ppc64le, s390x and riscv64 and
+# fails on any fused multiply-add (DESIGN.md §6).
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
+	./scripts/check_fma.sh
 	$(GO) test -race ./internal/runner ./internal/stats ./internal/simrun ./internal/resultstore ./internal/simserver ./internal/fleet ./internal/multicore ./internal/pipeline ./internal/core
 	$(GO) test -race -run 'Resume|Checkpoint|Plan' ./internal/experiments
 	$(MAKE) chaos

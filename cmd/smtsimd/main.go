@@ -1,11 +1,11 @@
 // Command smtsimd serves SMT simulations over HTTP: the same knobs as
-// cmd/smtsim, behind a tiered result store and admission control
-// (see internal/simserver, internal/resultstore, docs/simserver.md,
-// and docs/resultstore.md).
+// cmd/smtsim, behind a tiered result store and a bounded worker pool
+// that every simulation waits for (see internal/simserver,
+// internal/resultstore, docs/simserver.md, and docs/resultstore.md).
 //
 // Usage:
 //
-//	smtsimd -addr :8080 -workers 4 -queue 16 -cache 256 \
+//	smtsimd -addr :8080 -workers 4 -cache 256 \
 //	    -store-dir /var/lib/smtsimd -store-max-bytes 268435456
 //
 //	curl -s localhost:8080/v1/mixes
@@ -54,10 +54,8 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		workers  = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		queue    = flag.Int("queue", 16, "admission queue depth beyond running simulations (-1 = none)")
-		cache    = flag.Int("cache", 256, "result cache entries (LRU)")
+		cache    = flag.Int("cache", 256, "memory-tier result entries (LRU)")
 		timeout  = flag.Duration("timeout", 120*time.Second, "per-simulation timeout")
-		retry    = flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful shutdown budget")
 		storeDir = flag.String("store-dir", "", "content-addressed disk store directory (empty = memory only)")
 		storeMax = flag.Int64("store-max-bytes", 256<<20, "disk store size bound before oldest-access eviction")
@@ -75,13 +73,10 @@ func main() {
 		return
 	}
 
-	qd := *queue
-	if qd == 0 {
-		qd = -1 // flag 0 means "no queue"; Config 0 means "default"
-	}
-	var store *resultstore.Tiered
+	var disk *resultstore.Disk
 	if *storeDir != "" {
-		disk, err := resultstore.OpenDisk(*storeDir, resultstore.DiskOptions{
+		var err error
+		disk, err = resultstore.OpenDisk(*storeDir, resultstore.DiskOptions{
 			MaxBytes:           *storeMax,
 			QuarantineMaxBytes: *quarMax,
 			Log:                os.Stderr,
@@ -89,8 +84,8 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("opening -store-dir: %w", err))
 		}
-		store = resultstore.NewTiered(resultstore.NewMemory(*cache), disk)
 	}
+	store := resultstore.NewTiered(resultstore.NewMemory(*cache), disk)
 
 	// Self-healing machinery. The scrubber quarantines bit-rotted
 	// entries; -peers names the rest of the fleet, and the replicator
@@ -107,9 +102,6 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("parsing -peers: %w", err))
 		}
-		if store == nil {
-			store = resultstore.NewTiered(resultstore.NewMemory(*cache), nil)
-		}
 		replicator = resultstore.NewReplicator(store, resultstore.ReplicateConfig{
 			Peers:    peers,
 			Interval: *syncEvery,
@@ -124,14 +116,11 @@ func main() {
 	}
 
 	srv := simserver.New(simserver.Config{
-		Workers:      *workers,
-		QueueDepth:   qd,
-		CacheEntries: *cache,
-		RunTimeout:   *timeout,
-		RetryAfter:   *retry,
-		Store:        store,
-		Scrubber:     scrubber,
-		Replicator:   replicator,
+		Workers:    *workers,
+		RunTimeout: *timeout,
+		Store:      store,
+		Scrubber:   scrubber,
+		Replicator: replicator,
 	})
 	scrubber.Start()
 	replicator.Start()
@@ -170,11 +159,9 @@ func main() {
 	scrubber.Stop()
 	// Only after the drain: every settled flight has written its entry,
 	// so closing now fsyncs a complete disk index.
-	if store != nil {
-		if err := store.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "smtsimd: closing store: %v\n", err)
-			os.Exit(1)
-		}
+	if err := store.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "smtsimd: closing store: %v\n", err)
+		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, "smtsimd: drained, bye")
 }

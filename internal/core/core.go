@@ -263,7 +263,7 @@ func JainIndex(xs []float64) float64 {
 	var s, s2 float64
 	for _, x := range xs {
 		s += x
-		s2 += x * x
+		s2 += float64(x * x)
 	}
 	if s2 == 0 {
 		return 0

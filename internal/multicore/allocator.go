@@ -100,7 +100,7 @@ func pressure(s Signature, maxL1, maxMisp, maxLSQ, maxIPC float64) float64 {
 	}
 	if maxIPC > 0 {
 		// Low solo IPC is itself a pressure signal (long-latency bound).
-		p += 0.2 * (1 - s.IPC/maxIPC)
+		p += float64(0.2 * (1 - s.IPC/maxIPC))
 	}
 	return p
 }

@@ -109,12 +109,14 @@ func (mo Model) analyze(cycles int64, cum counters.Counters, l1Acc, l2Acc, memAc
 	fetched := float64(cum.Fetched)
 	wrong := float64(cum.WrongFetched)
 
-	front := fetched * (mo.FetchPerInst + mo.RenamePerInst + mo.WindowPerInst)
-	exec := fetched * mo.ExecPerInst // squashed work executes too (approximation)
-	commit := float64(cum.Committed) * mo.CommitPerInst
-	caches := float64(l1Acc)*mo.L1AccessEnergy + float64(l2Acc)*mo.L2AccessEnergy + float64(memAcc)*mo.MemAccessEnergy
-	pred := float64(cum.Branches+cum.Mispredicts) * mo.PredictorAccess
-	static := float64(cycles) * mo.StaticPerCycle
+	// Each product is converted so no sum below fuses it into a
+	// multiply-add (DESIGN.md §6).
+	front := float64(fetched * (mo.FetchPerInst + mo.RenamePerInst + mo.WindowPerInst))
+	exec := float64(fetched * mo.ExecPerInst) // squashed work executes too (approximation)
+	commit := float64(float64(cum.Committed) * mo.CommitPerInst)
+	caches := float64(float64(l1Acc)*mo.L1AccessEnergy) + float64(float64(l2Acc)*mo.L2AccessEnergy) + float64(float64(memAcc)*mo.MemAccessEnergy)
+	pred := float64(float64(cum.Branches+cum.Mispredicts) * mo.PredictorAccess)
+	static := float64(float64(cycles) * mo.StaticPerCycle)
 
 	r.Breakdown["front-end"] = front
 	r.Breakdown["execute"] = exec

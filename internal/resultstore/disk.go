@@ -45,7 +45,9 @@ const indexFile = "index.json"
 // Quarantined files are kept (not deleted) so an operator can inspect
 // what went wrong; they are never re-read by the store, and the
 // directory is byte-bounded (oldest files age out) so quarantining can
-// never fill the disk.
+// never fill the disk. The bound counts the files the directory held
+// at open plus those the store moved there since: a file placed there
+// by anything else after open is counted from the next open.
 const quarantineDir = "quarantine"
 
 // tmpPrefix marks in-progress writes. A crash can strand them; startup
@@ -190,7 +192,10 @@ type Disk struct {
 	// index, with their files left in place. A successful recovery
 	// re-indexes them; a Put of one of them drops it here. No key is
 	// in both maps.
-	faulted     map[string]*diskEntry
+	faulted map[string]*diskEntry
+	// quarantined holds quarantine/'s files by name, oldest at the back,
+	// each weighing its size and bounded by QuarantineMaxBytes.
+	quarantined *lru[struct{}]
 	open        bool
 	state       atomic.Int32 // DiskState
 	stateReason string       // last trip cause, "" when ok
@@ -233,7 +238,7 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 	if opts.Log == nil {
 		opts.Log = io.Discard
 	}
-	d := &Disk{dir: dir, opts: opts, open: true, index: newLRU[*diskEntry](opts.MaxBytes), faulted: make(map[string]*diskEntry)}
+	d := &Disk{dir: dir, opts: opts, open: true, index: newLRU[*diskEntry](opts.MaxBytes), faulted: make(map[string]*diskEntry), quarantined: newLRU[struct{}](opts.QuarantineMaxBytes)}
 	if opts.Ops != nil {
 		d.ops = opts.Ops.withDefaults()
 	} else {
@@ -259,6 +264,7 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 // recency order when one survives. OpenDisk calls it once, with
 // exclusive access to a fresh index.
 func (d *Disk) scan() error {
+	d.indexQuarantine()
 	rank := d.loadIndex()
 	entries, err := d.ops.ReadDir(d.dir)
 	if err != nil {
@@ -274,17 +280,17 @@ func (d *Disk) scan() error {
 			d.ops.Remove(path) // stranded in-progress write
 			continue
 		}
-		key, ok := keyFromFile(name)
-		if !ok {
-			d.quarantine(path, "unrecognized file name")
-			continue
-		}
 		info, err := de.Info()
 		if err != nil {
 			continue
 		}
+		key, ok := keyFromFile(name)
+		if !ok {
+			d.quarantine(path, info.Size(), "unrecognized file name")
+			continue
+		}
 		if info.Size() == 0 {
-			d.quarantine(path, "empty (truncated write)")
+			d.quarantine(path, 0, "empty (truncated write)")
 			continue
 		}
 		// A cheap structural check: the file must be a record framed for
@@ -307,7 +313,7 @@ func (d *Disk) scan() error {
 			continue
 		}
 		if _, _, ok := splitRecord(raw, key); !ok {
-			d.quarantine(path, "corrupt, mismatched or old-format entry")
+			d.quarantine(path, int64(len(raw)), "corrupt, mismatched or old-format entry")
 			continue
 		}
 		d.index.put(key, ent, ent.size, false)
@@ -319,8 +325,32 @@ func (d *Disk) scan() error {
 	for _, k := range keys {
 		d.index.get(k, true)
 	}
-	d.boundQuarantine()
 	return nil
+}
+
+// indexQuarantine lists quarantine/ into d.quarantined, once, oldest
+// (by modification time, then name) at the back, and ages out what
+// exceeds the cap.
+func (d *Disk) indexQuarantine() {
+	des, err := d.ops.ReadDir(filepath.Join(d.dir, quarantineDir))
+	if err != nil {
+		return
+	}
+	type qfile struct {
+		name      string
+		size, mod int64
+	}
+	var files []qfile
+	for _, de := range des {
+		if info, err := de.Info(); err == nil && !de.IsDir() {
+			files = append(files, qfile{de.Name(), info.Size(), info.ModTime().UnixNano()})
+		}
+	}
+	slices.SortFunc(files, func(a, b qfile) int { return cmp.Or(cmp.Compare(a.mod, b.mod), strings.Compare(a.name, b.name)) })
+	for _, f := range files {
+		d.quarantined.put(f.name, struct{}{}, f.size, false)
+	}
+	d.boundQuarantine()
 }
 
 // loadIndex reads the persisted ranks; any failure returns none (key
@@ -440,8 +470,7 @@ func (d *Disk) read(key string, promote bool) (*Entry, error) {
 		// The key was re-put or evicted while its old file was read.
 		return nil, os.ErrNotExist
 	case !ok:
-		d.quarantine(path, "failed integrity verification")
-		d.boundQuarantine()
+		d.quarantine(path, int64(len(raw)), "failed integrity verification")
 		d.index.remove(key)
 		return nil, ErrCorrupt
 	}
@@ -636,73 +665,41 @@ func (d *Disk) evictLocked() {
 	})
 }
 
-// quarantine moves a bad file aside (keeping it for inspection) and
-// counts it. Failures fall back to removal: a file that can neither be
-// moved nor removed would otherwise be re-quarantined forever. The
-// caller bounds the quarantine directory afterwards (boundQuarantine):
-// the startup scan does so once, not once per file, because bounding
-// lists the whole directory and a store of old-format files
-// quarantines every file it holds.
-func (d *Disk) quarantine(path, why string) {
+// quarantine moves a bad file of size bytes aside (keeping it for
+// inspection), counts it, and ages out the oldest quarantined files
+// past the cap. Failures fall back to removal: a file that can neither
+// be moved nor removed would otherwise be re-quarantined forever.
+// Caller holds d.mu, or has exclusive access (OpenDisk).
+func (d *Disk) quarantine(path string, size int64, why string) {
 	d.quarantines.Add(1)
+	name := filepath.Base(path)
 	qdir := filepath.Join(d.dir, quarantineDir)
 	if err := d.ops.MkdirAll(qdir, 0o755); err == nil {
-		if err := d.ops.Rename(path, filepath.Join(qdir, filepath.Base(path))); err == nil {
-			fmt.Fprintf(d.opts.Log, "resultstore: quarantined %s: %s\n", filepath.Base(path), why)
+		if err := d.ops.Rename(path, filepath.Join(qdir, name)); err == nil {
+			fmt.Fprintf(d.opts.Log, "resultstore: quarantined %s: %s\n", name, why)
+			d.quarantined.put(name, struct{}{}, size, false)
+			d.boundQuarantine()
 			return
 		}
 	}
 	d.ops.Remove(path)
-	fmt.Fprintf(d.opts.Log, "resultstore: removed unquarantinable %s: %s\n", filepath.Base(path), why)
+	fmt.Fprintf(d.opts.Log, "resultstore: removed unquarantinable %s: %s\n", name, why)
 }
 
-// boundQuarantine ages out oldest quarantined files (by modification
-// time, then name) until the quarantine directory fits its byte cap,
-// so a scrub storm over a rotten store cannot fill the disk.
+// boundQuarantine ages out the oldest quarantined files until the
+// quarantine directory fits its byte cap, so a scrub storm over a
+// rotten store cannot fill the disk. A file that cannot be removed
+// stays, and the next-oldest goes instead.
 func (d *Disk) boundQuarantine() {
-	qdir := filepath.Join(d.dir, quarantineDir)
-	des, err := d.ops.ReadDir(qdir)
-	if err != nil {
-		return
-	}
-	type qfile struct {
-		name string
-		size int64
-		mod  int64
-	}
-	var files []qfile
-	var total int64
-	for _, de := range des {
-		if de.IsDir() {
-			continue
+	d.quarantined.evict(func(name string, _ struct{}) bool {
+		err := d.ops.Remove(filepath.Join(d.dir, quarantineDir, name))
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return true
 		}
-		info, err := de.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, qfile{de.Name(), info.Size(), info.ModTime().UnixNano()})
-		total += info.Size()
-	}
-	if total <= d.opts.QuarantineMaxBytes {
-		return
-	}
-	sort.Slice(files, func(i, j int) bool {
-		if files[i].mod != files[j].mod {
-			return files[i].mod < files[j].mod
-		}
-		return files[i].name < files[j].name
-	})
-	for _, f := range files {
-		if total <= d.opts.QuarantineMaxBytes {
-			break
-		}
-		if err := d.ops.Remove(filepath.Join(qdir, f.name)); err != nil {
-			continue
-		}
-		total -= f.size
 		d.quarantineDrops.Add(1)
-		fmt.Fprintf(d.opts.Log, "resultstore: aged out quarantined %s (%d bytes over cap)\n", f.name, total-d.opts.QuarantineMaxBytes)
-	}
+		fmt.Fprintf(d.opts.Log, "resultstore: aged out quarantined %s past the %d-byte cap\n", name, d.opts.QuarantineMaxBytes)
+		return false
+	})
 }
 
 // Close persists the recency order (temp file + fsync + rename, same

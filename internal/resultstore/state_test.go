@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -621,5 +622,80 @@ func TestTieredState(t *testing.T) {
 	d.Put(testEntry("cfg:aaaa000011112222", 1))
 	if got := st.State(); got != StateReadOnly {
 		t.Fatalf("readonly store state = %q, want readonly", got)
+	}
+}
+
+// TestQuarantineBoundListsOnlyAtOpen: the quarantine cap is kept from
+// the index open built, so corrupt Gets that push the quarantine past
+// its cap list no directory. The files open found age out first, then
+// this run's oldest quarantines, and QuarantineDrops counts each.
+func TestQuarantineBoundListsOnlyAtOpen(t *testing.T) {
+	dir := t.TempDir()
+	qdir := filepath.Join(dir, quarantineDir)
+	if err := os.MkdirAll(qdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	old := []string{"old-a.json", "old-b.json"}
+	for i, name := range old {
+		path := filepath.Join(qdir, name)
+		if err := os.WriteFile(path, make([]byte, 40), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mt := time.Unix(1_700_000_000+int64(i), 0)
+		if err := os.Chtimes(path, mt, mt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const m = 6
+	keys := make([]string, m)
+	sizes := make([]int64, m)
+	seed := openTestDisk(t, dir, DiskOptions{})
+	for i := range keys {
+		keys[i] = fmt.Sprintf("cfg:%016x", 0xabc0+i)
+		e := testEntry(keys[i], i+1)
+		if err := seed.Put(e); err != nil {
+			t.Fatal(err)
+		}
+		sizes[i] = int64(len(e.AppendRecord(nil)))
+	}
+	seed.Close()
+
+	// The cap holds the three newest quarantines and nothing older.
+	capBytes := sizes[m-1] + sizes[m-2] + sizes[m-3]
+	var readDirs atomic.Int64
+	d := openTestDisk(t, dir, DiskOptions{QuarantineMaxBytes: capBytes, Ops: &DiskOps{
+		ReadDir: func(name string) ([]os.DirEntry, error) {
+			readDirs.Add(1)
+			return os.ReadDir(name)
+		},
+	}})
+	defer d.Close()
+	opened := readDirs.Load()
+
+	for _, k := range keys {
+		rotFile(t, filepath.Join(dir, fileFromKey(k)))
+		if _, ok := d.Get(k); ok {
+			t.Fatalf("Get(%s) served a rotted entry", k)
+		}
+	}
+	if n := readDirs.Load() - opened; n != 0 {
+		t.Fatalf("%d corrupt Gets listed a directory %d times, want none", m, n)
+	}
+	if d.Quarantines() != m {
+		t.Fatalf("Quarantines = %d, want %d", d.Quarantines(), m)
+	}
+	if want := int64(len(old) + m - 3); d.QuarantineDrops() != want {
+		t.Fatalf("QuarantineDrops = %d, want %d", d.QuarantineDrops(), want)
+	}
+	gone := append(old, fileFromKey(keys[0]), fileFromKey(keys[1]), fileFromKey(keys[2]))
+	for _, name := range gone {
+		if _, err := os.Stat(filepath.Join(qdir, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s survived the cap; the oldest quarantined files must age out first", name)
+		}
+	}
+	for _, k := range keys[m-3:] {
+		if _, err := os.Stat(filepath.Join(qdir, fileFromKey(k))); err != nil {
+			t.Errorf("%s aged out but fits the cap: %v", fileFromKey(k), err)
+		}
 	}
 }

@@ -83,11 +83,10 @@ type batchTrailer struct {
 // of per-item results out, in completion order, with a trailer line
 // carrying counts. Every config is validated before the first byte of
 // the response, so a bad batch is one 400, never a half-stream. Items
-// share the store, singleflight, and worker pool with /v1/run; item
-// flights block on admission instead of 429-ing, since the batch
-// itself was already accepted. Item keys carry a "cfg:" prefix
-// (resultstore.ConfigKey), so a raw-config entry, whose request echo
-// is empty, is never served to a /v1/run caller.
+// share the store, singleflight, and worker pool with /v1/run, and
+// their flights wait for a worker slot like any other. Item keys carry
+// a "cfg:" prefix (resultstore.ConfigKey), so a raw-config entry, whose
+// request echo is empty, is never served to a /v1/run caller.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requests.Add(1)
 	s.metrics.batchRequests.Add(1)
@@ -166,11 +165,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.batchLatency.observe(time.Since(start).Seconds())
 }
 
-// batchItem resolves one batch config through the shared lookup, with
-// blocking admission. It always returns a line; errors ride in the
-// line instead of failing the stream.
+// batchItem resolves one batch config through the shared lookup. It
+// always returns a line; errors ride in the line instead of failing
+// the stream.
 func (s *Server) batchItem(idx int, key string, cfg core.Config) batchLine {
-	e, f, d := s.lookup(key, cfg, true)
+	e, f, d := s.lookup(key, cfg)
 	if f != nil {
 		<-f.done
 		if f.err != nil {

@@ -94,7 +94,7 @@ func TestLeaderSettlesFromStore(t *testing.T) {
 		t.Fatal("first join should lead")
 	}
 	srv.wg.Add(1)
-	srv.execute(key, f, cfg, false)
+	srv.execute(key, f, cfg)
 	<-f.done
 	if got := sims.Load(); got != 0 {
 		t.Fatalf("leader ran %d simulations for a stored key, want 0", got)

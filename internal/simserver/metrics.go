@@ -24,7 +24,6 @@ type metrics struct {
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 	coalesced   atomic.Int64 // requests satisfied by another's flight
-	rejected    atomic.Int64 // 429: admission queue full
 	canceled    atomic.Int64 // client gone / per-request timeout
 	runs        atomic.Int64 // simulations actually executed
 	runErrors   atomic.Int64
@@ -33,7 +32,7 @@ type metrics struct {
 	batchRequests atomic.Int64 // POST /v1/batch requests received
 	batchItems    atomic.Int64 // batch item lines streamed
 
-	queueDepth atomic.Int64 // admitted but not yet running
+	queueDepth atomic.Int64 // waiting for a worker slot
 	inFlight   atomic.Int64 // simulations running now
 
 	runLatency   histogram // one observation per executed simulation
@@ -102,14 +101,13 @@ func (m *metrics) writePrometheus(w io.Writer) {
 	counter("smtsimd_cache_hits_total", "Run requests served from the result cache.", m.cacheHits.Load())
 	counter("smtsimd_cache_misses_total", "Run requests not found in the result cache.", m.cacheMisses.Load())
 	counter("smtsimd_singleflight_coalesced_total", "Run requests coalesced onto another request's simulation.", m.coalesced.Load())
-	counter("smtsimd_rejected_total", "Run requests rejected with 429 (admission queue full).", m.rejected.Load())
 	counter("smtsimd_canceled_total", "Run requests abandoned by client disconnect or timeout.", m.canceled.Load())
 	counter("smtsimd_simulations_total", "Simulations actually executed.", m.runs.Load())
 	counter("smtsimd_simulation_errors_total", "Simulations that returned an error.", m.runErrors.Load())
 	counter("smtsimd_panics_total", "Panics recovered (HTTP handlers and simulation executors); each became a 500 instead of a dead daemon.", m.panics.Load())
 	counter("smtsimd_batch_requests_total", "POST /v1/batch requests received.", m.batchRequests.Load())
 	counter("smtsimd_batch_items_total", "Batch item result lines streamed.", m.batchItems.Load())
-	gauge("smtsimd_queue_depth", "Run requests admitted and waiting for a worker.", m.queueDepth.Load())
+	gauge("smtsimd_queue_depth", "Simulations waiting for a worker slot (unbounded).", m.queueDepth.Load())
 	gauge("smtsimd_inflight", "Simulations running now.", m.inFlight.Load())
 
 	m.runLatency.write(p, "smtsimd_run_seconds", "Simulation run latency.")

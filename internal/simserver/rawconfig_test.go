@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/resultstore"
 	"repro/internal/simrun"
 	"repro/internal/trace"
 )
@@ -140,7 +141,7 @@ func TestRunCfgRejectsBadConfigs(t *testing.T) {
 // TestMetricsCacheGauges: /metrics reports cache occupancy and capacity
 // so operators can see eviction pressure.
 func TestMetricsCacheGauges(t *testing.T) {
-	srv := New(Config{Workers: 1, CacheEntries: 64})
+	srv := New(Config{Workers: 1, Store: resultstore.NewTiered(resultstore.NewMemory(64), nil)})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Shutdown(context.Background())

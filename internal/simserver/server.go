@@ -9,10 +9,11 @@
 //     no TTL and no invalidation.
 //  2. Singleflight: N concurrent identical requests trigger exactly one
 //     simulation; the rest coalesce onto its result.
-//  3. Admission control: a bounded queue in front of a bounded worker
-//     pool. Overflow is rejected immediately with 429 + Retry-After;
-//     admitted work gets a per-run timeout; Shutdown drains in-flight
-//     simulations before tearing the server down.
+//  3. Admission: every simulation, from /v1/run or a /v1/batch item,
+//     waits for a slot in a bounded worker pool; nothing is refused for
+//     load. A run gets a per-run timeout once it holds its slot;
+//     Shutdown drains queued and running simulations before tearing
+//     the server down.
 //
 // Endpoints: POST /v1/run (one request in user vocabulary), POST
 // /v1/batch (raw configs in, an NDJSON stream out; the transport behind
@@ -30,7 +31,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"time"
 
@@ -49,25 +49,20 @@ type RunFunc func(ctx context.Context, cfg core.Config) (core.Result, error)
 // Config tunes the server. Zero values select the documented defaults.
 type Config struct {
 	// Workers bounds concurrent simulations; <= 0 selects GOMAXPROCS.
+	// Flights past the bound wait for a slot.
 	Workers int
-	// QueueDepth bounds flights admitted beyond the running ones; 0
-	// selects 16, negative selects no queue (reject unless a worker
-	// slot is free or soon will be).
-	QueueDepth int
-	// CacheEntries bounds the result LRU; <= 0 selects 256.
-	CacheEntries int
-	// RunTimeout bounds one simulation; <= 0 selects 120s.
+	// RunTimeout bounds one simulation, from when it takes its worker
+	// slot; <= 0 selects 120s.
 	RunTimeout time.Duration
-	// RetryAfter is the hint sent with 429 responses; <= 0 selects 1s.
-	RetryAfter time.Duration
 	// Run replaces the simulation executor (tests); nil selects
 	// simrun.Run.
 	Run RunFunc
-	// Store replaces the default memory-only tiered store. Pass a
-	// resultstore.NewTiered with a disk tier (cmd/smtsimd -store-dir)
-	// to persist results across restarts. The server never closes it:
-	// the owner closes the store after Shutdown returns, so the drain
-	// path fsyncs the on-disk index exactly once.
+	// Store replaces the default store, a memory tier of
+	// defaultCacheEntries entries. Pass a resultstore.NewTiered with a
+	// disk tier (cmd/smtsimd -store-dir) to persist results across
+	// restarts. The server never closes it: the owner closes the store
+	// after Shutdown returns, so the drain path fsyncs the on-disk index
+	// exactly once.
 	Store *resultstore.Tiered
 	// Scrubber, when set, has its pass/scan/corrupt counters surfaced in
 	// /healthz and /metrics. The owner (cmd/smtsimd) starts and stops it;
@@ -87,44 +82,31 @@ type Server struct {
 	flights *flightGroup
 	metrics metrics
 
-	admit chan struct{} // admitted flights: waiting + running
-	sem   chan struct{} // running flights
+	sem chan struct{} // running flights
 
 	baseCtx context.Context // governs simulations; outlives requests
 	stop    context.CancelFunc
 	wg      sync.WaitGroup // one per executing flight
 }
 
-var (
-	errOverloaded   = errors.New("simserver: admission queue full")
-	errShuttingDown = errors.New("simserver: shutting down")
-)
+var errShuttingDown = errors.New("simserver: shutting down")
+
+// defaultCacheEntries bounds the memory tier of the default store.
+const defaultCacheEntries = 256
 
 // New builds a server with defaults applied.
 func New(cfg Config) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	switch {
-	case cfg.QueueDepth == 0:
-		cfg.QueueDepth = 16
-	case cfg.QueueDepth < 0:
-		cfg.QueueDepth = 0
-	}
-	if cfg.CacheEntries <= 0 {
-		cfg.CacheEntries = 256
-	}
 	if cfg.RunTimeout <= 0 {
 		cfg.RunTimeout = 120 * time.Second
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
 	}
 	if cfg.Run == nil {
 		cfg.Run = simrun.Run
 	}
 	if cfg.Store == nil {
-		cfg.Store = resultstore.NewTiered(resultstore.NewMemory(cfg.CacheEntries), nil)
+		cfg.Store = resultstore.NewTiered(resultstore.NewMemory(defaultCacheEntries), nil)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -132,7 +114,6 @@ func New(cfg Config) *Server {
 		mux:     http.NewServeMux(),
 		store:   cfg.Store,
 		flights: newFlightGroup(),
-		admit:   make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 		sem:     make(chan struct{}, cfg.Workers),
 		baseCtx: ctx,
 		stop:    cancel,
@@ -232,7 +213,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, err.Error())
 		return
 	}
-	e, f, d := s.lookup(simrun.Key(cfg), cfg, false)
+	e, f, d := s.lookup(simrun.Key(cfg), cfg)
 	if f != nil {
 		select {
 		case <-f.done:
@@ -275,7 +256,7 @@ func (s *Server) badRequest(w http.ResponseWriter, msg string) {
 // key's flight, either leading it (execute runs it detached from this
 // request) or coalescing onto another caller's. It returns exactly one
 // of the entry and the flight to wait on.
-func (s *Server) lookup(key string, cfg core.Config, blockAdmission bool) (*resultstore.Entry, *flight, delivery) {
+func (s *Server) lookup(key string, cfg core.Config) (*resultstore.Entry, *flight, delivery) {
 	if e, _, ok := s.store.Get(key); ok {
 		s.metrics.cacheHits.Add(1)
 		return e, nil, delivery{Cached: true}
@@ -287,19 +268,17 @@ func (s *Server) lookup(key string, cfg core.Config, blockAdmission bool) (*resu
 		return nil, f, delivery{Coalesced: true}
 	}
 	s.wg.Add(1)
-	go s.execute(key, f, cfg, blockAdmission)
+	go s.execute(key, f, cfg)
 	return nil, f, delivery{}
 }
 
-// execute is the singleflight leader's path: admission, worker slot,
+// execute is the singleflight leader's path: wait for a worker slot,
 // timed run, store fill, publish. The worker slot is held for the run
-// alone. It runs detached from any one request
-// so a disconnecting client never kills a flight other clients (or the
-// store) are waiting on. blockAdmission selects the batch discipline:
-// a per-request flight past a full queue is rejected immediately (429),
-// but a batch item's flight waits for a slot — the batch request itself
-// was already accepted, so its items queue instead of failing.
-func (s *Server) execute(key string, f *flight, cfg core.Config, blockAdmission bool) {
+// alone. It runs detached from any one request so a disconnecting
+// client never kills a flight other clients (or the store) are waiting
+// on. A flight waits for its slot until one frees or the server shuts
+// down; load never refuses it.
+func (s *Server) execute(key string, f *flight, cfg core.Config) {
 	defer s.wg.Done()
 
 	// A caller that missed the store can join after another leader
@@ -312,23 +291,6 @@ func (s *Server) execute(key string, f *flight, cfg core.Config, blockAdmission 
 			return
 		}
 	}
-
-	if blockAdmission {
-		select {
-		case s.admit <- struct{}{}:
-		case <-s.baseCtx.Done():
-			s.flights.finish(key, f, nil, errShuttingDown)
-			return
-		}
-	} else {
-		select {
-		case s.admit <- struct{}{}:
-		default:
-			s.flights.finish(key, f, nil, errOverloaded)
-			return
-		}
-	}
-	defer func() { <-s.admit }()
 
 	s.metrics.queueDepth.Add(1)
 	select {
@@ -386,10 +348,6 @@ func (s *Server) runSafe(ctx context.Context, cfg core.Config) (core.Result, err
 // replyError maps a flight failure to an HTTP status.
 func (s *Server) replyError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, errOverloaded):
-		s.metrics.rejected.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-		httpError(w, http.StatusTooManyRequests, "server overloaded, retry later")
 	case errors.Is(err, errShuttingDown), errors.Is(err, context.Canceled):
 		httpError(w, http.StatusServiceUnavailable, "server shutting down")
 	case errors.Is(err, context.DeadlineExceeded):

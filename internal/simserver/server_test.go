@@ -164,25 +164,101 @@ func blockingRunner(started chan<- string, release <-chan struct{}) RunFunc {
 	}
 }
 
-// TestQueueOverflow429 fills the single worker slot with a blocked run
-// and asserts that a second, distinct request is rejected with 429 and
-// a Retry-After hint rather than queued without bound.
-func TestQueueOverflow429(t *testing.T) {
-	started := make(chan string, 1)
+// waitMetric polls /metrics until the series reads want.
+func waitMetric(t *testing.T, url, name, want string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		got := scrapeMetric(t, url, name)
+		if got == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %s, want %s", name, got, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestEveryFlightWaitsForAWorker: with the single worker slot held by a
+// blocked run, a second, distinct /v1/run and a /v1/batch item both
+// wait for the slot instead of being refused, and both are served once
+// it frees.
+func TestEveryFlightWaitsForAWorker(t *testing.T) {
+	started := make(chan string, 3)
 	release := make(chan struct{})
+	srv := New(Config{Workers: 1, Run: blockingRunner(started, release)})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+
+	type reply struct {
+		status int
+		body   string
+	}
+	replies := make(chan reply, 3)
+	post := func(path, body string) {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			replies <- reply{0, err.Error()}
+			return
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		replies <- reply{resp.StatusCode, string(raw)}
+	}
+	go post("/v1/run", `{"mix":"int-compute","quanta":1}`)
+	<-started // the only worker slot is now occupied
+
+	go post("/v1/run", `{"mix":"fp-stream","quanta":1}`)
+	go post("/v1/batch", string(batchBody(t, testCoreConfig(t))))
+	waitMetric(t, ts.URL, "smtsimd_queue_depth", "2")
+	if got := scrapeMetric(t, ts.URL, "smtsimd_inflight"); got != "1" {
+		t.Fatalf("smtsimd_inflight = %s while two flights wait, want 1", got)
+	}
+
+	close(release)
+	for i := 0; i < 3; i++ {
+		r := <-replies
+		if r.status != http.StatusOK {
+			t.Fatalf("a request past the full worker pool answered %d, want 200: %s", r.status, r.body)
+		}
+		if strings.Contains(r.body, `"trailer"`) && (!strings.Contains(r.body, `"ok":1`) || strings.Contains(r.body, `"error"`)) {
+			t.Fatalf("queued batch item was not served: %s", r.body)
+		}
+	}
+	if got := scrapeMetric(t, ts.URL, "smtsimd_simulations_total"); got != "3" {
+		t.Fatalf("smtsimd_simulations_total = %s, want 3", got)
+	}
+	if got := scrapeMetric(t, ts.URL, "smtsimd_queue_depth"); got != "0" {
+		t.Fatalf("smtsimd_queue_depth = %s after the drain, want 0", got)
+	}
+}
+
+// TestQueuedRunOutlivesItsClient: a /v1/run whose client leaves while
+// its flight waits for a worker counts as canceled, but the flight
+// still runs, exactly once, and fills the store for the next caller.
+func TestQueuedRunOutlivesItsClient(t *testing.T) {
+	started := make(chan string, 2)
+	release := make(chan struct{})
+	var queuedRuns atomic.Int64
+	block := blockingRunner(started, release)
 	srv := New(Config{
-		Workers:    1,
-		QueueDepth: -1, // no queue: one admitted flight total
-		RetryAfter: 3 * time.Second,
-		Run:        blockingRunner(started, release),
+		Workers: 1,
+		Run: func(ctx context.Context, cfg core.Config) (core.Result, error) {
+			if cfg.MixName == "fp-stream" {
+				queuedRuns.Add(1)
+			}
+			return block(ctx, cfg)
+		},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	defer srv.Shutdown(context.Background())
 
 	first := make(chan int, 1)
 	go func() {
-		resp, err := http.Post(ts.URL+"/v1/run", "application/json",
-			strings.NewReader(`{"mix":"int-compute","quanta":1}`))
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(`{"mix":"int-compute","quanta":1}`))
 		if err != nil {
 			first <- 0
 			return
@@ -191,76 +267,48 @@ func TestQueueOverflow429(t *testing.T) {
 		resp.Body.Close()
 		first <- resp.StatusCode
 	}()
-	<-started // the worker slot is now definitely occupied
+	<-started // the only worker slot is now occupied
 
-	resp, raw := postRun(t, ts.URL, `{"mix":"fp-stream","quanta":1}`)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("overflow request: status %d, want 429; body %s", resp.StatusCode, raw)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Fatalf("Retry-After = %q, want \"3\"", ra)
-	}
-
-	close(release)
-	if got := <-first; got != http.StatusOK {
-		t.Fatalf("blocked request finished with %d, want 200", got)
-	}
-	if err := srv.Shutdown(context.Background()); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-}
-
-// TestBatchQueuesPastFullAdmission: with admission full, a /v1/run
-// gets a 429, but a /v1/batch item — the fleet's path for every run —
-// waits for a worker slot and is served once one frees.
-func TestBatchQueuesPastFullAdmission(t *testing.T) {
-	started := make(chan string, 2)
-	release := make(chan struct{})
-	srv := New(Config{
-		Workers:    1,
-		QueueDepth: -1, // no queue: one admitted flight total
-		Run:        blockingRunner(started, release),
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer srv.Shutdown(context.Background())
-
-	post := func(path, body string, status chan<- int, out chan<- string) {
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			status <- 0
-			return
+	const queued = `{"mix":"fp-stream","quanta":1}`
+	ctx, cancel := context.WithCancel(context.Background())
+	gone := make(chan error, 1)
+	go func() {
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/run", strings.NewReader(queued))
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
 		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		status <- resp.StatusCode
-		if out != nil {
-			out <- string(raw)
-		}
+		gone <- err
+	}()
+	waitMetric(t, ts.URL, "smtsimd_queue_depth", "1")
+	cancel()
+	if err := <-gone; err == nil {
+		t.Fatal("the canceled client got a reply")
 	}
-	first := make(chan int, 1)
-	go post("/v1/run", `{"mix":"int-compute","quanta":1}`, first, nil)
-	<-started // the only admission slot is now occupied
+	waitMetric(t, ts.URL, "smtsimd_canceled_total", "1")
 
-	if resp, raw := postRun(t, ts.URL, `{"mix":"fp-stream","quanta":1}`); resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("/v1/run past full admission: status %d, want 429; body %s", resp.StatusCode, raw)
-	}
-	batchStatus, batchReply := make(chan int, 1), make(chan string, 1)
-	go post("/v1/batch", string(batchBody(t, testCoreConfig(t))), batchStatus, batchReply)
-	// Wait until the batch item has missed the store: its flight now
-	// waits on admission, which the blocked run holds.
-	for scrapeMetric(t, ts.URL, "smtsimd_cache_misses_total") != "3" {
-		time.Sleep(time.Millisecond)
-	}
 	close(release)
 	if got := <-first; got != http.StatusOK {
 		t.Fatalf("blocked run finished with %d, want 200", got)
 	}
-	if got := <-batchStatus; got != http.StatusOK {
-		t.Fatalf("batch past full admission: status %d, want 200", got)
+	// The memory tier holds both results once the queued flight stored
+	// its own.
+	waitMetric(t, ts.URL, "smtsimd_cache_entries", "2")
+	resp, raw := postRun(t, ts.URL, queued)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("repeat of the abandoned run: status %d: %s", resp.StatusCode, raw)
 	}
-	if body := <-batchReply; !strings.Contains(body, `"ok":1`) || strings.Contains(body, `"error"`) {
-		t.Fatalf("queued batch item was not served: %s", body)
+	var reply struct {
+		Cached bool `json:"cached"`
+	}
+	if err := json.Unmarshal(raw, &reply); err != nil {
+		t.Fatal(err)
+	}
+	if !reply.Cached {
+		t.Fatalf("repeat of the abandoned run was not served from the store: %s", raw)
+	}
+	if n := queuedRuns.Load(); n != 1 {
+		t.Fatalf("the abandoned run simulated %d times, want exactly 1", n)
 	}
 }
 

@@ -69,9 +69,9 @@ func (c *Chart) String() string {
 	}
 	pad := (hi - lo) * 0.05
 	if !c.YMinSet {
-		lo -= pad
+		lo -= float64(pad)
 	}
-	hi += pad
+	hi += float64(pad)
 
 	const colWidth = 6
 	width := n * colWidth

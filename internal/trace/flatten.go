@@ -20,23 +20,23 @@ func (p *Profile) Flattened() *Profile {
 	var seq, stack float64
 	for _, ph := range p.Phases {
 		w := float64(ph.MeanLen) / total
-		out.BranchFrac += w * ph.BranchFrac
-		out.JumpFrac += w * ph.JumpFrac
-		out.LoadFrac += w * ph.LoadFrac
-		out.StoreFrac += w * ph.StoreFrac
-		out.SyscallRate += w * ph.SyscallRate
-		out.FPFrac += w * ph.FPFrac
-		out.IntMulFrac += w * ph.IntMulFrac
-		out.IntDivFrac += w * ph.IntDivFrac
-		out.FPMulFrac += w * ph.FPMulFrac
-		out.FPDivFrac += w * ph.FPDivFrac
-		out.BiasedW += w * ph.BiasedW
-		out.LoopW += w * ph.LoopW
-		out.RandomW += w * ph.RandomW
-		out.MeanDepDist += w * ph.MeanDepDist
-		out.DepProb += w * ph.DepProb
-		seq += w * ph.SeqFrac
-		stack += w * ph.StackFrac
+		out.BranchFrac += float64(w * ph.BranchFrac)
+		out.JumpFrac += float64(w * ph.JumpFrac)
+		out.LoadFrac += float64(w * ph.LoadFrac)
+		out.StoreFrac += float64(w * ph.StoreFrac)
+		out.SyscallRate += float64(w * ph.SyscallRate)
+		out.FPFrac += float64(w * ph.FPFrac)
+		out.IntMulFrac += float64(w * ph.IntMulFrac)
+		out.IntDivFrac += float64(w * ph.IntDivFrac)
+		out.FPMulFrac += float64(w * ph.FPMulFrac)
+		out.FPDivFrac += float64(w * ph.FPDivFrac)
+		out.BiasedW += float64(w * ph.BiasedW)
+		out.LoopW += float64(w * ph.LoopW)
+		out.RandomW += float64(w * ph.RandomW)
+		out.MeanDepDist += float64(w * ph.MeanDepDist)
+		out.DepProb += float64(w * ph.DepProb)
+		seq += float64(w * ph.SeqFrac)
+		stack += float64(w * ph.StackFrac)
 		if ph.DataFootprint > footprint {
 			footprint = ph.DataFootprint
 		}
