@@ -30,22 +30,18 @@
 //	adts-sweep -table1 -json > table1.json       # machine-readable
 //	adts-sweep -all -backends sim1:8080,sim2:8080,sim3:8080   # distributed
 //	adts-sweep -all -backends sim1:8080,sim2:8080 -peer-lookup
-//	adts-sweep -all -backends sim1:8080,sim2:8080 -batch
 //
-// With -backends, each simulation is dispatched to a pool of smtsimd
-// servers as a POST /v1/batch of one (least-loaded among backends that
-// are up, with retries; a failed health probe or three failed
-// dispatches in a row mark a backend down until its next good probe —
-// see docs/fleet.md); results
-// are byte-identical to a local run, and -checkpoint/-resume work
-// unchanged. -batch ships runs in chunks of many configs (one request
-// per chunk instead of per run). -peer-lookup reads every backend's
-// store manifest once, then fetches each run's stored result from a
-// backend that lists its key before dispatching the run, so a fleet
-// that has seen a config anywhere never re-simulates it (see
-// docs/resultstore.md). It applies to per-run dispatch only, so it is
-// rejected with -batch: the backend that receives a chunk serves what
-// its own store holds.
+// With -backends, runs are dispatched to a pool of smtsimd servers in
+// chunks of at most 64 configs, one POST /v1/batch per chunk
+// (least-loaded among backends that are up, with retries; a failed
+// health probe or three failed dispatches in a row mark a backend down
+// until its next good probe — see docs/fleet.md); results are
+// byte-identical to a local run, and -checkpoint/-resume work
+// unchanged. -peer-lookup reads every backend's store manifest once,
+// then fetches each run's stored result from a backend that lists its
+// key and ships only the runs no backend lists, so a fleet that has
+// seen a config anywhere never re-simulates it (see
+// docs/resultstore.md).
 package main
 
 import (
@@ -98,11 +94,9 @@ func main() {
 		jsonF       = flag.Bool("json", false, "emit machine-readable JSON results to stdout instead of tables")
 
 		backendsF     = flag.String("backends", "", "comma-separated smtsimd backends (host:port or URL) to shard runs across")
-		batchF        = flag.Bool("batch", false, "with -backends: ship runs in chunks of many configs per POST /v1/batch instead of one request per run")
-		batchSizeF    = flag.Int("batch-size", 0, "with -batch: configs per batch chunk (0 = default 64)")
-		peerLookupF   = flag.Bool("peer-lookup", false, "with -backends: read every backend's store manifest once, then fetch each run's stored result from a backend that lists it before dispatching the run (per-run dispatch only, so not with -batch, where the receiving backend's own store serves hits)")
+		peerLookupF   = flag.Bool("peer-lookup", false, "with -backends: read every backend's store manifest once, then fetch each run's stored result from a backend that lists it instead of dispatching the run")
 		peerTimeoutF  = flag.Duration("peer-timeout", resultstore.DefaultPeerTimeout, "with -peer-lookup: budget for the first lookup's manifest reads (all backends at once) and for each result fetch")
-		maxRetriesF   = flag.Int("max-retries", 3, "with -backends: re-dispatches per run after a failure (0 or -1 disables)")
+		maxRetriesF   = flag.Int("max-retries", 3, "with -backends: re-dispatches per chunk of runs after a failure (0 or -1 disables)")
 		fleetMetricsF = flag.Bool("fleet-metrics", false, "with -backends: print fleet client metrics to stderr on exit")
 		auditRateF    = flag.Float64("audit-rate", 0, "with -backends: fraction of runs (0..1) re-checked on a second backend; disagreements are majority-voted and byzantine backends quarantined")
 		auditSeedF    = flag.Uint64("audit-seed", 1, "with -backends: seed for the audit sampler (deterministic sampling)")
@@ -141,7 +135,7 @@ func main() {
 		}
 	}
 
-	if err := checkFleetFlags(*backendsF, *batchF, *peerLookupF, *fleetMetricsF, *auditRateF, *batchSizeF); err != nil {
+	if err := checkFleetFlags(*backendsF, *peerLookupF, *fleetMetricsF, *auditRateF); err != nil {
 		fatalf("%v", err)
 	}
 
@@ -193,7 +187,6 @@ func main() {
 			MaxRetries: retries,
 			AuditRate:  *auditRateF,
 			AuditSeed:  *auditSeedF,
-			BatchSize:  *batchSizeF,
 			PeerLookup: peers,
 			Log:        os.Stderr,
 		})
@@ -201,13 +194,8 @@ func main() {
 			fatalf("fleet: %v", err)
 		}
 		defer fc.Close()
-		if *batchF {
-			o.Executor = fc.BatchExecutor()
-			fmt.Fprintf(os.Stderr, "batch-dispatching runs across %d backend(s)\n", fc.Backends())
-		} else {
-			o.Executor = fc.Executor()
-			fmt.Fprintf(os.Stderr, "dispatching runs across %d backend(s)\n", fc.Backends())
-		}
+		o.Executor = fc.BatchExecutor()
+		fmt.Fprintf(os.Stderr, "dispatching runs across %d backend(s)\n", fc.Backends())
 		if *fleetMetricsF {
 			defer fc.WriteMetrics(os.Stderr)
 		}
@@ -355,14 +343,9 @@ func main() {
 
 // checkFleetFlags rejects fleet flags that would be accepted but have
 // no effect, so such a command fails before any run starts.
-func checkFleetFlags(backends string, batch, peerLookup, fleetMetrics bool, auditRate float64, batchSize int) error {
-	switch {
-	case backends == "" && (batch || peerLookup || fleetMetrics || auditRate != 0):
-		return errors.New("-batch, -peer-lookup, -fleet-metrics, and -audit-rate require -backends")
-	case batch && peerLookup:
-		return errors.New("-peer-lookup has no effect with -batch: the backend that receives a chunk serves what its own store holds")
-	case batchSize != 0 && !batch:
-		return errors.New("-batch-size requires -batch")
+func checkFleetFlags(backends string, peerLookup, fleetMetrics bool, auditRate float64) error {
+	if backends == "" && (peerLookup || fleetMetrics || auditRate != 0) {
+		return errors.New("-peer-lookup, -fleet-metrics, and -audit-rate require -backends")
 	}
 	return nil
 }

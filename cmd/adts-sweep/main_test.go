@@ -27,28 +27,22 @@ func TestSplitMixes(t *testing.T) {
 	}
 }
 
-// -peer-lookup is never consulted with -batch, and -batch-size means
-// nothing without -batch: both combinations fail before any run, like
-// the fleet flags without -backends.
+// The fleet flags without -backends would be accepted but have no
+// effect, so they fail before any run.
 func TestCheckFleetFlags(t *testing.T) {
 	for _, tc := range []struct {
-		name                          string
-		backends                      string
-		batch, peerLookup, fleetStats bool
-		auditRate                     float64
-		batchSize                     int
-		wantErr                       string
+		name                   string
+		backends               string
+		peerLookup, fleetStats bool
+		auditRate              float64
+		wantErr                string
 	}{
 		{name: "local"},
-		{name: "per-run", backends: "a:1", peerLookup: true, fleetStats: true, auditRate: 0.1},
-		{name: "batch", backends: "a:1", batch: true, batchSize: 8},
-		{name: "batch without backends", batch: true, wantErr: "require -backends"},
+		{name: "fleet", backends: "a:1", peerLookup: true, fleetStats: true, auditRate: 0.1},
+		{name: "peer lookup without backends", peerLookup: true, wantErr: "require -backends"},
 		{name: "audit without backends", auditRate: 0.5, wantErr: "require -backends"},
-		{name: "batch with peer lookup", backends: "a:1", batch: true, peerLookup: true, wantErr: "-peer-lookup has no effect with -batch"},
-		{name: "batch size without batch", backends: "a:1", batchSize: 8, wantErr: "-batch-size requires -batch"},
-		{name: "batch size alone", batchSize: 8, wantErr: "-batch-size requires -batch"},
 	} {
-		err := checkFleetFlags(tc.backends, tc.batch, tc.peerLookup, tc.fleetStats, tc.auditRate, tc.batchSize)
+		err := checkFleetFlags(tc.backends, tc.peerLookup, tc.fleetStats, tc.auditRate)
 		switch {
 		case tc.wantErr == "" && err != nil:
 			t.Errorf("%s: unexpected error %v", tc.name, err)

@@ -139,11 +139,13 @@ func TestSweepByteIdenticalUnderEachFaultClass(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			urls := startBackends(t, 3, simserver.Config{})
 			tr := chaos.NewTransport(tc.cfg)
-			c := chaosClient(t, urls, tr, nil)
+			// One config per POST: each fault class is drawn over one
+			// request per run, as many as the sweep has runs.
+			c := chaosClient(t, urls, tr, func(cfg *fleet.Config) { cfg.BatchSize = 1 })
 
 			o := chaosOptions()
 			o.Workers = 4
-			o.Executor = c.Executor()
+			o.Executor = c.BatchExecutor()
 			sweep, err := experiments.RunSweep(context.Background(), o, chaosThresholds, chaosHeuristics)
 			if err != nil {
 				t.Fatalf("sweep under %s faults (seed %d) failed: %v\n%s",
@@ -192,7 +194,7 @@ func TestByzantineBackendQuarantinedWithinAuditWindow(t *testing.T) {
 
 	o := chaosOptions()
 	o.Workers = 4
-	o.Executor = c.Executor()
+	o.Executor = c.BatchExecutor()
 	sweep, err := experiments.RunSweep(context.Background(), o, chaosThresholds, chaosHeuristics)
 	if err != nil {
 		t.Fatal(err)

@@ -46,9 +46,9 @@ func startPeerDaemon(t *testing.T) *peerDaemon {
 	return d
 }
 
-// peerSweep runs the chaos sweep per run (fleet.Run, so every config
-// is looked up before it is dispatched) through urls and returns its
-// rendering.
+// peerSweep runs the chaos sweep through urls with the lookup (every
+// config is looked up before its chunk's misses are dispatched) and
+// returns its rendering.
 func peerSweep(t *testing.T, urls []string, lookup resultstore.PeerLookup) string {
 	t.Helper()
 	c := chaosClient(t, urls, nil, func(cfg *fleet.Config) {
@@ -57,7 +57,7 @@ func peerSweep(t *testing.T, urls []string, lookup resultstore.PeerLookup) strin
 	})
 	o := chaosOptions()
 	o.Workers = 4
-	o.Executor = c.Executor()
+	o.Executor = c.BatchExecutor()
 	sweep, err := experiments.RunSweep(context.Background(), o, chaosThresholds, chaosHeuristics)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestWarmPeerLookupSurvivesKilledDaemon(t *testing.T) {
 
 	held, lost := survivor.sims.Load(), victim.sims.Load()
 	if got := peerSweep(t, urls, lookup); got != want {
-		t.Fatalf("warm per-run sweep after a daemon kill diverges from the local run\nwant:\n%s\ngot:\n%s", want, got)
+		t.Fatalf("warm sweep after a daemon kill diverges from the local run\nwant:\n%s\ngot:\n%s", want, got)
 	}
 	if lookup.Hits() != held {
 		t.Fatalf("lookup hit %d keys, want the survivor's %d", lookup.Hits(), held)
@@ -160,7 +160,7 @@ func TestWarmPeerLookupRejectsCorruptHolder(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := peerSweep(t, urls, lookup); got != want {
-		t.Fatalf("warm per-run sweep with a bit-flipping holder diverges from the local run\nwant:\n%s\ngot:\n%s", want, got)
+		t.Fatalf("warm sweep with a bit-flipping holder diverges from the local run\nwant:\n%s\ngot:\n%s", want, got)
 	}
 	if tr.Injected(chaos.FaultCorrupt) == 0 || lookup.Errors() < tr.Injected(chaos.FaultCorrupt) {
 		t.Fatalf("%d bodies corrupted, %d rejected: want every corrupt body rejected", tr.Injected(chaos.FaultCorrupt), lookup.Errors())

@@ -50,46 +50,78 @@ type batchWireLine struct {
 	res core.Result
 }
 
-// RunBatch dispatches many configs with chunk sharding: the slice is
-// cut into BatchSize chunks and each chunk is one dispatch, so a
-// corrupt or dying backend costs a resend of the items it failed, not
-// the sweep. Results and errors are index-aligned with cfgs.
+// RunBatch dispatches many configs with chunk sharding. With a
+// PeerLookup, every config is looked up first and a verified stored
+// result answers it without dispatch. The misses are cut into BatchSize
+// chunks and each chunk is one dispatch, so a corrupt or dying backend
+// costs a resend of the items it failed, not the sweep. Results and
+// errors are index-aligned with cfgs.
 func (c *Client) RunBatch(ctx context.Context, cfgs []core.Config) ([]core.Result, []error) {
 	out := make([]core.Result, len(cfgs))
 	errs := make([]error, len(cfgs))
-	for start := 0; start < len(cfgs); start += c.cfg.BatchSize {
-		end := min(start+c.cfg.BatchSize, len(cfgs))
-		c.dispatch(ctx, cfgs[start:end], out[start:end], errs[start:end])
+	keys := make([]string, len(cfgs))
+	misses := make([]int, 0, len(cfgs))
+	var hit bool
+	for i, cfg := range cfgs {
+		keys[i] = resultstore.ConfigKey(cfg)
+		if out[i], hit = c.lookup(ctx, keys[i]); !hit {
+			misses = append(misses, i)
+		}
+	}
+	if c.cfg.PeerLookup != nil && len(cfgs) > 0 {
+		c.manifestsNoted.Do(c.noteManifestErrors)
+	}
+	for start := 0; start < len(misses); start += c.cfg.BatchSize {
+		c.dispatch(ctx, cfgs, keys, misses[start:min(start+c.cfg.BatchSize, len(misses))], out, errs)
 	}
 	return out, errs
 }
 
-// dispatch is the one path by which configs reach a backend. Each
-// attempt, under withRetries, sends the items not yet delivered as one
-// POST /v1/batch to the backend pick chose and delivers every line
-// post accepted. A failed request, a broken stream, a corrupt or
-// misbound line and an item error line all leave their items for the
-// next attempt, on another backend; one MaxRetries budget covers the
-// chunk. Delivered items are sampled for audit in index order. Items
-// still undelivered when the budget runs out get withRetries' error,
-// which wraps ErrNoBackends when no backend could take them.
-func (c *Client) dispatch(ctx context.Context, cfgs []core.Config, out []core.Result, errs []error) {
-	keys := make([]string, len(cfgs))
-	raws := make([][]byte, len(cfgs))
-	var pending []int
-	for i, cfg := range cfgs {
-		raw, err := json.Marshal(cfg)
+// lookup is the pre-dispatch lookup: a result already stored in the
+// fleet (verified end to end by the peer client) costs one GET to a
+// backend that lists it instead of a simulation slot. It returns the
+// stored result and whether there was one.
+func (c *Client) lookup(ctx context.Context, key string) (core.Result, bool) {
+	if c.cfg.PeerLookup == nil {
+		return core.Result{}, false
+	}
+	if e, ok := c.cfg.PeerLookup.Lookup(ctx, key); ok {
+		if res, err := e.Decode(); err == nil {
+			c.metrics.peerHits.Add(1)
+			return res, true
+		}
+	}
+	c.metrics.peerMisses.Add(1)
+	return core.Result{}, false
+}
+
+// dispatch is the one path by which configs reach a backend: it ships
+// the configs at positions idx of cfgs (whose keys are keys) and fills
+// the same positions of out and errs. Each attempt, under withRetries,
+// sends the items not yet delivered as one POST /v1/batch to the
+// backend pick chose and delivers every line post accepted. A failed
+// request, a broken stream, a corrupt or misbound line and an item
+// error line all leave their items for the next attempt, on another
+// backend; one MaxRetries budget covers the chunk. Delivered items are
+// sampled for audit in index order. Items still undelivered when the
+// budget runs out get withRetries' error, which wraps ErrNoBackends
+// when no backend could take them.
+func (c *Client) dispatch(ctx context.Context, cfgs []core.Config, keys []string, idx []int, out []core.Result, errs []error) {
+	raws := make([][]byte, len(idx))
+	var pending []int // positions in idx not yet delivered
+	for k, i := range idx {
+		raw, err := json.Marshal(cfgs[i])
 		if err != nil {
 			errs[i] = fmt.Errorf("fleet: encoding config: %w", err)
 			continue
 		}
-		keys[i], raws[i] = resultstore.ConfigKey(cfg), raw
-		pending = append(pending, i)
+		raws[k] = raw
+		pending = append(pending, k)
 	}
 	if len(pending) == 0 {
 		return
 	}
-	served := make([]*backend, len(cfgs))
+	served := make([]*backend, len(idx))
 	attempted := false
 	err := c.withRetries(ctx, func(b *backend) error {
 		if attempted {
@@ -99,23 +131,23 @@ func (c *Client) dispatch(ctx context.Context, cfgs []core.Config, out []core.Re
 		c.metrics.dispatched.Add(1)
 		sendRaws := make([][]byte, len(pending))
 		sendKeys := make([]string, len(pending))
-		for k, i := range pending {
-			sendRaws[k], sendKeys[k] = raws[i], keys[i]
+		for n, k := range pending {
+			sendRaws[n], sendKeys[n] = raws[k], keys[idx[k]]
 		}
 		lines, err := c.post(ctx, b, sendRaws, sendKeys)
 		var left []int
-		for k, i := range pending {
-			switch l := lines[k]; {
+		for n, k := range pending {
+			switch l := lines[n]; {
 			case l == nil:
-				left = append(left, i)
+				left = append(left, k)
 			case l.Error != "":
-				left = append(left, i)
+				left = append(left, k)
 				if err == nil {
-					err = fmt.Errorf("fleet: %s: item %d: %s", b.url, i, l.Error)
+					err = fmt.Errorf("fleet: %s: item %d: %s", b.url, idx[k], l.Error)
 				}
 			default:
 				c.metrics.batchItems.Add(1)
-				out[i], served[i] = l.res, b
+				out[idx[k]], served[k] = l.res, b
 			}
 		}
 		pending = left
@@ -124,12 +156,12 @@ func (c *Client) dispatch(ctx context.Context, cfgs []core.Config, out []core.Re
 		}
 		return err
 	})
-	for _, i := range pending {
-		errs[i] = err
+	for _, k := range pending {
+		errs[idx[k]] = err
 	}
-	for i, b := range served {
-		if b != nil {
-			out[i] = c.maybeAudit(ctx, b, raws[i], keys[i], out[i])
+	for k, b := range served {
+		if i := idx[k]; b != nil {
+			out[i] = c.maybeAudit(ctx, b, raws[k], keys[i], out[i])
 		}
 	}
 }
@@ -247,18 +279,23 @@ func decodeBatch(r io.Reader, keys []string) (lines []*batchWireLine, corrupt in
 	}
 }
 
-// BatchExecutor adapts the client to internal/runner's batch seam:
-// chunks of jobs with transportable configs ship as one POST /v1/batch
-// per backend; everything else — untransportable payloads, and any
-// item the pool cannot take — runs locally, so a sweep always
-// completes.
+// BatchExecutor adapts the client to internal/runner: chunks of jobs
+// with transportable configs go through RunBatch (the lookup, then one
+// POST /v1/batch per BatchSize of misses); everything else —
+// untransportable payloads, and any item the pool cannot take — runs
+// locally, so a sweep always completes.
 func (c *Client) BatchExecutor() runner.BatchExecutor[core.Result] {
-	return batchExecutor{executor{c}}
+	return executor{c}
 }
 
-type batchExecutor struct{ executor }
+type executor struct{ c *Client }
 
-func (e batchExecutor) ExecuteBatch(ctx context.Context, jobs []runner.Job[core.Result]) ([]core.Result, []error) {
+func (e executor) Execute(ctx context.Context, j runner.Job[core.Result]) (core.Result, error) {
+	res, errs := e.ExecuteBatch(ctx, []runner.Job[core.Result]{j})
+	return res[0], errs[0]
+}
+
+func (e executor) ExecuteBatch(ctx context.Context, jobs []runner.Job[core.Result]) ([]core.Result, []error) {
 	out := make([]core.Result, len(jobs))
 	errs := make([]error, len(jobs))
 	cfgs := make([]core.Config, 0, len(jobs))
@@ -266,18 +303,16 @@ func (e batchExecutor) ExecuteBatch(ctx context.Context, jobs []runner.Job[core.
 	for i, j := range jobs {
 		cfg, ok := j.Payload.(core.Config)
 		if !ok || cfg.Programs != nil {
+			// No transportable payload (or live program state): local run.
 			out[i], errs[i] = j.Run(ctx)
 			continue
 		}
 		cfgs = append(cfgs, cfg)
 		idxs = append(idxs, i)
 	}
-	if len(cfgs) == 0 {
-		return out, errs
-	}
 	res, rerrs := e.c.RunBatch(ctx, cfgs)
 	for k, i := range idxs {
-		if rerrs[k] != nil && errors.Is(rerrs[k], ErrNoBackends) {
+		if errors.Is(rerrs[k], ErrNoBackends) {
 			e.c.metrics.localFallback.Add(1)
 			out[i], errs[i] = jobs[i].Run(ctx)
 			continue

@@ -289,6 +289,46 @@ func TestRunBatchAuditsItems(t *testing.T) {
 	}
 }
 
+// TestRunBatchShipsOnlyLookupMisses: RunBatch consults the lookup for
+// every config first. A hit is answered from the store and never
+// posted; the one POST carries exactly the misses, in order, and every
+// result lands index-aligned.
+func TestRunBatchShipsOnlyLookupMisses(t *testing.T) {
+	var posted [][]core.Config
+	srv := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
+		posted = append(posted, serveBatch(w, r, -1, false))
+	})
+	cfgs := batchCfgs(5)
+	c := newTestClient(t, Config{Backends: []string{srv.URL}, PeerLookup: seedLookup{key: resultstore.ConfigKey(cfgs[2])}})
+
+	res, errs := c.RunBatch(context.Background(), cfgs)
+	for i := range cfgs {
+		want := fakeResult(cfgs[i]).Mix
+		if i == 2 {
+			want = "stored"
+		}
+		if errs[i] != nil || res[i].Mix != want {
+			t.Fatalf("item %d = (%q, %v), want %q", i, res[i].Mix, errs[i], want)
+		}
+	}
+	if len(posted) != 1 || len(posted[0]) != 4 {
+		t.Fatalf("POSTs carried %d batches (%v), want one of the 4 misses", len(posted), posted)
+	}
+	for n, i := range []int{0, 1, 3, 4} {
+		if posted[0][n].Seed != cfgs[i].Seed {
+			t.Fatalf("POSTed item %d has seed %d, want miss %d's %d", n, posted[0][n].Seed, i, cfgs[i].Seed)
+		}
+	}
+	if h, m := c.metrics.peerHits.Load(), c.metrics.peerMisses.Load(); h != 1 || m != 4 {
+		t.Fatalf("peer hits/misses = %d/%d, want 1/4", h, m)
+	}
+
+	// A batch of hits alone sends nothing.
+	if res, errs := c.RunBatch(context.Background(), cfgs[2:3]); errs[0] != nil || res[0].Mix != "stored" || len(posted) != 1 {
+		t.Fatalf("all-hit batch = (%q, %v) after %d POSTs, want the stored result and no new POST", res[0].Mix, errs[0], len(posted))
+	}
+}
+
 // storeBackend is a backend whose store holds one result, stored under
 // key: its manifest (written by manifest) and GET /v1/result serve it,
 // and /v1/batch simulates "simulated-fresh". It counts the result GETs

@@ -14,6 +14,7 @@ import (
 	"repro/internal/detector"
 	"repro/internal/policy"
 	"repro/internal/resultstore"
+	"repro/internal/runner"
 	"repro/internal/simrun"
 	"repro/internal/simserver"
 	"repro/internal/trace"
@@ -118,7 +119,12 @@ func (d *countingDaemon) stop() {
 //     zero simulations, and
 //  5. fleet.Run with a PeerLookup over that restarted daemon and an
 //     empty one, which must serve each config with exactly one
-//     GET /v1/result/{key}, to the holder, and still zero simulations.
+//     GET /v1/result/{key}, to the holder, and still zero simulations,
+//     and
+//  6. runner.RunWith through BatchExecutor with a new PeerLookup over
+//     the same two daemons, the way adts-sweep -backends -peer-lookup
+//     runs a sweep: again one GET per config to the holder, zero
+//     simulations and no local run.
 func TestServingPathsMatchLocal(t *testing.T) {
 	cfgs := servingDiffDraw(t, servingDiffConfigs)
 	ctx := context.Background()
@@ -213,6 +219,37 @@ func TestServingPathsMatchLocal(t *testing.T) {
 	}
 	if n, e := w.gets.Load(), empty.gets.Load(); n != int64(len(cfgs)) || e != 0 {
 		t.Fatalf("peer lookup sent %d GET /v1/result requests to the holder and %d to the empty daemon for %d configs, want one each to the holder", n, e, len(cfgs))
+	}
+
+	lookup, err = NewPeerLookup([]string{empty.ts.URL, w.ts.URL}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var local atomic.Int64
+	jobs := make([]runner.Job[core.Result], len(cfgs))
+	for i, cfg := range cfgs {
+		jobs[i] = runner.Job[core.Result]{
+			Name:    resultstore.ConfigKey(cfg),
+			Payload: cfg,
+			Run: func(ctx context.Context) (core.Result, error) {
+				local.Add(1)
+				return simrun.Run(ctx, cfg)
+			},
+		}
+	}
+	gets := w.gets.Load()
+	res, err = runner.RunWith(ctx, jobs, runner.Options{Workers: 2}, client(w, 0, lookup).BatchExecutor())
+	if err != nil {
+		t.Fatalf("runner sweep through the lookup: %v", err)
+	}
+	for i := range cfgs {
+		check("runner sweep through the lookup", i, res[i], nil)
+	}
+	if n := w.sims.Load() + local.Load(); n != 0 {
+		t.Fatalf("runner sweep through the lookup simulated %d configs, want 0", n)
+	}
+	if n, e := w.gets.Load()-gets, empty.gets.Load(); n != int64(len(cfgs)) || e != 0 {
+		t.Fatalf("runner sweep through the lookup sent %d GET /v1/result requests to the holder and %d to the empty daemon for %d configs, want one each to the holder", n, e, len(cfgs))
 	}
 	if a.sims.Load() == 0 || b.sims.Load() == 0 {
 		t.Fatalf("daemons ran %d and %d simulations: a serving path was not exercised", a.sims.Load(), b.sims.Load())

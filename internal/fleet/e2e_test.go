@@ -88,7 +88,7 @@ func TestE2EShardedSweepSurvivesBackendDeath(t *testing.T) {
 	var killed atomic.Bool
 	o := e2eOptions()
 	o.Workers = 4
-	o.Executor = c.Executor()
+	o.Executor = c.BatchExecutor()
 	o.RunHook = func(e runner.Event) {
 		// Kill the victim abruptly (severed connections, closed
 		// listener) a quarter of the way through the sweep.
@@ -132,7 +132,7 @@ func TestE2EShardedSweepSurvivesBackendDeath(t *testing.T) {
 	c2 := newClient()
 	oi := e2eOptions()
 	oi.Workers = 2
-	oi.Executor = c2.Executor()
+	oi.Executor = c2.BatchExecutor()
 	oi.Checkpoint = cp
 	var n atomic.Int32
 	oi.RunHook = func(runner.Event) {
@@ -157,7 +157,7 @@ func TestE2EShardedSweepSurvivesBackendDeath(t *testing.T) {
 	}
 	or := e2eOptions()
 	or.Workers = 2
-	or.Executor = c2.Executor()
+	or.Executor = c2.BatchExecutor()
 	or.Checkpoint = cp2
 	resumed, err := experiments.RunSweep(context.Background(), or, thresholds, heuristics)
 	if err != nil {

@@ -11,8 +11,8 @@
 // format is the config itself (not a lossy re-encoding), so results are
 // byte-identical to a local run no matter which backend served each
 // job. Every result line is checked against its config's key and its
-// digest before it is delivered. The Executor adapter plugs the client
-// into internal/runner, so checkpoint/resume, SIGINT drain, and
+// digest before it is delivered. The BatchExecutor adapter plugs the
+// client into internal/runner, so checkpoint/resume, SIGINT drain, and
 // progress/ETA work identically for remote sweeps.
 package fleet
 
@@ -72,15 +72,17 @@ type Config struct {
 	// backend by RunBatch; <= 0 selects 64. Larger batches amortize
 	// round trips, smaller ones spread a sweep across more backends.
 	BatchSize int
-	// PeerLookup, when non-nil, is consulted once before Run dispatches
-	// a config: a digest-verified result stored on a backend whose
-	// manifest listed it at the first lookup short-circuits the
-	// dispatch entirely. RunBatch does not consult it; the backend that
-	// receives a chunk serves what its own store holds. Build one with
-	// NewPeerLookup over the pool addresses.
+	// PeerLookup, when non-nil, is consulted once per config before
+	// RunBatch (and so Run) dispatches anything: a digest-verified
+	// result stored on a backend whose manifest listed it at the first
+	// lookup short-circuits that config's dispatch entirely, and only
+	// the misses are shipped. Build one with NewPeerLookup over the
+	// pool addresses.
 	PeerLookup resultstore.PeerLookup
-	// HTTPClient overrides the transport; nil selects a dedicated
-	// client (timeouts come from request contexts).
+	// HTTPClient overrides the transport; nil selects
+	// resultstore.NewHTTPClient, whose transport, shared with the
+	// lookup client, keeps a pooled connection per concurrent request
+	// (timeouts come from request contexts).
 	HTTPClient *http.Client
 	// Log receives operational warnings (backends going down or
 	// recovering, version skew across the pool); nil discards them.
@@ -107,7 +109,7 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 
 // ErrNoBackends reports that no backend could accept the job: the pool
 // is empty, or every backend is down or quarantined. Callers
-// (the Executor adapter, cmd/adts-sweep) fall back to local execution.
+// (the runner adapter) fall back to local execution.
 var ErrNoBackends = errors.New("fleet: no healthy backend available")
 
 // Client dispatches simulation configs across a pool of smtsimd
@@ -185,7 +187,7 @@ func New(cfg Config) (*Client, error) {
 
 	c := &Client{cfg: cfg, http: cfg.HTTPClient}
 	if c.http == nil {
-		c.http = &http.Client{}
+		c.http = resultstore.NewHTTPClient()
 	}
 	urls, err := NormalizeURLs(cfg.Backends)
 	if err != nil {
@@ -271,20 +273,6 @@ func (c *Client) noteDigestMismatch(b *backend) {
 // back to local execution); when retries are exhausted it returns the
 // last dispatch error.
 func (c *Client) Run(ctx context.Context, simCfg core.Config) (core.Result, error) {
-	// Pre-dispatch lookup: a result already stored in the fleet
-	// (verified end to end by the peer client) costs one GET to a
-	// backend that lists it instead of a simulation slot.
-	if c.cfg.PeerLookup != nil {
-		e, ok := c.cfg.PeerLookup.Lookup(ctx, resultstore.ConfigKey(simCfg))
-		c.manifestsNoted.Do(c.noteManifestErrors)
-		if ok {
-			if res, err := e.Decode(); err == nil {
-				c.metrics.peerHits.Add(1)
-				return res, nil
-			}
-		}
-		c.metrics.peerMisses.Add(1)
-	}
 	res, errs := c.RunBatch(ctx, []core.Config{simCfg})
 	return res[0], errs[0]
 }
@@ -459,26 +447,6 @@ func (c *Client) maybeAudit(ctx context.Context, served *backend, raw []byte, ke
 	}
 }
 
-// Executor adapts the client to internal/runner: jobs whose payload is
-// a transportable core.Config are dispatched to the pool; anything else
-// — and any job the pool cannot take (ErrNoBackends) — runs locally via
-// the job's own Run closure, so a sweep always completes.
-func (c *Client) Executor() runner.Executor[core.Result] {
-	return executor{c}
-}
-
-type executor struct{ c *Client }
-
-func (e executor) Execute(ctx context.Context, j runner.Job[core.Result]) (core.Result, error) {
-	cfg, ok := j.Payload.(core.Config)
-	if !ok || cfg.Programs != nil {
-		// No transportable payload (or live program state): local run.
-		return j.Run(ctx)
-	}
-	res, err := e.c.Run(ctx, cfg)
-	if errors.Is(err, ErrNoBackends) {
-		e.c.metrics.localFallback.Add(1)
-		return j.Run(ctx)
-	}
-	return res, err
-}
+// Executor returns the same adapter as BatchExecutor, which is also a
+// runner.Executor; it stays for callers that name it.
+func (c *Client) Executor() runner.Executor[core.Result] { return c.BatchExecutor() }

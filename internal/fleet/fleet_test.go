@@ -219,7 +219,7 @@ func TestLocalFallbackWhenPoolEmpty(t *testing.T) {
 			return core.Result{Mix: "local"}, nil
 		},
 	}
-	res, err := c.Executor().Execute(context.Background(), j)
+	res, err := c.BatchExecutor().Execute(context.Background(), j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestLocalFallbackWhenPoolFullyBroken(t *testing.T) {
 			return core.Result{Mix: "local"}, nil
 		},
 	}
-	res, err := c.Executor().Execute(context.Background(), j)
+	res, err := c.BatchExecutor().Execute(context.Background(), j)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func maskTimings(text string) string {
 // TestWriteMetricsGolden pins the full WriteMetrics text after a fixed
 // sequence over two backends: a clean run, a run that meets two 500s
 // before succeeding, a run answered by the pre-dispatch lookup, and a
-// two-item batch.
+// two-item batch whose items both miss the lookup.
 func TestWriteMetricsGolden(t *testing.T) {
 	var aRuns atomic.Int64
 	a := http.NewServeMux()

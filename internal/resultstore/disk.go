@@ -186,13 +186,16 @@ type Disk struct {
 	// atomic so State and the Put fast path read it without the lock.
 	mu sync.Mutex
 	// index is the recency order of the readable entries, each weighing
-	// its file size and bounded by MaxBytes.
-	index *lru[*diskEntry]
+	// its file size and bounded by MaxBytes. Every Put indexes a new
+	// node, so a reader that finds the same node in the index after
+	// reading the file outside mu knows it read the file the index
+	// names.
+	index *lru[struct{}]
 	// faulted holds the keys a classified read fault took out of the
-	// index, with their files left in place. A successful recovery
-	// re-indexes them; a Put of one of them drops it here. No key is
-	// in both maps.
-	faulted map[string]*diskEntry
+	// index, with their files' sizes; the files stay in place. A
+	// successful recovery re-indexes them; a Put of one of them drops
+	// it here. No key is in both.
+	faulted map[string]int64
 	// quarantined holds quarantine/'s files by name, oldest at the back,
 	// each weighing its size and bounded by QuarantineMaxBytes.
 	quarantined *lru[struct{}]
@@ -209,11 +212,6 @@ type Disk struct {
 	degradedPuts    atomic.Int64 // puts refused while degraded
 	recoveries      atomic.Int64 // successful re-arms back to DiskOK
 }
-
-// diskEntry is one indexed file. Every Put indexes a new one, so a
-// reader that finds the same pointer in the index after reading the
-// file outside d.mu knows it read the file the index names.
-type diskEntry struct{ size int64 }
 
 // persistedIndex is the on-disk shape of the recency order: each key's
 // rank, lowest evicting first. Any increasing access sequence orders
@@ -238,7 +236,7 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 	if opts.Log == nil {
 		opts.Log = io.Discard
 	}
-	d := &Disk{dir: dir, opts: opts, open: true, index: newLRU[*diskEntry](opts.MaxBytes), faulted: make(map[string]*diskEntry), quarantined: newLRU[struct{}](opts.QuarantineMaxBytes)}
+	d := &Disk{dir: dir, opts: opts, open: true, index: newLRU[struct{}](opts.MaxBytes), faulted: make(map[string]int64), quarantined: newLRU[struct{}](opts.QuarantineMaxBytes)}
 	if opts.Ops != nil {
 		d.ops = opts.Ops.withDefaults()
 	} else {
@@ -301,14 +299,13 @@ func (d *Disk) scan() error {
 		// file that cannot be read proves nothing about its bytes: it
 		// stays where it is, unindexed; after a classified fault a
 		// recovery indexes it, otherwise the next startup tries it again.
-		ent := &diskEntry{size: info.Size()}
 		raw, err := d.ops.ReadFile(path)
 		if err != nil {
 			fmt.Fprintf(d.opts.Log, "resultstore: not indexing unreadable %s: %v\n", name, err)
 			if isFault(err) {
 				d.readFaults.Add(1)
 				d.trip(err)
-				d.faulted[key] = ent
+				d.faulted[key] = info.Size()
 			}
 			continue
 		}
@@ -316,7 +313,7 @@ func (d *Disk) scan() error {
 			d.quarantine(path, int64(len(raw)), "corrupt, mismatched or old-format entry")
 			continue
 		}
-		d.index.put(key, ent, ent.size, false)
+		d.index.put(key, struct{}{}, info.Size(), false)
 	}
 	// Promote in rank order, once: the lowest rank ends at the back, and
 	// ties, and keys the index does not name (rank 0), evict in key order.
@@ -431,33 +428,33 @@ var errClosed = errors.New("resultstore: store closed")
 // and parks the key for the recovery that re-indexes it.
 func (d *Disk) read(key string, promote bool) (*Entry, error) {
 	d.mu.Lock()
-	ent, ok := d.index.get(key, false)
+	ent := d.index.get(key, false)
 	open := d.open
 	d.mu.Unlock()
 	if !open {
 		return nil, errClosed
 	}
-	if !ok {
+	if ent == nil {
 		return nil, os.ErrNotExist
 	}
 	path := filepath.Join(d.dir, fileFromKey(key))
 	raw, err := d.ops.ReadFile(path)
 	var e *Entry
+	var ok bool
 	if err == nil {
 		e, ok = parseRecord(raw, key)
 	}
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	cur, _ := d.index.get(key, false)
-	current := cur == ent
+	current := d.index.get(key, false) == ent
 	switch {
 	case err != nil:
 		fault := isFault(err)
 		if current {
 			d.index.remove(key)
 			if fault {
-				d.faulted[key] = ent
+				d.faulted[key] = ent.weight
 			}
 		}
 		if fault {
@@ -525,7 +522,7 @@ func (d *Disk) Put(e *Entry) error {
 		return err
 	}
 	delete(d.faulted, e.Key)
-	d.index.put(e.Key, &diskEntry{size: size}, size, false)
+	d.index.put(e.Key, struct{}{}, size, false)
 	d.evictLocked()
 	return nil
 }
@@ -622,7 +619,7 @@ func (d *Disk) rearm(lazy bool) bool {
 	}
 	sort.Sort(sort.Reverse(sort.StringSlice(keys)))
 	for _, k := range keys {
-		d.index.put(k, d.faulted[k], d.faulted[k].size, true)
+		d.index.put(k, struct{}{}, d.faulted[k], true)
 	}
 	clear(d.faulted)
 	d.evictLocked()
@@ -655,7 +652,7 @@ func (d *Disk) probe() error {
 // budget. An entry whose file cannot be removed stays indexed, and the
 // next-oldest goes instead. Caller holds d.mu.
 func (d *Disk) evictLocked() {
-	d.index.evict(func(key string, _ *diskEntry) bool {
+	d.index.evict(func(key string, _ struct{}) bool {
 		if err := d.ops.Remove(filepath.Join(d.dir, fileFromKey(key))); err != nil && !errors.Is(err, os.ErrNotExist) {
 			fmt.Fprintf(d.opts.Log, "resultstore: evicting %s: %v\n", key, err)
 			return true

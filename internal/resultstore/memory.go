@@ -29,7 +29,10 @@ func NewMemory(capacity int) *Memory {
 func (c *Memory) Get(key string) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.get(key, true)
+	if n := c.order.get(key, true); n != nil {
+		return n.val, true
+	}
+	return nil, false
 }
 
 // Put inserts or refreshes an entry, evicting the least recently used

@@ -62,8 +62,31 @@ func NewPeerClient(cfg PeerConfig) *PeerClient {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultPeerTimeout
 	}
-	return &PeerClient{cfg: cfg, http: &http.Client{}}
+	return &PeerClient{cfg: cfg, http: NewHTTPClient()}
 }
+
+// maxIdleConnsPerHost is how many idle connections the shared
+// transport keeps to one host: more than the concurrent requests a
+// sweep sends to one backend (one per worker, GOMAXPROCS by default).
+// The default transport keeps 2, so past two workers it closes a
+// connection after most requests and dials a new one for the next.
+const maxIdleConnsPerHost = 64
+
+// pooledTransport is http.DefaultTransport's clone with room for
+// maxIdleConnsPerHost idle connections per host. Every NewHTTPClient
+// client shares it, as clients on the default transport share that one,
+// so clients built one after another in a process reuse its
+// connections instead of each leaving its own idle ones open.
+var pooledTransport = func() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = maxIdleConnsPerHost
+	return t
+}()
+
+// NewHTTPClient returns a client on the shared pooled transport, so
+// concurrent lookups or dispatches to one backend reuse their
+// connections. The lookup client and the fleet client use it.
+func NewHTTPClient() *http.Client { return &http.Client{Transport: pooledTransport} }
 
 // Lookup implements PeerLookup: it asks the peers whose manifest lists
 // the key, one after another, and returns the first entry that

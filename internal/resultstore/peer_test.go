@@ -275,3 +275,51 @@ func TestPeerLookupRequestCounts(t *testing.T) {
 			earlier, sequential, n, earlier)
 	}
 }
+
+// TestPeerLookupReusesConnections: concurrent lookups against one peer
+// keep their connections pooled. The default transport keeps only two
+// idle connections per host, so eight workers close and redial
+// connections for most of their lookups. A first round opens the pool:
+// while it fills, the transport may dial a connection for a request
+// that another connection serves first, so it can hold a few more than
+// eight. The measured round of 8 workers × 200 lookups then uses at
+// most eight connections and opens none.
+func TestPeerLookupReusesConnections(t *testing.T) {
+	e := testEntry("cfg:aaaa444455556666", 6)
+	var n peerCounts
+	peer := peerServer(t, map[string]*Entry{e.Key: e}, &n)
+	p := NewPeerClient(PeerConfig{Peers: []string{peer}})
+
+	const workers, lookups = 8, 200
+	round := func() {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < lookups; i++ {
+					if _, ok := p.Lookup(context.Background(), e.Key); !ok {
+						t.Error("lookup missed")
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	round()
+	n.mu.Lock()
+	pooled := n.addrs
+	n.addrs = nil
+	n.mu.Unlock()
+
+	round()
+	if c := n.conns(); c > workers {
+		t.Fatalf("%d workers × %d lookups came on %d connections, want at most %d", workers, lookups, c, workers)
+	}
+	for addr := range n.addrs {
+		if !pooled[addr] {
+			t.Fatalf("%d workers × %d lookups opened a connection (%s) after the first round had filled the pool", workers, lookups, addr)
+		}
+	}
+}

@@ -201,20 +201,63 @@ func fetchManifest(ctx context.Context, hc *http.Client, base string) (map[strin
 }
 
 // decodeManifest reads a peer's manifest body as the set of its valid
-// keys. The body is untrusted: entries whose key fails ValidKey are
-// dropped, so nothing downstream sees a malformed key.
+// keys. It steps through the object with the decoder's Token and
+// decodes the entries one at a time, each key going into the set as it
+// is read, so no list of entries is built first. The
+// body is untrusted: entries whose key fails ValidKey are dropped, so
+// nothing downstream sees a malformed key.
 func decodeManifest(body io.Reader) (map[string]bool, error) {
-	var m manifestReply
-	if err := json.NewDecoder(body).Decode(&m); err != nil {
+	dec := json.NewDecoder(body)
+	t, err := dec.Token()
+	if err == nil && t != json.Delim('{') {
+		err = fmt.Errorf("manifest is %v, want an object", t)
+	}
+	if err != nil {
 		return nil, err
 	}
-	has := make(map[string]bool, len(m.Entries))
-	for _, me := range m.Entries {
+	has := make(map[string]bool)
+	for dec.More() {
+		name, err := dec.Token()
+		if err != nil {
+			return nil, err
+		}
+		if name == "entries" {
+			err = decodeEntries(dec, has)
+		} else {
+			err = dec.Decode(new(json.RawMessage))
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if _, err := dec.Token(); err != nil { // the closing '}'
+		return nil, err
+	}
+	return has, nil
+}
+
+// decodeEntries adds the valid keys of a manifest's entries array, or
+// of a null one, to has.
+func decodeEntries(dec *json.Decoder, has map[string]bool) error {
+	t, err := dec.Token()
+	if err != nil || t == nil {
+		return err
+	}
+	if t != json.Delim('[') {
+		return fmt.Errorf("manifest entries are %v, want an array", t)
+	}
+	var me ManifestEntry // reused: one per entry would cost an allocation each
+	for dec.More() {
+		me.Key = ""
+		if err := dec.Decode(&me); err != nil {
+			return err
+		}
 		if ValidKey(me.Key) {
 			has[me.Key] = true
 		}
 	}
-	return has, nil
+	_, err = dec.Token() // the closing ']'
+	return err
 }
 
 // Syncs reports completed + in-progress sync rounds.

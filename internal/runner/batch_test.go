@@ -264,3 +264,70 @@ func TestBatchFailFastStopsLaterChunks(t *testing.T) {
 		t.Fatalf("%d batch calls for two chunks", len(exec.chunks))
 	}
 }
+
+// TestBatchChunksBounded: a sweep far larger than the pool moves in
+// balanced chunks of at most 64 jobs, the same number per worker, and
+// progress settles as each chunk returns: by the time the last chunk
+// is handed out, every chunk but the two the workers hold has settled.
+// The first chunk waits for the second to start, so a runner that gave
+// each worker one chunk of its whole share would hand out its last
+// chunk before anything settled.
+func TestBatchChunksBounded(t *testing.T) {
+	const n, workers = 1000, 2
+	var settled atomic.Int64
+	var mu sync.Mutex
+	var seenAtEntry []int64
+	second := make(chan struct{})
+	exec := &batchExec{}
+	exec.reply = func(ctx context.Context, call int, jobs []Job[int]) ([]int, []error) {
+		mu.Lock()
+		seenAtEntry = append(seenAtEntry, settled.Load())
+		mu.Unlock()
+		switch call {
+		case 1:
+			select {
+			case <-second:
+			case <-time.After(10 * time.Second):
+			}
+		case 2:
+			close(second)
+		}
+		vs := make([]int, len(jobs))
+		for k, j := range jobs {
+			vs[k], _ = j.Run(ctx)
+		}
+		return vs, nil
+	}
+	got, err := RunWith(context.Background(), squareJobs(n), Options{Workers: workers, Hook: func(Event) { settled.Add(1) }}, Executor[int](exec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if v != i*i {
+			t.Fatalf("result[%d] = %d, want %d", i, v, i*i)
+		}
+	}
+	for k, c := range exec.chunks {
+		if len(c) > maxChunk {
+			t.Fatalf("chunk %d carries %d jobs, want at most %d", k, len(c), maxChunk)
+		}
+	}
+	if c := len(exec.chunks); c%workers != 0 || c < (n+maxChunk-1)/maxChunk {
+		t.Fatalf("%d chunks for %d jobs at %d workers, want a multiple of %d of at least %d", c, n, workers, workers, (n+maxChunk-1)/maxChunk)
+	}
+	if last := seenAtEntry[len(seenAtEntry)-1]; last < n-workers*maxChunk {
+		t.Fatalf("%d jobs had settled when the last chunk was handed out, want at least %d", last, n-workers*maxChunk)
+	}
+
+	// A sweep resumed in full hands the batch executor nothing.
+	store := newMemStore()
+	jobs := squareJobs(3)
+	for i := range jobs {
+		store.wire(&jobs[i])
+		store.m[jobs[i].Name] = i * i
+	}
+	idle := &batchExec{}
+	if _, err := RunWith(context.Background(), jobs, Options{Workers: workers}, Executor[int](idle)); err != nil || len(idle.chunks) != 0 {
+		t.Fatalf("fully resumed sweep: err %v, %d batch calls; want neither", err, len(idle.chunks))
+	}
+}

@@ -11,7 +11,8 @@
 //
 //  1. Resume pass — jobs whose Stored closure reports a result are
 //     satisfied from it without running.
-//  2. Dispatch — remaining jobs are fed to a bounded worker pool.
+//  2. Dispatch — remaining jobs are fed to a bounded worker pool, one
+//     at a time or, to a BatchExecutor, in chunks of at most 64.
 //     Results land index-aligned with the input slice, so output is
 //     byte-identical regardless of worker count or resume point.
 //  3. Settle — each completed job is handed to its Record closure
@@ -73,8 +74,9 @@ type Executor[T any] interface {
 // BatchExecutor is an Executor that can additionally evaluate a whole
 // chunk of jobs in one call (e.g. one POST /v1/batch round trip to a
 // backend, instead of one request per job). RunWith detects it and
-// hands each worker a chunk of pending jobs; per-job settle semantics
-// — recording, hooks, fail-fast — are unchanged.
+// hands its workers balanced chunks of at most 64 pending jobs, calling
+// only ExecuteBatch; per-job settle semantics — recording, hooks,
+// fail-fast — are unchanged.
 //
 // ExecuteBatch must return results and errors index-aligned with its
 // input; the errors slice may be nil when every job succeeded. A panic
@@ -177,7 +179,7 @@ func RunWith[T any](ctx context.Context, jobs []Job[T], o Options, exec Executor
 	}
 
 	// settle records one finished job: Record, result/error slot,
-	// fail-fast cancel, hook. Shared by the per-job and batch paths.
+	// fail-fast cancel, hook.
 	settle := func(i int, v T, attempts int, err error) {
 		j := jobs[i]
 		if err == nil && j.Record != nil {
@@ -195,37 +197,60 @@ func RunWith[T any](ctx context.Context, jobs []Job[T], o Options, exec Executor
 		hook(Event{Index: i, Name: j.Name, Err: errs[i], Attempts: attempts, Completed: n, Total: len(jobs)})
 	}
 
-	var wg sync.WaitGroup
-	if batcher, ok := exec.(BatchExecutor[T]); ok && len(pending) > 1 {
-		runBatched(runCtx, jobs, pending, workers, batcher, settle)
-	} else {
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					// A cancel can race the dispatcher's select; skip jobs
-					// that slipped through so fail-fast stays strict.
-					if runCtx.Err() != nil {
-						continue
-					}
-					v, attempts, err := attempt(runCtx, jobs[i], exec)
-					settle(i, v, attempts, err)
-				}
-			}()
-		}
-
-	dispatch:
-		for _, i := range pending {
-			select {
-			case idx <- i:
-			case <-runCtx.Done():
-				break dispatch
-			}
-		}
-		close(idx)
+	// One pool works through chunks of pending indices: a plain
+	// Executor (or a local run) takes one job at a time through attempt,
+	// a BatchExecutor takes a whole chunk in one ExecuteBatch call.
+	batcher, batched := exec.(BatchExecutor[T])
+	size := 1
+	if batched && workers > 0 {
+		size = chunkSize(len(pending), workers)
 	}
+	chunks := make(chan []int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for chunk := range chunks {
+				// A cancel can race the dispatcher's select; skip chunks
+				// that slipped through so fail-fast stays strict.
+				if runCtx.Err() != nil {
+					continue
+				}
+				if !batched {
+					v, attempts, err := attempt(runCtx, jobs[chunk[0]], exec)
+					settle(chunk[0], v, attempts, err)
+					continue
+				}
+				batch := make([]Job[T], len(chunk))
+				for k, i := range chunk {
+					batch[k] = jobs[i]
+				}
+				vs, berrs, err := executeBatch(runCtx, batcher, batch)
+				for k, i := range chunk {
+					var v T
+					jerr := err
+					if err == nil {
+						v = vs[k]
+						if berrs != nil {
+							jerr = berrs[k]
+						}
+					}
+					settle(i, v, 1, jerr)
+				}
+			}
+		}()
+	}
+
+dispatch:
+	for start := 0; start < len(pending); start += size {
+		select {
+		case chunks <- pending[start:min(start+size, len(pending))]:
+		case <-runCtx.Done():
+			break dispatch
+		}
+	}
+	close(chunks)
 	wg.Wait()
 	if stopProgress != nil {
 		stopProgress()
@@ -246,51 +271,18 @@ func RunWith[T any](ctx context.Context, jobs []Job[T], o Options, exec Executor
 	return results, nil
 }
 
-// runBatched is the BatchExecutor dispatch path: pending jobs are cut
-// into one chunk per worker and each worker settles its chunk from a
-// single ExecuteBatch call. It returns when every dispatched chunk has
-// settled.
-func runBatched[T any](ctx context.Context, jobs []Job[T], pending []int, workers int, be BatchExecutor[T], settle func(i int, v T, attempts int, err error)) {
-	chunkSize := (len(pending) + workers - 1) / workers
-	chunks := make(chan []int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for chunk := range chunks {
-				if ctx.Err() != nil {
-					continue
-				}
-				batch := make([]Job[T], len(chunk))
-				for k, i := range chunk {
-					batch[k] = jobs[i]
-				}
-				vs, berrs, err := executeBatch(ctx, be, batch)
-				for k, i := range chunk {
-					var v T
-					jerr := err
-					if err == nil {
-						v = vs[k]
-						if berrs != nil {
-							jerr = berrs[k]
-						}
-					}
-					settle(i, v, 1, jerr)
-				}
-			}
-		}()
-	}
-dispatch:
-	for start := 0; start < len(pending); start += chunkSize {
-		select {
-		case chunks <- pending[start:min(start+chunkSize, len(pending))]:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(chunks)
-	wg.Wait()
+// maxChunk bounds the jobs one ExecuteBatch call carries. It is the
+// fleet client's default BatchSize, so at defaults one chunk is one
+// POST /v1/batch.
+const maxChunk = 64
+
+// chunkSize cuts pending jobs into balanced chunks of at most maxChunk:
+// every worker gets the same number of rounds, and no chunk is larger
+// than it must be for that. Settling, progress and fail-fast move in
+// steps of one chunk.
+func chunkSize(pending, workers int) int {
+	rounds := (pending + workers*maxChunk - 1) / (workers * maxChunk)
+	return (pending + workers*rounds - 1) / (workers * rounds)
 }
 
 // executeBatch calls ExecuteBatch and holds it to its contract. A

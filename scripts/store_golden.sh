@@ -53,7 +53,7 @@ sims() {
 # sweep [extra adts-sweep flags...] runs the fixed quick sweep, through
 # the first daemon unless the flags say otherwise.
 sweep() {
-    [ $# -gt 0 ] || set -- -backends "$ADDR" -batch
+    [ $# -gt 0 ] || set -- -backends "$ADDR"
     "$OUT_DIR/adts-sweep" -table1 -quanta 4 -intervals 1 \
         -mixes kitchen-sink,int-memory,mixed-lowipc -json "$@"
 }
@@ -128,7 +128,7 @@ fi
 "$OUT_DIR/smtsimd" -addr "$CK_ADDR" -store-dir "$CK" &
 CK_PID=$!
 wait_up "$CK_ADDR"
-sweep -backends "$CK_ADDR" -batch > "$OUT_DIR/ckpt.json"
+sweep -backends "$CK_ADDR" > "$OUT_DIR/ckpt.json"
 CK_SIMS="$(sims "$CK_ADDR")"
 echo "checkpoint store pass done: smtsimd_simulations_total=$CK_SIMS"
 if ! diff -u "$OUT_DIR/local.json" "$OUT_DIR/ckpt.json"; then
