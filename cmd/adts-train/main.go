@@ -174,8 +174,8 @@ func replaySamples(dir string, m float64) ([]adaptive.Sample, error) {
 	}
 	defer store.Close()
 	var samples []adaptive.Sample
-	for _, me := range store.Manifest() {
-		e, ok := store.Get(me.Key)
+	for _, key := range store.Manifest() {
+		e, ok := store.Get(key)
 		if !ok {
 			continue
 		}

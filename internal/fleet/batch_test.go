@@ -359,9 +359,9 @@ func storeBackend(t *testing.T, key string, stored core.Result, manifest func(ht
 	return ts.URL, gets, posts
 }
 
-// listing writes a manifest that lists key.
+// listing writes a manifest that lists key: its one line.
 func listing(key string) func(http.ResponseWriter) {
-	return func(w http.ResponseWriter) { fmt.Fprintf(w, `{"state":"ok","entries":[{"key":%q}]}`, key) }
+	return func(w http.ResponseWriter) { fmt.Fprintf(w, "%s\n", key) }
 }
 
 // TestPeerLookupShortCircuitsRun: a verified peer store hit answers
@@ -410,18 +410,39 @@ func TestPeerLookupShortCircuitsRun(t *testing.T) {
 // dispatched, the other backend's keys still hit, and the failed read
 // is logged naming the backend and counted once.
 func TestPeerLookupManifestPastCap(t *testing.T) {
+	testUnreadableManifest(t, "cap", func(bigKey string) func(http.ResponseWriter) {
+		// A valid manifest listing bigKey, padded with 33 MiB of repeats.
+		chunk := []byte(strings.Repeat(bigKey+"\n", (1<<20)/(len(bigKey)+1)))
+		return func(w http.ResponseWriter) {
+			for n := 0; n <= 33<<20; n += len(chunk) {
+				w.Write(chunk)
+			}
+			fmt.Fprintf(w, "%s\n", bigKey)
+		}
+	})
+}
+
+// TestPeerLookupOldManifestFormat: a backend that serves an older
+// daemon's JSON manifest lists nothing for the lookup, with the same
+// outcome as a manifest past the cap; the log names the line.
+func TestPeerLookupOldManifestFormat(t *testing.T) {
+	testUnreadableManifest(t, "manifest line 1", func(key string) func(http.ResponseWriter) {
+		return func(w http.ResponseWriter) { fmt.Fprintf(w, `{"state":"ok","entries":[{"key":%q}]}`, key) }
+	})
+}
+
+// testUnreadableManifest runs two backends, each storing one result:
+// one whose manifest, listing its key, bad writes, and one whose
+// manifest lists its key. The bad backend's key must miss, be
+// dispatched and send it no GET; the other's must hit; and the failed
+// read must be logged once, naming the backend and wantLog, and counted
+// once.
+func testUnreadableManifest(t *testing.T, wantLog string, bad func(key string) func(http.ResponseWriter)) {
+	t.Helper()
 	bigCfg, smallCfg := testCfg(), testCfg()
 	bigCfg.Seed, smallCfg.Seed = 101, 102
 	bigKey, smallKey := resultstore.ConfigKey(bigCfg), resultstore.ConfigKey(smallCfg)
-	// A valid manifest listing bigKey, padded with 33 MiB of repeats.
-	chunk := []byte(strings.Repeat(fmt.Sprintf(`{"key":%q},`, bigKey), (1<<20)/(len(bigKey)+10)))
-	big, bigGets, _ := storeBackend(t, bigKey, core.Result{Mix: "stored-big"}, func(w http.ResponseWriter) {
-		fmt.Fprintf(w, `{"state":"ok","entries":[`)
-		for n := 0; n <= 33<<20; n += len(chunk) {
-			w.Write(chunk)
-		}
-		fmt.Fprintf(w, `{"key":%q}]}`, bigKey)
-	})
+	big, bigGets, _ := storeBackend(t, bigKey, core.Result{Mix: "stored-big"}, bad(bigKey))
 	small, _, _ := storeBackend(t, smallKey, core.Result{Mix: "stored-small"}, listing(smallKey))
 
 	peers, err := NewPeerLookup([]string{big, small}, 30*time.Second)
@@ -442,8 +463,8 @@ func TestPeerLookupManifestPastCap(t *testing.T) {
 	if n := bigGets.Load(); n != 0 {
 		t.Fatalf("the lookup sent %d GETs to the backend whose manifest it could not read", n)
 	}
-	if got := strings.Count(log.String(), big); got != 1 || !strings.Contains(log.String(), "cap") {
-		t.Fatalf("log names %s %d times, want one line naming the cap:\n%s", big, got, log.String())
+	if got := strings.Count(log.String(), big); got != 1 || !strings.Contains(log.String(), wantLog) {
+		t.Fatalf("log names %s %d times, want one line naming %q:\n%s", big, got, wantLog, log.String())
 	}
 	var metrics strings.Builder
 	c.WriteMetrics(&metrics)

@@ -365,7 +365,7 @@ func (d *Disk) loadIndex() map[string]int64 {
 	return idx.Access
 }
 
-// fileFromKey maps a store key to its file name: ":" (the raw-config
+// fileFromKey maps a store key to its file name: ":" (the ConfigKey
 // prefix separator) becomes "-", which cannot appear in a hex hash, so
 // the mapping is reversible for every valid key.
 func fileFromKey(key string) string {
@@ -734,11 +734,12 @@ func (d *Disk) Close() error {
 // Manifest lists the resident keys in order — the anti-entropy
 // exchange unit. A key whose file could not be read has already left
 // the index, so the manifest advertises only what the tier can serve.
-func (d *Disk) Manifest() []ManifestEntry {
+func (d *Disk) Manifest() []string {
 	d.mu.Lock()
 	keys := d.index.keys()
 	d.mu.Unlock()
-	return manifestOf(keys)
+	slices.Sort(keys)
+	return keys
 }
 
 // State reports the tier's health state.

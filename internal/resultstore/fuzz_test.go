@@ -2,8 +2,11 @@ package resultstore
 
 import (
 	"bytes"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/simrun"
@@ -66,18 +69,21 @@ func FuzzDecodePeerEntry(f *testing.F) {
 	})
 }
 
-// FuzzDecodeManifest drives the peer manifest decoder with untrusted
-// bodies: it must never panic, and every key it returns must pass
-// ValidKey, since the replicator builds request paths from them.
+// FuzzDecodeManifest drives the manifest reader with untrusted bodies:
+// it must never panic, an error comes with a nil key set, and every key
+// it returns must pass ValidKey, since the replicator builds request
+// paths from them. A body the writer encodes from the valid keys the
+// fuzzer's lines make reads back as exactly that set.
 func FuzzDecodeManifest(f *testing.F) {
+	f.Add([]byte("cfg:0123456789abcdef\ncfg:fedcba9876543210\n"))
 	f.Add([]byte(`{"state":"ok","entries":[{"key":"cfg:0123456789abcdef"}]}`))
-	f.Add([]byte(`{"state":"ok","entries":[{"key":"cfg:0123456789abcdef","digest":"00"},{"key":"../etc"}]}`))
-	f.Add([]byte(`{"entries":[{"key":""},{"key":"cfg:%2F"},{}]}`))
-	f.Add([]byte(`{"entries":null}`))
-	f.Add([]byte(`[`))
+	f.Add([]byte("cfg:0123456789abcdef\ncfg:fedcba9876543210"))
+	f.Add([]byte(""))
+	f.Add([]byte("cfg:0123456789abcdef\r\n"))
+	f.Add([]byte("cfg:0123456789abcdef\n\n../etc\n"))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		has, err := decodeManifest(bytes.NewReader(body))
+		has, err := readManifest(bytes.NewReader(body))
 		if err != nil && has != nil {
 			t.Fatalf("error %v with a non-nil key set", err)
 		}
@@ -85,6 +91,22 @@ func FuzzDecodeManifest(f *testing.F) {
 			if !ValidKey(k) {
 				t.Fatalf("decoded invalid key %q", k)
 			}
+		}
+
+		var keys []string
+		want := make(map[string]bool)
+		for _, k := range strings.Split(string(body), "\n") {
+			if ValidKey(k) && !want[k] {
+				keys = append(keys, k)
+				want[k] = true
+			}
+		}
+		slices.Sort(keys)
+		var buf bytes.Buffer
+		writeManifest(&buf, keys)
+		got, err := readManifest(&buf)
+		if err != nil || !maps.Equal(got, want) {
+			t.Fatalf("wrote %d keys, read back %v (%v)", len(want), got, err)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package resultstore
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -36,9 +37,10 @@ func (c *Memory) Get(key string) (*Entry, bool) {
 }
 
 // Put inserts or refreshes an entry, evicting the least recently used
-// entry when over capacity.
+// entry when over capacity. An entry whose key fails ValidKey is not
+// stored, so every key the manifest lists reads back.
 func (c *Memory) Put(e *Entry) {
-	if e == nil || e.Key == "" {
+	if e == nil || !ValidKey(e.Key) {
 		return
 	}
 	c.mu.Lock()
@@ -61,11 +63,12 @@ func (c *Memory) Remove(key string) {
 // exchange. The memory tier advertises too
 // so a daemon with a degraded disk can still replicate out what it
 // holds in RAM.
-func (c *Memory) Manifest() []ManifestEntry {
+func (c *Memory) Manifest() []string {
 	c.mu.Lock()
 	keys := c.order.keys()
 	c.mu.Unlock()
-	return manifestOf(keys)
+	slices.Sort(keys)
+	return keys
 }
 
 // Len reports the current entry count.

@@ -3,10 +3,10 @@ package resultstore
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"repro/internal/simrun"
@@ -49,14 +49,14 @@ func BenchmarkPeerEntryDecode(b *testing.B) {
 func BenchmarkManifestRead(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
-			m := manifestReply{Entries: make([]ManifestEntry, n)}
-			for i := range m.Entries {
-				m.Entries[i].Key = fmt.Sprintf("cfg:%016x", uint64(i)*0x9e3779b97f4a7c15)
+			keys := make([]string, n)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("cfg:%016x", uint64(i)*0x9e3779b97f4a7c15)
 			}
-			body, err := json.Marshal(m)
-			if err != nil {
-				b.Fatal(err)
-			}
+			slices.Sort(keys)
+			var buf bytes.Buffer
+			writeManifest(&buf, keys)
+			body := buf.Bytes()
 			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 				w.Write(body)
 			}))

@@ -2,9 +2,9 @@ package resultstore
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,11 +50,12 @@ func peerServer(t *testing.T, entries map[string]*Entry, n *peerCounts) string {
 	mux.HandleFunc("GET /v1/store/manifest", func(w http.ResponseWriter, r *http.Request) {
 		n.manifests.Add(1)
 		n.record(r)
-		m := manifestReply{Entries: []ManifestEntry{}}
+		var keys []string
 		for k := range entries {
-			m.Entries = append(m.Entries, ManifestEntry{Key: k})
+			keys = append(keys, k)
 		}
-		json.NewEncoder(w).Encode(m)
+		slices.Sort(keys)
+		writeManifest(w, keys)
 	})
 	mux.HandleFunc("GET /v1/result/{key}", func(w http.ResponseWriter, r *http.Request) {
 		n.gets.Add(1)

@@ -2,7 +2,6 @@ package resultstore
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -116,8 +115,8 @@ func (r *Replicator) SyncOnce(ctx context.Context) SyncReport {
 	r.syncs.Add(1)
 
 	local := make(map[string]bool)
-	for _, me := range r.store.ManifestLocal() {
-		local[me.Key] = true
+	for _, key := range r.store.ManifestLocal() {
+		local[key] = true
 	}
 
 	// Manifest exchange: who has what. A peer that fails the exchange
@@ -166,98 +165,6 @@ func (r *Replicator) SyncOnce(ctx context.Context) SyncReport {
 			rep.PeersSeen, len(r.cfg.Peers), rep.Pulled, rep.PullErrors)
 	}
 	return rep
-}
-
-// manifestReply is the part of simserver's GET /v1/store/manifest body
-// a replicator or a lookup client reads: the key list.
-type manifestReply struct {
-	Entries []ManifestEntry `json:"entries"`
-}
-
-// maxManifestBytes caps a manifest body: about a million keys.
-const maxManifestBytes = 32 << 20
-
-// fetchManifest GETs one peer's manifest as a key set.
-func fetchManifest(ctx context.Context, hc *http.Client, base string) (map[string]bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/store/manifest", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
-		return nil, fmt.Errorf("HTTP %d", resp.StatusCode)
-	}
-	body := &io.LimitedReader{R: resp.Body, N: maxManifestBytes}
-	has, err := decodeManifest(body)
-	if err != nil && body.N == 0 {
-		return nil, fmt.Errorf("body exceeds the %d-byte cap: %w", maxManifestBytes, err)
-	}
-	return has, err
-}
-
-// decodeManifest reads a peer's manifest body as the set of its valid
-// keys. It steps through the object with the decoder's Token and
-// decodes the entries one at a time, each key going into the set as it
-// is read, so no list of entries is built first. The
-// body is untrusted: entries whose key fails ValidKey are dropped, so
-// nothing downstream sees a malformed key.
-func decodeManifest(body io.Reader) (map[string]bool, error) {
-	dec := json.NewDecoder(body)
-	t, err := dec.Token()
-	if err == nil && t != json.Delim('{') {
-		err = fmt.Errorf("manifest is %v, want an object", t)
-	}
-	if err != nil {
-		return nil, err
-	}
-	has := make(map[string]bool)
-	for dec.More() {
-		name, err := dec.Token()
-		if err != nil {
-			return nil, err
-		}
-		if name == "entries" {
-			err = decodeEntries(dec, has)
-		} else {
-			err = dec.Decode(new(json.RawMessage))
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if _, err := dec.Token(); err != nil { // the closing '}'
-		return nil, err
-	}
-	return has, nil
-}
-
-// decodeEntries adds the valid keys of a manifest's entries array, or
-// of a null one, to has.
-func decodeEntries(dec *json.Decoder, has map[string]bool) error {
-	t, err := dec.Token()
-	if err != nil || t == nil {
-		return err
-	}
-	if t != json.Delim('[') {
-		return fmt.Errorf("manifest entries are %v, want an array", t)
-	}
-	var me ManifestEntry // reused: one per entry would cost an allocation each
-	for dec.More() {
-		me.Key = ""
-		if err := dec.Decode(&me); err != nil {
-			return err
-		}
-		if ValidKey(me.Key) {
-			has[me.Key] = true
-		}
-	}
-	_, err = dec.Token() // the closing ']'
-	return err
 }
 
 // Syncs reports completed + in-progress sync rounds.

@@ -2,7 +2,6 @@ package resultstore
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -17,11 +16,7 @@ func tieredPeerServer(t *testing.T, st *Tiered) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/store/manifest", func(w http.ResponseWriter, _ *http.Request) {
-		entries := st.ManifestLocal()
-		if entries == nil {
-			entries = []ManifestEntry{}
-		}
-		json.NewEncoder(w).Encode(manifestReply{Entries: entries})
+		st.ServeManifest(w)
 	})
 	mux.HandleFunc("GET /v1/result/{key}", func(w http.ResponseWriter, r *http.Request) {
 		e, _, ok := st.Get(r.PathValue("key"))
@@ -100,7 +95,7 @@ func TestReplicatorRejectsUnverifiablePulls(t *testing.T) {
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/store/manifest", func(w http.ResponseWriter, _ *http.Request) {
-		json.NewEncoder(w).Encode(manifestReply{Entries: []ManifestEntry{{Key: key}}})
+		writeManifest(w, []string{key})
 	})
 	mux.HandleFunc("GET /v1/result/{key}", func(w http.ResponseWriter, _ *http.Request) {
 		w.Write(corrupt.AppendRecord(nil))

@@ -33,7 +33,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -59,24 +58,6 @@ const (
 	StateMemoryOnly = "memory-only"
 )
 
-// ManifestEntry is one line of a store manifest: the anti-entropy
-// exchange unit. A daemon reads its peers' manifests to find the keys
-// it is missing and pulls them; every pulled entry is digest-verified,
-// so the manifest carries only the key.
-type ManifestEntry struct {
-	Key string `json:"key"`
-}
-
-// manifestOf lists keys as a manifest, in key order.
-func manifestOf(keys []string) []ManifestEntry {
-	sort.Strings(keys)
-	out := make([]ManifestEntry, len(keys))
-	for i, k := range keys {
-		out[i] = ManifestEntry{Key: k}
-	}
-	return out
-}
-
 // Entry is one stored simulation result: the canonical JSON bytes of
 // its core.Result (exactly json.Marshal of it, the bytes
 // simrun.ResultDigest hashes) and their digest, under its key. Every
@@ -85,8 +66,8 @@ func manifestOf(keys []string) []ManifestEntry {
 // each hop verifies them by hashing them, and only a consumer that
 // needs a core.Result decodes one (Decode).
 type Entry struct {
-	// Key is the canonical config hash the entry is stored under
-	// (simrun.Key, with a "cfg:" prefix for raw-config entries).
+	// Key is the store key of the config the entry holds the result
+	// of (ConfigKey).
 	Key string
 	// Result is the simulation result of an entry built as a literal;
 	// ResultJSON encodes it when the entry holds no bytes. An entry
@@ -119,9 +100,10 @@ func NewEntry(key string, res core.Result) *Entry {
 	return &Entry{Key: key, Digest: simrun.DigestJSON(raw), raw: raw}
 }
 
-// ConfigKey is the store key of a raw-config entry: simrun.Key behind
-// the "cfg:" prefix, so a raw-config entry is never served to a
-// POST /v1/run caller.
+// ConfigKey is the store key of a config's result: simrun.Key behind
+// the "cfg:" prefix. POST /v1/run, /v1/batch items and sweep
+// checkpoints all key by it, so a config stored by one is found by the
+// others.
 func ConfigKey(cfg core.Config) string { return "cfg:" + simrun.Key(cfg) }
 
 // ResultJSON returns the result's canonical JSON bytes: the bytes the
@@ -163,8 +145,8 @@ func (e *Entry) Verify() bool {
 
 // ValidKey reports whether key is storable: non-empty, bounded, and
 // built only from the characters config hashes use (hex, plus the
-// "cfg:" raw-config prefix). Everything else is rejected before it can
-// reach a filename or a URL path.
+// "cfg:" prefix of ConfigKey). Everything else is rejected before it
+// can reach a filename, a URL path or a manifest line.
 func ValidKey(key string) bool {
 	if key == "" || len(key) > 128 {
 		return false
@@ -273,18 +255,18 @@ func (t *Tiered) State() string {
 // serve, in key order — the GET /v1/store/manifest payload. The
 // memory tier is included so a daemon whose disk is degraded still
 // advertises (and can replicate out) the results it holds in RAM.
-func (t *Tiered) ManifestLocal() []ManifestEntry {
+func (t *Tiered) ManifestLocal() []string {
 	if t == nil {
 		return nil
 	}
-	var out []ManifestEntry
+	var out []string
 	if t.disk != nil {
 		out = t.disk.Manifest()
 	}
 	if t.mem != nil {
 		out = append(out, t.mem.Manifest()...)
 	}
-	slices.SortFunc(out, func(a, b ManifestEntry) int { return strings.Compare(a.Key, b.Key) })
+	slices.Sort(out)
 	return slices.Compact(out)
 }
 

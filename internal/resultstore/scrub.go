@@ -112,13 +112,13 @@ func (s *Scrubber) ScrubOnce(ctx context.Context) ScrubReport {
 		rep.Recovered = true
 		fmt.Fprintf(s.cfg.Log, "resultstore: scrub re-armed the disk tier\n")
 	}
-	for _, me := range disk.Manifest() {
+	for _, key := range disk.Manifest() {
 		if !pace(ctx, s.cfg.Pace) {
 			return rep
 		}
 		rep.Scanned++
 		s.scanned.Add(1)
-		err := disk.Check(me.Key)
+		err := disk.Check(key)
 		switch {
 		case err == nil:
 		case errors.Is(err, ErrCorrupt):

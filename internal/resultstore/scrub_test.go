@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"syscall"
 	"testing"
 	"time"
@@ -72,10 +73,8 @@ func TestScrubDetectsQuarantinesAndRepairs(t *testing.T) {
 	if _, ok := d.Get(bad.Key); ok {
 		t.Fatal("corrupt entry still serves after scrub")
 	}
-	for _, me := range st.ManifestLocal() {
-		if me.Key == bad.Key {
-			t.Fatal("quarantined key is still in the local manifest")
-		}
+	if slices.Contains(st.ManifestLocal(), bad.Key) {
+		t.Fatal("quarantined key is still in the local manifest")
 	}
 	// The quarantined original is kept for inspection.
 	qfiles, err := os.ReadDir(filepath.Join(dir, quarantineDir))

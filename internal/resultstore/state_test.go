@@ -225,7 +225,7 @@ func TestReadFaultClassification(t *testing.T) {
 					t.Fatal("Get under an injected read fault served an entry")
 				}
 			}
-			if m := d.Manifest(); len(m) != 1 || m[0].Key != good.Key {
+			if m := d.Manifest(); len(m) != 1 || m[0] != good.Key {
 				t.Fatalf("manifest after the fault = %v, want only %s", m, good.Key)
 			}
 			if got, ok := d.Get(good.Key); !ok || got.Digest != good.Digest {

@@ -37,6 +37,14 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	w.Write(e.AppendRecord(nil))
 }
 
+// handleManifest is GET /v1/store/manifest: the keys the local tiers
+// can serve, one per line (resultstore owns the format). Replicators
+// and the fleet's pre-dispatch lookup read it to know which daemon
+// to ask for a key.
+func (s *Server) handleManifest(w http.ResponseWriter, _ *http.Request) {
+	s.store.ServeManifest(w)
+}
+
 // maxBatchItems bounds the configs of one POST /v1/batch request.
 const maxBatchItems = 4096
 
@@ -84,9 +92,9 @@ type batchTrailer struct {
 // carrying counts. Every config is validated before the first byte of
 // the response, so a bad batch is one 400, never a half-stream. Items
 // share the store, singleflight, and worker pool with /v1/run, and
-// their flights wait for a worker slot like any other. Item keys carry
-// a "cfg:" prefix (resultstore.ConfigKey), so a raw-config entry, whose
-// request echo is empty, is never served to a /v1/run caller.
+// their flights wait for a worker slot like any other. Items are keyed
+// by resultstore.ConfigKey, as /v1/run is, so a config stored by either
+// endpoint is a hit for the other.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requests.Add(1)
 	s.metrics.batchRequests.Add(1)

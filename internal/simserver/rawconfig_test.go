@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -262,5 +263,87 @@ func TestRunCfgAdaptiveSelector(t *testing.T) {
 	if !items2[0].Cached || items2[0].Digest != items[0].Digest {
 		t.Fatalf("cached adaptive line diverged: cached=%t digest %s vs %s",
 			items2[0].Cached, items2[0].Digest, items[0].Digest)
+	}
+}
+
+// TestRunAndBatchShareOneKey: POST /v1/run and a /v1/batch item key a
+// config the same way, so whichever endpoint asks second is answered
+// from the store and the daemon simulates the config once.
+func TestRunAndBatchShareOneKey(t *testing.T) {
+	for _, runFirst := range []bool{true, false} {
+		srv := New(Config{Workers: 1, Run: stubResult})
+		defer srv.Shutdown(context.Background())
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		cfg := testCoreConfig(t)
+
+		run := func() (key string, cached bool) {
+			resp, raw := postRun(t, ts.URL, testRequest)
+			var reply struct {
+				Key    string `json:"key"`
+				Cached bool   `json:"cached"`
+			}
+			if err := json.Unmarshal(raw, &reply); resp.StatusCode != http.StatusOK || err != nil {
+				t.Fatalf("POST /v1/run: status %d (%v): %s", resp.StatusCode, err, raw)
+			}
+			return reply.Key, reply.Cached
+		}
+		batch := func() (key string, cached bool) {
+			items, _ := postBatch(t, ts.URL, []core.Config{cfg})
+			return items[0].Key, items[0].Cached
+		}
+		first, second := run, batch
+		if !runFirst {
+			first, second = batch, run
+		}
+		k1, c1 := first()
+		k2, c2 := second()
+		if want := resultstore.ConfigKey(cfg); k1 != want || k2 != want {
+			t.Errorf("run first %v: keys %q then %q, want %q for both", runFirst, k1, k2, want)
+		}
+		if c1 || !c2 {
+			t.Errorf("run first %v: cached %v then %v, want false then true", runFirst, c1, c2)
+		}
+		if got := scrapeMetric(t, ts.URL, "smtsimd_simulations_total"); got != "1" {
+			t.Errorf("run first %v: smtsimd_simulations_total = %s, want 1", runFirst, got)
+		}
+	}
+}
+
+// TestStoreManifestListsKeys: GET /v1/store/manifest is the stored
+// keys, sorted, one per line, as text; an empty store's is empty.
+func TestStoreManifestListsKeys(t *testing.T) {
+	srv := New(Config{Workers: 1, Run: stubResult})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+
+	manifest := func() string {
+		resp, err := http.Get(ts.URL + "/v1/store/manifest")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "text/plain; charset=utf-8" {
+			t.Fatalf("manifest: status %d, Content-Type %q", resp.StatusCode, ct)
+		}
+		return string(raw)
+	}
+	if got := manifest(); got != "" {
+		t.Fatalf("empty store's manifest = %q, want the empty body", got)
+	}
+	cfgs := batchConfigs(t, 3)
+	postBatch(t, ts.URL, cfgs)
+	var keys []string
+	for _, cfg := range cfgs {
+		keys = append(keys, resultstore.ConfigKey(cfg))
+	}
+	slices.Sort(keys)
+	if got, want := manifest(), strings.Join(keys, "\n")+"\n"; got != want {
+		t.Fatalf("manifest = %q, want %q", got, want)
 	}
 }

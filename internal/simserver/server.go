@@ -3,8 +3,9 @@
 // layered on top of the deterministic simulator —
 //
 //  1. Result store: a tiered store (internal/resultstore) keyed by the
-//     canonical config hash (simrun.Key) — in-memory LRU, optionally
-//     backed by a size-bounded on-disk tier that survives restarts.
+//     canonical config hash (resultstore.ConfigKey) — in-memory LRU,
+//     optionally backed by a size-bounded on-disk tier that survives
+//     restarts.
 //     Simulations are deterministic, so stored results are exact, with
 //     no TTL and no invalidation.
 //  2. Singleflight: N concurrent identical requests trigger exactly one
@@ -17,9 +18,10 @@
 //
 // Endpoints: POST /v1/run (one request in user vocabulary), POST
 // /v1/batch (raw configs in, an NDJSON stream out; the transport behind
-// internal/fleet), GET /v1/result/{key} (peer lookup), GET
-// /v1/store/manifest, GET /v1/mixes, GET /healthz, GET /metrics
-// (Prometheus text format, no external dependencies).
+// internal/fleet), GET /v1/result/{key} (one stored entry, for peer
+// lookup and replication), GET /v1/store/manifest (the stored keys, one
+// per line), GET /v1/mixes, GET /healthz, GET /metrics (Prometheus text
+// format, no external dependencies).
 package simserver
 
 import (
@@ -213,7 +215,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, err.Error())
 		return
 	}
-	e, f, d := s.lookup(simrun.Key(cfg), cfg)
+	e, f, d := s.lookup(resultstore.ConfigKey(cfg), cfg)
 	if f != nil {
 		select {
 		case <-f.done:
